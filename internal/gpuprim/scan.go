@@ -27,6 +27,9 @@ type Charger func(*simt.RunResult)
 type ScanScratch struct {
 	dev    *simt.Device
 	levels []scanLevel
+	// blocks holds the block-scan kernel's per-shape costs, shared by
+	// every recursion level: a block's cost depends only on its live count.
+	blocks simt.ShapeMemo
 }
 
 type scanLevel struct {
@@ -116,7 +119,7 @@ func scan(dev *simt.Device, src, dst *simt.BufInt32, n, depth int, scratch *Scan
 	lv := scratch.level(depth)
 	blockSums := scratch.fit(&lv.sums, numBlocks)
 
-	charge(blockScanKernel(dev, src, dst, blockSums, n))
+	charge(blockScanKernel(dev, src, dst, blockSums, n, &scratch.blocks))
 
 	if numBlocks == 1 {
 		return blockSums.Data()[0]
@@ -131,10 +134,21 @@ func scan(dev *simt.Device, src, dst *simt.BufInt32, n, depth int, scratch *Scan
 
 // blockScanKernel performs an exclusive Blelloch scan of each workgroup-
 // sized block in LDS and records the block totals.
-func blockScanKernel(dev *simt.Device, src, dst, blockSums *simt.BufInt32, n int) *simt.RunResult {
+//
+// A block is data-oblivious: its loads and stores are guarded by base+i <
+// n, its LDS indices are fixed, and the segment cache starts empty for
+// every group, so its cost depends only on its live count t = min(block,
+// n-base). The device therefore simulates each t once (memo keeps the
+// records) and blockScanHost writes the other blocks' outputs.
+func blockScanKernel(dev *simt.Device, src, dst, blockSums *simt.BufInt32, n int, memo *simt.ShapeMemo) *simt.RunResult {
 	block := int32(dev.WorkgroupSize)
 	numBlocks := (n + dev.WorkgroupSize - 1) / dev.WorkgroupSize
-	return dev.RunCoop("scan-block", numBlocks, func(g *simt.GroupCtx) {
+	live := func(g int32) int { return int(min(block, int32(n)-g*block)) }
+	host := func(g int32) {
+		base := int(g * block)
+		blockSums.Data()[g] = blockScanHost(src.Data()[base:base+live(g)], dst.Data()[base:])
+	}
+	return dev.RunCoopOblivious("scan-block", numBlocks, memo, live, host, func(g *simt.GroupCtx) {
 		lds := g.AllocLDS(int(block))
 		base := g.ID() * block
 		// Load (zero-padded past n).
@@ -184,6 +198,18 @@ func blockScanKernel(dev *simt.Device, src, dst, blockSums *simt.BufInt32, n int
 			}
 		})
 	})
+}
+
+// blockScanHost writes the exclusive prefix sums of in to out and returns
+// their total. Wrapping int32 addition is associative, so this equals the
+// Blelloch tree's result.
+func blockScanHost(in, out []int32) int32 {
+	var sum int32
+	for i, v := range in {
+		out[i] = sum
+		sum += v
+	}
+	return sum
 }
 
 // uniformAddKernel adds each block's scanned offset to its elements.

@@ -272,11 +272,12 @@ func (s *Server) finishBatchMembers(members []*job, resps []*Response) {
 	}
 	for i, j := range members {
 		s.reg.Counter("completed_total").Inc()
-		s.idem.put(j.req.IdemKey, resps[i], j.req.NoCache, j.key.policy)
+		stored := packResponse(resps[i])
+		s.idem.put(j.req.IdemKey, stored, j.req.NoCache, j.key.policy)
 		if !j.req.NoCache {
-			// Cache before dropping the flight, as in runJob: a request
+			// Cache before dropping the flight, as in finishJob: a request
 			// arriving between the two sees either the flight or the cache.
-			s.cache.put(j.key, resps[i])
+			s.cache.put(j.key, stored)
 			s.dropInflight(j.key)
 		}
 		j.fl.complete(resps[i], nil)

@@ -22,10 +22,11 @@ func keyOf(req *Request, fp uint64, shards int) cacheKey {
 	return cacheKey{fp: fp, policy: k}
 }
 
-// resultCache is a fixed-capacity LRU of completed responses. Stored
-// responses are treated as immutable: lookups return the same *Response to
-// every hit, so callers must not mutate the Colors slice. Evictions are
-// counted (they used to be silent) so /metricsz can report churn.
+// resultCache is a fixed-capacity LRU of completed responses, in the
+// packed form packResponse makes. Stored responses are treated as
+// immutable: lookups return the same *Response to every hit, and every hit
+// path hands its caller a private copy via cloneHit. Evictions are counted
+// (they used to be silent) so /metricsz can report churn.
 type resultCache struct {
 	mu     sync.Mutex
 	cap    int

@@ -227,8 +227,8 @@ func (s *Server) submitDelta(ctx context.Context, req *Request) (*Response, erro
 	if !req.NoCache {
 		if res, ok := s.cache.get(key); ok {
 			s.reg.Counter("cache_hits").Inc()
-			s.versions.put(fp, ng, res.Colors) // re-pin: the chain continues
 			hit := cloneHit(res)
+			s.versions.put(fp, ng, hit.Colors) // re-pin: the chain continues
 			hit.Cached = true
 			hit.Delta = true
 			hit.FrontierSize = len(frontier)
@@ -292,13 +292,14 @@ func (s *Server) submitDelta(ctx context.Context, req *Request) (*Response, erro
 		s.journalDone(req, key, res)
 	}
 	s.versions.put(fp, ng, colors)
+	stored := packResponse(res)
 	if !req.NoCache {
-		s.cache.put(key, res)
+		s.cache.put(key, stored)
 	}
-	s.idem.put(req.IdemKey, res, req.NoCache, key.policy)
-	// The stored res is canonical (cache + idem share it); the caller gets
-	// its own Colors copy, like every other path out of Submit.
-	return cloneHit(res), nil
+	s.idem.put(req.IdemKey, stored, req.NoCache, key.policy)
+	// The stored response is canonical (cache + idem share it); the caller
+	// gets its own Colors copy, like every other path out of Submit.
+	return cloneHit(stored), nil
 }
 
 // deltaFallback recolors the successor graph from scratch through the

@@ -118,7 +118,7 @@ func (s *Server) snapshotSource() ([]journal.AcceptRecord, []journal.CompleteRec
 	var comps []journal.CompleteRecord
 	now := time.Now().UnixMilli()
 	for _, e := range s.cache.export() {
-		rec := completionRecord("", "", e.key, e.res, nil, false)
+		rec := completionRecord("", "", e.key, cloneHit(e.res), nil, false)
 		rec.CompletedUnixMS = now
 		comps = append(comps, rec)
 	}
@@ -126,7 +126,7 @@ func (s *Server) snapshotSource() ([]journal.AcceptRecord, []journal.CompleteRec
 		if e.res == nil || e.key == "" {
 			continue
 		}
-		rec := completionRecord("", e.key, cacheKey{fp: e.res.Fingerprint, policy: e.pk}, e.res, nil, e.noCache)
+		rec := completionRecord("", e.key, cacheKey{fp: e.res.Fingerprint, policy: e.pk}, cloneHit(e.res), nil, e.noCache)
 		rec.CompletedUnixMS = now
 		comps = append(comps, rec)
 	}
@@ -184,7 +184,7 @@ func (s *Server) applyRecovery(rec *journal.Recovery) {
 		if err != nil {
 			continue
 		}
-		res := &Response{
+		res := packResponse(&Response{
 			Fingerprint: c.Fingerprint,
 			Colors:      colors,
 			NumColors:   c.NumColors,
@@ -193,7 +193,7 @@ func (s *Server) applyRecovery(rec *journal.Recovery) {
 			Recovery:    gpucolor.RecoveryLevel(c.Recovery),
 			Shards:      c.Shards,
 			Device:      -1,
-		}
+		})
 		if !c.NoCache {
 			s.cache.put(cacheKey{fp: c.Fingerprint, policy: c.PolicyKey}, res)
 			s.warmCache++

@@ -249,4 +249,9 @@ type Response struct {
 	// time. Both zero for cache hits.
 	Wait time.Duration
 	Exec time.Duration
+
+	// colors8 is Colors one byte per vertex, set (with Colors nil) only on
+	// the responses the result cache and idempotency LRU keep; see
+	// packResponse.
+	colors8 []byte
 }

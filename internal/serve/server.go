@@ -516,16 +516,47 @@ func (s *Server) Drain(timeout time.Duration) (DrainSummary, error) {
 }
 
 // cloneHit returns a defensive copy of a cached response: Colors is
-// copied, so a caller mutating the slice it was handed cannot corrupt the
-// cached entry (and with it every later hit). The shallow copy alone used
-// to alias the cache's backing array — the classic "poison one hit, serve
-// bad colorings forever" bug.
+// copied (or unpacked from a stored response's bytes), so a caller
+// mutating the slice it was handed cannot corrupt the cached entry (and
+// with it every later hit). The shallow copy alone used to alias the
+// cache's backing array — the classic "poison one hit, serve bad
+// colorings forever" bug.
 func cloneHit(res *Response) *Response {
 	hit := *res
-	if hit.Colors != nil {
+	switch {
+	case hit.colors8 != nil:
+		hit.Colors = make([]int32, len(hit.colors8))
+		for i, c := range hit.colors8 {
+			hit.Colors[i] = int32(c)
+		}
+		hit.colors8 = nil
+	case hit.Colors != nil:
 		hit.Colors = append([]int32(nil), hit.Colors...)
 	}
 	return &hit
+}
+
+// packResponse returns the form of a completed response that the result
+// cache and the idempotency LRU keep, one copy shared by both: its colors
+// one byte per vertex when every color is in [0, 255] (the 'b' rule of
+// journal.EncodeColors), which quarters what each remembered answer holds
+// on the heap. Wider palettes keep the int32 slice. cloneHit unpacks.
+func packResponse(res *Response) *Response {
+	if len(res.Colors) == 0 {
+		return res
+	}
+	for _, c := range res.Colors {
+		if c < 0 || c > 0xff {
+			return res
+		}
+	}
+	packed := make([]byte, len(res.Colors))
+	for i, c := range res.Colors {
+		packed[i] = byte(c)
+	}
+	st := *res
+	st.Colors, st.colors8 = nil, packed
+	return &st
 }
 
 // Submit serves one request: idempotent replay, then the result cache,
@@ -574,10 +605,10 @@ func (s *Server) Submit(ctx context.Context, req *Request) (*Response, error) {
 	if !req.NoCache {
 		if res, ok := s.cache.get(key); ok {
 			s.reg.Counter("cache_hits").Inc()
-			if req.Resident {
-				s.versions.put(fp, req.Graph, res.Colors)
-			}
 			hit := cloneHit(res)
+			if req.Resident {
+				s.versions.put(fp, req.Graph, hit.Colors)
+			}
 			hit.Cached = true
 			hit.Device = -1
 			hit.Wait, hit.Exec = 0, 0
@@ -929,11 +960,6 @@ func (s *Server) runJob(j *job, wait time.Duration) {
 	if out.Recovery != gpucolor.RecoveryNone {
 		s.reg.Counter("recovered_total").Inc()
 	}
-	if !j.req.NoCache {
-		// Publish to the cache before releasing the flight so a request
-		// arriving between the two sees either the flight or the cache.
-		s.cache.put(j.key, res)
-	}
 	s.finishJob(j, res, nil)
 }
 
@@ -1061,9 +1087,6 @@ func (s *Server) runSharded(ctx context.Context, j *job, wait time.Duration) {
 	if res.Recovery != gpucolor.RecoveryNone {
 		s.reg.Counter("recovered_total").Inc()
 	}
-	if !j.req.NoCache {
-		s.cache.put(j.key, res)
-	}
 	s.finishJob(j, res, nil)
 }
 
@@ -1115,16 +1138,24 @@ func (s *Server) attempt(ctx context.Context, j *job, g *graph.Graph, seed uint3
 	resCh <- attemptResult{out: out, err: err, device: lease.Index(), exec: exec, hedge: hedge}
 }
 
-// finishJob is the single completion choke point: journal the outcome
-// (when the job was journaled), publish an idempotent result, remove the
-// job's flight from the coalescing map (when tracked), and release every
-// waiter.
+// finishJob is the single completion choke point: publish a result to
+// the cache (before the flight is released, so a request arriving between
+// the two sees either the flight or the cache), journal the outcome (when
+// the job was journaled), publish an idempotent result, remove the job's
+// flight from the coalescing map (when tracked), and release every waiter.
 func (s *Server) finishJob(j *job, res *Response, err error) {
+	var stored *Response
+	if err == nil && res != nil {
+		stored = packResponse(res)
+		if !j.req.NoCache {
+			s.cache.put(j.key, stored)
+		}
+	}
 	if j.journaled {
 		s.journalFinish(j, res, err)
 	}
-	if err == nil && res != nil {
-		s.idem.put(j.req.IdemKey, res, j.req.NoCache, j.key.policy)
+	if stored != nil {
+		s.idem.put(j.req.IdemKey, stored, j.req.NoCache, j.key.policy)
 	}
 	if !j.req.NoCache {
 		s.dropInflight(j.key)
@@ -1242,16 +1273,16 @@ func (s *Server) Stats() Stats {
 		DeltaFallbacks:     snap["delta_fallbacks_total"],
 		DeltaUnknownBase:   snap["delta_unknown_base_total"],
 		VersionsResident:   s.versions.len(),
-		Hedges:          snap["hedges_total"],
-		HedgeWins:       snap["hedge_wins_total"],
-		HedgeLosses:     snap["hedge_losses_total"],
-		Quarantines:     s.pool.QuarantineCount(),
-		Readmitted:      s.pool.ReadmitCount(),
-		Probes:          s.pool.ProbeCount(),
-		ProbeFailures:   s.pool.ProbeFailCount(),
-		Quarantined:     s.pool.Quarantined(),
-		Draining:        s.Draining(),
-		DrainHandoff:    snap["drain_handoff_total"],
+		Hedges:             snap["hedges_total"],
+		HedgeWins:          snap["hedge_wins_total"],
+		HedgeLosses:        snap["hedge_losses_total"],
+		Quarantines:        s.pool.QuarantineCount(),
+		Readmitted:         s.pool.ReadmitCount(),
+		Probes:             s.pool.ProbeCount(),
+		ProbeFailures:      s.pool.ProbeFailCount(),
+		Quarantined:        s.pool.Quarantined(),
+		Draining:           s.Draining(),
+		DrainHandoff:       snap["drain_handoff_total"],
 	}
 	st.PerDevice = make([]DeviceStat, s.pool.Size())
 	for i := range st.PerDevice {

@@ -20,8 +20,7 @@ type laneAcc struct {
 }
 
 type ordAcc struct {
-	active int      // lanes issuing an access at this ordinal
-	segs   []uint64 // distinct segments touched (deduplicated, <= width entries)
+	segs []uint64 // distinct segments touched (deduplicated, <= width entries)
 	// filter is a 256-bit bloom filter over segs. The FIFO cache model
 	// makes cost order-sensitive, so segs must stay in first-touch order
 	// and dedup must happen at record time; the filter lets scattered
@@ -37,6 +36,7 @@ type wfAcc struct {
 	nOrds    int
 	ldsOrds  []ldsOrd
 	nLdsOrds int
+	ldsAddr  [64]uint32 // ldsConflicts scratch: the address each bank was hit at
 
 	// ctx is the reusable lane context for data-parallel execution: one
 	// Ctx per wavefront accumulator instead of one per work-item, rebuilt
@@ -54,13 +54,11 @@ func (w *wfAcc) reset() {
 		w.lanes[i] = laneAcc{}
 	}
 	for i := 0; i < w.nOrds; i++ {
-		w.ords[i].active = 0
 		w.ords[i].segs = w.ords[i].segs[:0]
 		w.ords[i].filter = [4]uint64{}
 	}
 	w.nOrds = 0
 	for i := 0; i < w.nLdsOrds; i++ {
-		w.ldsOrds[i].active = 0
 		w.ldsOrds[i].pairs = w.ldsOrds[i].pairs[:0]
 	}
 	w.nLdsOrds = 0
@@ -79,7 +77,6 @@ func (w *wfAcc) record(l int, buf, idx, segElems int32) {
 		w.nOrds = k + 1
 	}
 	o := &w.ords[k]
-	o.active++
 	// SegmentElems is a power of two on every stock cost model, and this
 	// runs once per simulated memory access: shift instead of divide.
 	var segIdx uint64
@@ -88,7 +85,9 @@ func (w *wfAcc) record(l int, buf, idx, segElems int32) {
 	} else {
 		segIdx = uint64(uint32(idx)) / uint64(uint32(segElems))
 	}
-	seg := uint64(uint32(buf))<<40 | segIdx
+	// A segment index fits in 32 bits, so buffer id and index pack into
+	// the key without overlap: distinct buffers never share a segment.
+	seg := uint64(uint32(buf))<<32 | segIdx
 	// Coalesced fast path: lanes walk memory with spatial locality, so a
 	// duplicate segment is overwhelmingly the one just appended.
 	if n := len(o.segs); n > 0 && o.segs[n-1] == seg {

@@ -88,3 +88,24 @@ func TestCacheIsPerGroup(t *testing.T) {
 		t.Errorf("CacheHits = %d, want 2 (one per group, no cross-group reuse)", res.Stats.CacheHits)
 	}
 }
+
+// TestSegmentKeysDistinctAcrossBufferIDs: buffers whose ids agree in their
+// low 24 bits still map to distinct segments (the key once kept only those
+// bits), so a load from one is never a cache hit on the other's line.
+func TestSegmentKeysDistinctAcrossBufferIDs(t *testing.T) {
+	cost := func(highID bool) int64 {
+		d := NewDevice()
+		a := d.BindInt32(make([]int32, 16)) // id 1
+		if highID {
+			d.nextBuf.Store(1 << 24) // the next id is 1<<24 + 1
+		}
+		b := d.BindInt32(make([]int32, 16))
+		return d.Run("pair", 1, func(c *Ctx) {
+			c.Ld(a, 0)
+			c.Ld(b, 0)
+		}).Stats.GroupCost[0]
+	}
+	if lo, hi := cost(false), cost(true); lo != hi {
+		t.Errorf("buffer ids 1 and 1<<24+1 cost %d, ids 1 and 2 cost %d", hi, lo)
+	}
+}

@@ -26,8 +26,9 @@ type GroupCtx struct {
 	barriers    int64
 	collectives int64
 
-	// ctx is the single lane context handed to kernel bodies, rebuilt per
-	// lane by ctxFor. Sharing one keeps the per-lane dispatch
+	// ctx is the single lane context handed to kernel bodies. beginGroup
+	// sets the fields that are constant for the group and ctxFor the
+	// per-lane ones. Sharing one keeps the per-lane dispatch
 	// allocation-free; bodies must not retain it past their invocation
 	// (the documented Ctx contract).
 	ctx Ctx
@@ -41,20 +42,14 @@ func (g *GroupCtx) ID() int32 { return g.id }
 func (g *GroupCtx) Size() int { return g.size }
 
 func (g *GroupCtx) ctxFor(lane int) *Ctx {
-	wf := lane / g.width
+	wf := g.wfs[lane/g.width]
 	l := lane % g.width
-	g.wfs[wf].lanes[l].active = true
-	g.ctx = Ctx{
-		Global:  g.id*int32(g.size) + int32(lane),
-		Local:   int32(lane),
-		Group:   g.id,
-		cm:      g.cm,
-		wf:      g.wfs[wf],
-		laneIdx: l,
-		fi:      g.fi,
-		launch:  g.launch,
-	}
-	return &g.ctx
+	wf.lanes[l].active = true
+	c := &g.ctx
+	c.Global = g.id*int32(g.size) + int32(lane)
+	c.Local = int32(lane)
+	c.wf, c.laneIdx = wf, l
+	return c
 }
 
 // ForEach runs body for every i in [0, n), striding the iterations across
@@ -139,60 +134,61 @@ func (st *coopLaunchState) work() {
 	defer st.wgrp.Done()
 	d := st.d
 	ws := d.getWorkerScratch(st.nWfs)
-	wfs, cache, local := ws.wfs[:st.nWfs], ws.cache, &ws.local
 	groups := st.stats.Groups
 	for {
 		gi := int(st.next.Add(1)) - 1
 		if gi >= groups {
 			break
 		}
-		cache.reset()
-		for _, wf := range wfs {
-			wf.reset()
-		}
-		ws.lds.reset()
-		// The GroupCtx lives in the worker scratch and is rebuilt per group
-		// by assignment: a stack value would escape into the kernel body and
-		// allocate per group.
-		gc := &ws.gctx
-		*gc = GroupCtx{
-			id:     int32(gi),
-			size:   st.size,
-			width:  ws.width,
-			cm:     &d.Cost,
-			wfs:    wfs,
-			fi:     d.Fault,
-			launch: st.launch,
-			lds:    &ws.lds,
-		}
-		cost := d.execCoopGroup(gc, st.launch, st.f, cache, local)
+		gc := ws.beginGroup(d, gi, st.size, st.nWfs, st.launch)
+		cost := d.execCoopGroup(gc, st.launch, st.f, ws.cache, &ws.local)
 		if fi := d.Fault; fi != nil && fi.stallGroup(st.launch, gc.id) {
 			cost *= fi.stallFactor()
 		}
 		st.stats.GroupCost[gi] = cost
 	}
 	st.mu.Lock()
-	st.stats.merge(local)
+	st.stats.merge(&ws.local)
 	st.mu.Unlock()
 	d.putWorkerScratch(ws)
 }
 
-func (d *Device) execCoopGroups(stats *KernelStats, name string, groups int, launch uint64, f CoopFunc) {
-	d.check()
-	width := d.WavefrontWidth
-	size := d.WorkgroupSize
-	nWfs := size / width
-	*stats = KernelStats{
-		Name:      name,
-		Items:     groups * size,
-		Groups:    groups,
-		GroupCost: d.i64s.get(groups),
-		width:     width,
+// beginGroup readies the worker scratch for cooperative workgroup gi: a
+// fresh segment cache, wavefront accumulators and LDS, and a GroupCtx
+// whose lane context already holds the fields that are constant for the
+// group. The GroupCtx lives in the worker scratch and is rebuilt per group
+// by assignment: a stack value would escape into the kernel body and
+// allocate per group.
+func (ws *workerScratch) beginGroup(d *Device, gi, size, nWfs int, launch uint64) *GroupCtx {
+	wfs := ws.wfs[:nWfs]
+	ws.cache.reset()
+	for _, wf := range wfs {
+		wf.reset()
 	}
+	ws.lds.reset()
+	gc := &ws.gctx
+	*gc = GroupCtx{
+		id:     int32(gi),
+		size:   size,
+		width:  ws.width,
+		cm:     &d.Cost,
+		wfs:    wfs,
+		fi:     d.Fault,
+		launch: launch,
+		lds:    &ws.lds,
+	}
+	c := &gc.ctx
+	c.Group, c.cm, c.fi, c.launch = gc.id, gc.cm, gc.fi, launch
+	return gc
+}
+
+func (d *Device) execCoopGroups(stats *KernelStats, name string, groups int, launch uint64, f CoopFunc) {
+	d.initCoopStats(stats, name, groups)
 	if groups == 0 {
 		return
 	}
-	stats.WavefrontCost = d.i64s.getCap(groups * nWfs)
+	size := d.WorkgroupSize
+	nWfs := size / d.WavefrontWidth
 	workers := d.workers()
 	if workers > groups {
 		workers = groups
@@ -211,6 +207,23 @@ func (d *Device) execCoopGroups(stats *KernelStats, name string, groups int, lau
 	st.wgrp.Wait()
 	st.stats, st.f = nil, nil
 	d.coopSt.Put(st)
+}
+
+// initCoopStats resets stats for a cooperative launch of groups
+// workgroups, with the per-group and per-wavefront slices drawn from the
+// device pools.
+func (d *Device) initCoopStats(stats *KernelStats, name string, groups int) {
+	d.check()
+	*stats = KernelStats{
+		Name:      name,
+		Items:     groups * d.WorkgroupSize,
+		Groups:    groups,
+		GroupCost: d.i64s.get(groups),
+		width:     d.WavefrontWidth,
+	}
+	if groups > 0 {
+		stats.WavefrontCost = d.i64s.getCap(groups * (d.WorkgroupSize / d.WavefrontWidth))
+	}
 }
 
 // execCoopGroup runs one cooperative workgroup and costs it out. With a

@@ -25,7 +25,8 @@ type Device struct {
 	Cost CostModel
 	// Workers bounds phase-A wall-clock parallelism; 0 means GOMAXPROCS.
 	// Set 1 for fully deterministic inter-group execution order (only
-	// observable by kernels that race through atomics by design).
+	// observable by kernels that race through atomics by design). A
+	// device with an armed fault injector always runs one worker.
 	Workers int
 	// Fault, when non-nil, injects deterministic seeded faults into every
 	// kernel launch and switches the device to permissive out-of-bounds
@@ -45,6 +46,7 @@ type Device struct {
 	workers_   sync.Pool
 	launchSt   sync.Pool // *launchState
 	coopSt     sync.Pool // *coopLaunchState
+	stealSt    sync.Pool // *stealState
 }
 
 // NewDevice returns a device with HD 7950-like defaults.
@@ -73,7 +75,14 @@ func (d *Device) check() {
 	}
 }
 
+// workers returns the phase-A worker count for the next launch. An armed
+// fault injector forces one: a flipped index can make a lane write into
+// another group's data, so the launch races, and only a fixed execution
+// order keeps a faulty run reproducible.
 func (d *Device) workers() int {
+	if fi := d.Fault; fi != nil && fi.Armed() {
+		return 1
+	}
 	if d.Workers > 0 {
 		return d.Workers
 	}

@@ -17,9 +17,11 @@ import "sync/atomic"
 // Every decision is a pure function of (Seed, launch index, coordinates):
 // a read is keyed by its issuing work-item and per-lane access ordinal, an
 // abort by its workgroup and wavefront index, a stall by its workgroup.
-// Phase A may execute workgroups on any number of OS threads in any order
-// and the injected fault set is identical, so faulty runs stay bit-for-bit
-// reproducible — the property the chaos suite asserts.
+// A corrupted index can still make one group write another group's data,
+// which turns a race-free kernel into a racing one, so a device with an
+// armed injector runs phase A on one worker in group order. Faulty runs
+// thus stay bit-for-bit reproducible — the property the chaos suite
+// asserts.
 //
 // Arming an injector also switches the device to permissive out-of-bounds
 // semantics, because corrupted indices must corrupt data, not crash the

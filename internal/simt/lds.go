@@ -72,11 +72,10 @@ func (a *ldsArena) alloc(n int) *LDSBuf {
 // ldsOrd records the k-th LDS access of a wavefront: which (bank, address)
 // pairs its lanes touched.
 type ldsOrd struct {
-	active int
-	// pairs holds bank<<32 | address entries, possibly with duplicates;
-	// ldsCost deduplicates by sorting (a repeated address is a broadcast
-	// and costs nothing extra). Bank-conflict cost only depends on the set
-	// of pairs, not their order, so recording can be append-only.
+	// pairs holds bank<<32 | address entries, possibly with duplicates (a
+	// repeated address is a broadcast and costs nothing extra). Bank-
+	// conflict cost only depends on the set of pairs, not their order, so
+	// recording can be append-only.
 	pairs []uint64
 }
 
@@ -92,7 +91,6 @@ func (w *wfAcc) recordLDS(l int, idx int32, banks int32) {
 		w.nLdsOrds = k + 1
 	}
 	o := &w.ldsOrds[k]
-	o.active++
 	// LDSBanks is a power of two on every stock cost model, and this runs
 	// once per simulated LDS access: mask instead of modulo.
 	var bank uint64
@@ -105,29 +103,17 @@ func (w *wfAcc) recordLDS(l int, idx int32, banks int32) {
 }
 
 // ldsCost folds the wavefront's LDS activity into cycles: per ordinal,
-// LDSOp times the worst bank's distinct-address count. Sorting groups each
-// bank's pairs together (bank occupies the high bits) with duplicate
-// addresses adjacent, so one pass counts the longest distinct run per bank.
+// LDSOp times the worst bank's distinct-address count. Most ordinals hit
+// every bank at one address at most (no conflict, or a broadcast) and cost
+// one LDSOp; ldsConflicts proves that in one pass. Only an ordinal that
+// really conflicts, or a model with more than 64 banks, is sorted.
 func (w *wfAcc) ldsCost(cm *CostModel) (cycles int64, accesses int64) {
+	fewBanks := cm.LDSBanks >= 1 && cm.LDSBanks <= 64
 	for k := 0; k < w.nLdsOrds; k++ {
-		o := &w.ldsOrds[k]
-		slices.Sort(o.pairs)
+		pairs := w.ldsOrds[k].pairs
 		worst := 1
-		run := 0
-		prev := ^uint64(0)
-		for _, p := range o.pairs {
-			if p == prev {
-				continue // broadcast: same bank, same address
-			}
-			if p>>32 == prev>>32 {
-				run++
-			} else {
-				run = 1
-			}
-			prev = p
-			if run > worst {
-				worst = run
-			}
+		if !fewBanks || w.ldsConflicts(pairs) {
+			worst = ldsWorstBank(pairs)
 		}
 		cycles += cm.LDSOp * int64(worst)
 	}
@@ -135,6 +121,49 @@ func (w *wfAcc) ldsCost(cm *CostModel) (cycles int64, accesses int64) {
 		accesses += int64(w.lanes[i].ldsAccess)
 	}
 	return cycles, accesses
+}
+
+// ldsConflicts reports whether some bank is hit at two distinct addresses.
+// Banks must be below 64.
+func (w *wfAcc) ldsConflicts(pairs []uint64) bool {
+	var seen uint64
+	for _, p := range pairs {
+		bank, addr := p>>32, uint32(p)
+		bit := uint64(1) << bank
+		if seen&bit == 0 {
+			seen |= bit
+			w.ldsAddr[bank] = addr
+		} else if w.ldsAddr[bank] != addr {
+			return true
+		}
+	}
+	return false
+}
+
+// ldsWorstBank returns the largest distinct-address count of any bank.
+// Sorting groups each bank's pairs together (bank occupies the high bits)
+// with duplicate addresses adjacent, so one pass counts the longest
+// distinct run per bank.
+func ldsWorstBank(pairs []uint64) int {
+	slices.Sort(pairs)
+	worst := 1
+	run := 0
+	prev := ^uint64(0)
+	for _, p := range pairs {
+		if p == prev {
+			continue // broadcast: same bank, same address
+		}
+		if p>>32 == prev>>32 {
+			run++
+		} else {
+			run = 1
+		}
+		prev = p
+		if run > worst {
+			worst = run
+		}
+	}
+	return worst
 }
 
 // LdsLd loads element i of the group-local buffer b, accounting one LDS

@@ -1,6 +1,10 @@
 package simt
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 // ldsDevice: 64-wide wavefronts so bank patterns are classic.
 func ldsDevice() *Device {
@@ -121,5 +125,33 @@ func TestLDSCountsTowardUtilization(t *testing.T) {
 	})
 	if u := res.Stats.SIMDUtilization(); u <= 0 {
 		t.Errorf("utilization = %v, want > 0", u)
+	}
+}
+
+// TestLDSCostMatchesSortedCount: the one-pass conflict check charges
+// exactly what sorting every ordinal does, for power-of-two and odd bank
+// counts, broadcasts, and models with more banks than the fast path
+// covers.
+func TestLDSCostMatchesSortedCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, banks := range []int32{1, 7, 24, 32, 64, 128} {
+		cm := DefaultCostModel()
+		cm.LDSBanks = banks
+		for trial := 0; trial < 200; trial++ {
+			w := newWfAcc(64)
+			span := int32(1 + rng.Intn(256)) // small spans force broadcasts
+			for l := 0; l < 64; l++ {
+				for k := rng.Intn(4); k >= 0; k-- {
+					w.recordLDS(l, int32(rng.Intn(int(span))), banks)
+				}
+			}
+			var want int64
+			for k := 0; k < w.nLdsOrds; k++ {
+				want += cm.LDSOp * int64(ldsWorstBank(slices.Clone(w.ldsOrds[k].pairs)))
+			}
+			if got, _ := w.ldsCost(&cm); got != want {
+				t.Fatalf("banks %d trial %d: ldsCost %d, sorted count %d", banks, trial, got, want)
+			}
+		}
 	}
 }

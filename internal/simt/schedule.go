@@ -1,8 +1,8 @@
 package simt
 
 import (
-	"container/heap"
 	"fmt"
+	"slices"
 )
 
 // Policy selects how workgroups are distributed over compute units.
@@ -92,24 +92,48 @@ func SimulateSchedule(d *Device, groupCost []int64, p Policy) ScheduleResult {
 
 // cuState is one compute unit inside the virtual-time stealing simulation.
 type cuState struct {
-	id    int
 	clock int64
-	queue []int64 // remaining workgroup costs; front = next to execute
+	// queue is the CU's remaining workgroup costs, front = next to execute.
+	// It is a read-only view of the launch's groupCost: a CU starts with
+	// its static chunk, and a steal only ever hands the back of one view to
+	// a CU whose own view is empty, so nothing is ever copied or written.
+	queue []int64
 }
 
-// cuHeap orders CUs by clock (ties by id for determinism).
-type cuHeap []*cuState
+// stealState is the scratch of one stealing simulation, pooled per device
+// so that steady-state launches allocate nothing.
+type stealState struct {
+	cus  []cuState
+	heap []int32 // CU ids, a binary min-heap ordered by (clock, id)
+}
 
-func (h cuHeap) Len() int { return len(h) }
-func (h cuHeap) Less(i, j int) bool {
-	if h[i].clock != h[j].clock {
-		return h[i].clock < h[j].clock
+func (s *stealState) less(i, j int) bool {
+	a, b := &s.cus[s.heap[i]], &s.cus[s.heap[j]]
+	if a.clock != b.clock {
+		return a.clock < b.clock
 	}
-	return h[i].id < h[j].id
+	return s.heap[i] < s.heap[j]
 }
-func (h cuHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *cuHeap) Push(x any)   { *h = append(*h, x.(*cuState)) }
-func (h *cuHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+
+// down restores heap order from the root over the first n entries: the
+// sift-down of container/heap, without the interface calls and boxing.
+func (s *stealState) down(n int) {
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			return
+		}
+		if j2 := j + 1; j2 < n && s.less(j2, j) {
+			j = j2
+		}
+		if !s.less(j, i) {
+			return
+		}
+		s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
+		i = j
+	}
+}
 
 // simulateStealing runs the event loop: the CU with the smallest clock acts
 // next — executing from its own queue's front, or stealing the back half of
@@ -117,71 +141,65 @@ func (h *cuHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = o
 // fills busy with per-CU finish-relevant work.
 func simulateStealing(d *Device, groupCost []int64, busy []int64) int64 {
 	n := d.NumCUs
-	cus := make([]*cuState, n)
-	chunk := (len(groupCost) + n - 1) / n
-	for i := 0; i < n; i++ {
-		lo := i * chunk
-		hi := lo + chunk
-		if lo > len(groupCost) {
-			lo = len(groupCost)
-		}
-		if hi > len(groupCost) {
-			hi = len(groupCost)
-		}
-		q := make([]int64, hi-lo)
-		copy(q, groupCost[lo:hi])
-		cus[i] = &cuState{id: i, queue: q}
+	s, _ := d.stealSt.Get().(*stealState)
+	if s == nil {
+		s = &stealState{}
 	}
-	h := make(cuHeap, n)
-	copy(h, cus)
-	heap.Init(&h)
+	s.cus = slices.Grow(s.cus[:0], n)[:n]
+	s.heap = slices.Grow(s.heap[:0], n)[:n]
+	chunk := (len(groupCost) + n - 1) / n
+	for i := range s.cus {
+		lo := min(i*chunk, len(groupCost))
+		hi := min(lo+chunk, len(groupCost))
+		s.cus[i] = cuState{queue: groupCost[lo:hi]}
+		s.heap[i] = int32(i)
+	}
+	// Every clock starts at zero and the ids ascend: the heap starts ordered.
 
 	var steals int64
-	for h.Len() > 0 {
-		cu := h[0]
+	for live := n; live > 0; {
+		id := int(s.heap[0])
+		cu := &s.cus[id]
 		if len(cu.queue) > 0 {
 			cu.clock += cu.queue[0]
 			cu.queue = cu.queue[1:]
-			heap.Fix(&h, 0)
+			s.down(live)
 			continue
 		}
-		// Steal from the CU with the most queued work. Victims must hold at
-		// least two groups: the last item in a deque is the one its owner
-		// is about to execute, and letting thieves take it makes a lone
-		// expensive group ping-pong between idle CUs forever (each steal
-		// charge pushes the holder's clock above the next idler's, so the
-		// holder never reaches the front of the event queue). Scanning all
-		// CUs is O(n) per steal; n is a few dozen, and steals are rare.
-		var victim *cuState
-		for _, v := range cus {
-			if v == cu || len(v.queue) < 2 {
-				continue
-			}
-			if victim == nil || len(v.queue) > len(victim.queue) ||
-				(len(v.queue) == len(victim.queue) && v.id < victim.id) {
+		// Steal from the CU with the most queued work, the lowest id on a
+		// tie. Victims must hold at least two groups: the last item in a
+		// deque is the one its owner is about to execute, and letting
+		// thieves take it makes a lone expensive group ping-pong between
+		// idle CUs forever (each steal charge pushes the holder's clock
+		// above the next idler's, so the holder never reaches the front of
+		// the event queue). Scanning all CUs is O(n) per steal; n is a few
+		// dozen, and steals are rare.
+		victim := -1
+		for v := range s.cus {
+			q := len(s.cus[v].queue)
+			if v != id && q >= 2 && (victim < 0 || q > len(s.cus[victim].queue)) {
 				victim = v
 			}
 		}
-		if victim == nil {
-			heap.Pop(&h) // nothing left anywhere: this CU is done
+		if victim < 0 {
+			// Nothing left anywhere: this CU is done and leaves the heap.
+			live--
+			s.heap[0], s.heap[live] = s.heap[live], s.heap[0]
+			s.down(live)
 			continue
 		}
 		// Take the back half (at least one group); pay for the attempt.
-		take := len(victim.queue) / 2
-		if take == 0 {
-			take = 1
-		}
-		split := len(victim.queue) - take
-		stolen := make([]int64, take)
-		copy(stolen, victim.queue[split:])
-		victim.queue = victim.queue[:split]
-		cu.queue = append(cu.queue, stolen...)
+		vq := s.cus[victim].queue
+		split := len(vq) - max(len(vq)/2, 1)
+		cu.queue, s.cus[victim].queue = vq[split:], vq[:split]
 		cu.clock += d.Cost.StealCost
 		steals++
-		heap.Fix(&h, 0)
+		s.down(live)
 	}
-	for i, cu := range cus {
-		busy[i] = cu.clock
+	for i := range s.cus {
+		busy[i] = s.cus[i].clock
 	}
+	clear(s.cus) // drop the views of groupCost before pooling
+	d.stealSt.Put(s)
 	return steals
 }

@@ -1,7 +1,9 @@
 package simt
 
 import (
+	"container/heap"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -201,5 +203,183 @@ func TestStealingExecutesAllGroupsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refStealing is the work-stealing simulation as it was written on
+// container/heap, with a copied queue per CU and a copied slice per steal.
+// TestStealingMatchesReference holds the allocation-free version to it.
+func refStealing(numCUs int, stealCost int64, groupCost []int64) (busy []int64, steals int64) {
+	type cu struct {
+		id    int
+		clock int64
+		queue []int64
+	}
+	n := numCUs
+	cus := make([]*cu, n)
+	chunk := (len(groupCost) + n - 1) / n
+	for i := 0; i < n; i++ {
+		lo, hi := i*chunk, i*chunk+chunk
+		if lo > len(groupCost) {
+			lo = len(groupCost)
+		}
+		if hi > len(groupCost) {
+			hi = len(groupCost)
+		}
+		cus[i] = &cu{id: i, queue: append([]int64(nil), groupCost[lo:hi]...)}
+	}
+	h := &refHeap{less: func(a, b any) bool {
+		x, y := a.(*cu), b.(*cu)
+		if x.clock != y.clock {
+			return x.clock < y.clock
+		}
+		return x.id < y.id
+	}}
+	for _, c := range cus {
+		h.items = append(h.items, c)
+	}
+	heap.Init(h)
+	for h.Len() > 0 {
+		c := h.items[0].(*cu)
+		if len(c.queue) > 0 {
+			c.clock += c.queue[0]
+			c.queue = c.queue[1:]
+			heap.Fix(h, 0)
+			continue
+		}
+		var victim *cu
+		for _, v := range cus {
+			if v == c || len(v.queue) < 2 {
+				continue
+			}
+			if victim == nil || len(v.queue) > len(victim.queue) ||
+				(len(v.queue) == len(victim.queue) && v.id < victim.id) {
+				victim = v
+			}
+		}
+		if victim == nil {
+			heap.Pop(h)
+			continue
+		}
+		take := len(victim.queue) / 2
+		if take == 0 {
+			take = 1
+		}
+		split := len(victim.queue) - take
+		stolen := append([]int64(nil), victim.queue[split:]...)
+		victim.queue = victim.queue[:split]
+		c.queue = append(c.queue, stolen...)
+		c.clock += stealCost
+		steals++
+		heap.Fix(h, 0)
+	}
+	busy = make([]int64, n)
+	for i, c := range cus {
+		busy[i] = c.clock
+	}
+	return busy, steals
+}
+
+type refHeap struct {
+	items []any
+	less  func(a, b any) bool
+}
+
+func (h *refHeap) Len() int           { return len(h.items) }
+func (h *refHeap) Less(i, j int) bool { return h.less(h.items[i], h.items[j]) }
+func (h *refHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *refHeap) Push(x any)         { h.items = append(h.items, x) }
+func (h *refHeap) Pop() any {
+	x := h.items[len(h.items)-1]
+	h.items = h.items[:len(h.items)-1]
+	return x
+}
+
+// TestStealingMatchesReference: the pooled, view-based stealing simulation
+// reproduces the container/heap version's per-CU busy time and steal count
+// on random cost vectors, skewed ones, and the lone expensive group the
+// two-group victim rule guards against.
+func TestStealingMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	random := func(n, spread int) []int64 {
+		c := make([]int64, n)
+		for i := range c {
+			c[i] = int64(rng.Intn(spread)) + 1
+		}
+		return c
+	}
+	skewed := func(n int) []int64 {
+		c := random(n, 50)
+		for i := 0; i < n/7; i++ {
+			c[i] = int64(rng.Intn(20000))
+		}
+		return c
+	}
+	lone := func(n int) []int64 {
+		c := make([]int64, n)
+		c[0] = 1_000_000
+		return c
+	}
+	cases := map[string][]int64{
+		"empty":         nil,
+		"one":           {9},
+		"lone-only":     {1_000_000},
+		"lone-first":    lone(3),
+		"lone-in-many":  lone(200),
+		"lone-at-end":   append(random(40, 10), 1_000_000),
+		"uniform-100":   random(100, 1000),
+		"uniform-1000":  random(1000, 1000),
+		"skewed-300":    skewed(300),
+		"skewed-2000":   skewed(2000),
+		"zero-costs":    make([]int64, 64),
+		"two-per-cu":    random(8, 5000),
+		"prime-length":  random(97, 300),
+		"all-one-chunk": append(random(10, 100000), make([]int64, 90)...),
+	}
+	for name, costs := range cases {
+		for _, cus := range []int{1, 2, 4, 7, 28} {
+			for _, stealCost := range []int64{0, 400, 5000} {
+				d := NewDevice()
+				d.NumCUs = cus
+				d.Cost.StealCost = stealCost
+				got := SimulateSchedule(d, costs, Stealing)
+				wantBusy, wantSteals := refStealing(cus, stealCost, costs)
+				if got.Steals != wantSteals || !slices.Equal(got.CUBusy, wantBusy) {
+					t.Errorf("%s/%d CUs/steal %d: busy %v steals %d, reference %v steals %d",
+						name, cus, stealCost, got.CUBusy, got.Steals, wantBusy, wantSteals)
+				}
+			}
+		}
+	}
+}
+
+// TestStealingScheduleAllocFree: in steady state a stealing replay
+// allocates nothing — the CU states and heap come from the device pool and
+// the queues are views of the cost slice.
+func TestStealingScheduleAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	d := NewDevice()
+	costs := make([]int64, 500)
+	for i := range costs {
+		costs[i] = int64(i%37) + 1
+	}
+	for i := 0; i < 60; i++ {
+		costs[i] = 5000 // a hub-dense prefix, so the replay steals
+	}
+	var steals int64
+	run := func() {
+		res := SimulateSchedule(d, costs, Stealing)
+		steals = res.Steals
+		d.i64s.put(res.CUBusy)
+		d.i64s.put(res.CUFinish)
+	}
+	run()
+	if steals == 0 {
+		t.Fatal("cost vector produced no steals; the test would not exercise them")
+	}
+	if a := testing.AllocsPerRun(100, run); a != 0 {
+		t.Errorf("SimulateSchedule(Stealing) allocates %v per call in steady state, want 0", a)
 	}
 }
