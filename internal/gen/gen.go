@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"gcolor/internal/graph"
 )
@@ -228,15 +229,23 @@ func BarabasiAlbert(n, m int, seed int64) *graph.Graph {
 			targets = append(targets, int32(u), int32(v))
 		}
 	}
+	// The chosen set is visited in sorted order: the order it is appended
+	// to targets feeds every later draw, so map order would make the graph
+	// differ from call to call.
+	chosen := make(map[int32]bool, m)
+	picks := make([]int32, 0, m)
 	for v := m + 1; v < n; v++ {
-		chosen := make(map[int32]bool, m)
-		for len(chosen) < m {
+		clear(chosen)
+		picks = picks[:0]
+		for len(picks) < m {
 			u := targets[rng.Intn(len(targets))]
-			if u != int32(v) {
+			if u != int32(v) && !chosen[u] {
 				chosen[u] = true
+				picks = append(picks, u)
 			}
 		}
-		for u := range chosen {
+		slices.Sort(picks)
+		for _, u := range picks {
 			b.AddEdge(int32(v), u)
 			targets = append(targets, int32(v), u)
 		}

@@ -160,6 +160,29 @@ func TestBarabasiAlbert(t *testing.T) {
 	}
 }
 
+// TestBarabasiAlbertDeterministic: equal arguments build the same graph.
+// The chosen set of each new vertex feeds every later draw, so visiting
+// it in map order once made each call a different graph.
+func TestBarabasiAlbertDeterministic(t *testing.T) {
+	for _, c := range []struct {
+		n, m int
+		seed int64
+	}{{10, 2, 1}, {64, 3, 7}, {1000, 4, 9}, {1024, 8, 2}} {
+		want := BarabasiAlbert(c.n, c.m, c.seed).Fingerprint()
+		for i := 0; i < 3; i++ {
+			if got := BarabasiAlbert(c.n, c.m, c.seed).Fingerprint(); got != want {
+				t.Fatalf("BarabasiAlbert(%d, %d, %d) call %d: fingerprint %016x, first call %016x",
+					c.n, c.m, c.seed, i+2, got, want)
+			}
+		}
+	}
+	// Pins the generator itself: graphgen -type ba, ba: graph specs and
+	// the powerlaw experiment dataset all depend on it.
+	if got, want := BarabasiAlbert(10, 2, 1).Fingerprint(), uint64(0xd66e663a0f71f3b9); got != want {
+		t.Errorf("BarabasiAlbert(10, 2, 1) fingerprint %#016x, want %#016x", got, want)
+	}
+}
+
 func TestBarabasiAlbertPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -2,24 +2,27 @@
 //
 // A Delta is a small edit script against a base graph: vertices appended,
 // undirected edges added, undirected edges removed. ApplyDelta materializes
-// the successor CSR in one merge pass and reports the *frontier* — the
-// vertex set whose neighbourhoods actually changed — which is exactly the
-// set an incremental recolorer must revisit: endpoints of effective edge
-// additions (a new adjacency can conflict), freshly appended vertices
-// (uncolored), and endpoints of effective removals (their palette may
-// shrink, so recoloring them can only improve the coloring). Everything
-// outside the frontier keeps both its adjacency and, downstream, its color.
+// the successor CSR and reports the *frontier* — the vertex set whose
+// neighbourhoods actually changed — which is exactly the set an incremental
+// recolorer must revisit: endpoints of effective edge additions (a new
+// adjacency can conflict), freshly appended vertices (uncolored), and
+// endpoints of effective removals (their palette may shrink, so recoloring
+// them can only improve the coloring). Everything outside the frontier
+// keeps both its adjacency and, downstream, its color.
 //
-// The successor's fingerprint is computed streaming during the same build
-// pass and is bit-identical to Graph.Fingerprint() of the result: a version
-// chain's identity collapses to content identity, so a delta-produced graph
-// and a from-scratch upload of the same graph share cache, coalescing, and
-// routing keys.
+// The build costs what the delta edits: only rows that are the source of an
+// edited arc, or appended, are merged; every run of untouched rows between
+// them is one copy of its adjacency with its offsets shifted by the net arc
+// change so far. The successor's fingerprint is Graph.Fingerprint() of the
+// result — the one whole-graph pass left — so a version chain's identity
+// collapses to content identity: a delta-produced graph and a from-scratch
+// upload of the same graph share cache, coalescing, and routing keys.
 package graph
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -41,10 +44,10 @@ type Delta struct {
 func (d *Delta) Size() int { return len(d.AddEdges) + len(d.RemoveEdges) }
 
 // ApplyDelta builds the successor graph of g under d. It returns the new
-// graph, its content fingerprint (bit-identical to ng.Fingerprint(),
-// computed streaming during the build), and the sorted, deduplicated
-// frontier of vertices whose adjacency changed (including every appended
-// vertex). g is not modified; the successor shares no storage with it.
+// graph, its content fingerprint (equal to ng.Fingerprint()), and the
+// sorted, deduplicated frontier of vertices whose adjacency changed
+// (including every appended vertex). g is not modified; the successor
+// shares no storage with it.
 func ApplyDelta(g *Graph, d *Delta) (*Graph, uint64, []int32, error) {
 	n := g.NumVertices()
 	if d.AddVertices < 0 {
@@ -67,69 +70,77 @@ func ApplyDelta(g *Graph, d *Delta) (*Graph, uint64, []int32, error) {
 	}
 
 	// Successor arc count: walk both lists once against the base to count
-	// effective operations, marking the frontier as we go. An add is
+	// effective operations, collecting the frontier as we go. An add is
 	// effective iff the arc is absent from the base; a remove iff present
-	// in the base and not re-added.
-	inFrontier := make([]bool, newN)
+	// in the base and not re-added. Sources past the base are appended
+	// vertices, which all join the frontier at the end.
+	frontier := make([]int32, 0, 2*d.Size()+d.AddVertices)
 	effAdd := 0
 	for _, a := range addArcs {
-		if int(a[0]) >= n || !g.HasEdge(a[0], a[1]) {
+		if int(a[0]) >= n {
 			effAdd++
-			inFrontier[a[0]] = true
+		} else if !g.HasEdge(a[0], a[1]) {
+			effAdd++
+			frontier = append(frontier, a[0])
 		}
 	}
 	effRem := 0
 	for _, r := range remArcs {
 		if int(r[0]) < n && g.HasEdge(r[0], r[1]) && !arcListHas(addArcs, r) {
 			effRem++
-			inFrontier[r[0]] = true
+			frontier = append(frontier, r[0])
 		}
 	}
+	slices.Sort(frontier)
+	frontier = slices.Compact(frontier)
 	for v := n; v < newN; v++ {
-		inFrontier[v] = true
+		frontier = append(frontier, int32(v))
 	}
 	newM := g.NumArcs() + effAdd - effRem
 	if int64(newN)+1+int64(newM) > 1<<31-1 {
 		return nil, 0, nil, fmt.Errorf("graph: delta: %d arcs overflows int32", newM)
 	}
 
-	// Merge pass: per vertex, result = (base ∪ adds) \ (removes \ adds),
-	// all three lists sorted. The fingerprint folds exactly the fields
-	// Graph.Fingerprint covers, in the same order: n, offsets, adj.
+	// Build pass. A row can change only if it is the source of an arc in
+	// either list, or appended; those rows are merged, and each run of
+	// untouched base rows before one is copied whole.
 	buf := make([]int32, newN+1+newM)
 	offsets := buf[: newN+1 : newN+1]
 	adj := buf[newN+1 : newN+1]
 	ai, ri := 0, 0
-	for v := int32(0); int(v) < newN; v++ {
-		offsets[v] = int32(len(adj))
+	for v := 0; v < newN; v++ {
+		next := n // the next edited row; every row past the base is one
+		if ai < len(addArcs) {
+			next = min(next, int(addArcs[ai][0]))
+		}
+		if ri < len(remArcs) {
+			next = min(next, int(remArcs[ri][0]))
+		}
+		if next > v {
+			lo, hi := g.offsets[v], g.offsets[next]
+			shift := int32(len(adj)) - lo
+			for u := v; u < next; u++ {
+				offsets[u] = g.offsets[u] + shift
+			}
+			adj = append(adj, g.adj[lo:hi]...)
+			if v = next; v == newN {
+				break
+			}
+		}
+		aj, rj := ai, ri
+		for aj < len(addArcs) && int(addArcs[aj][0]) == v {
+			aj++
+		}
+		for rj < len(remArcs) && int(remArcs[rj][0]) == v {
+			rj++
+		}
 		var base []int32
-		if int(v) < n {
-			base = g.Neighbors(v)
+		if v < n {
+			base = g.Neighbors(int32(v))
 		}
-		bi := 0
-		for bi < len(base) || (ai < len(addArcs) && addArcs[ai][0] == v) {
-			var next int32
-			fromAdd := false
-			if bi < len(base) && (ai >= len(addArcs) || addArcs[ai][0] != v || base[bi] <= addArcs[ai][1]) {
-				next = base[bi]
-				if ai < len(addArcs) && addArcs[ai][0] == v && addArcs[ai][1] == next {
-					ai++ // add of a present edge: one emit
-					fromAdd = true
-				}
-				bi++
-			} else {
-				next = addArcs[ai][1]
-				ai++
-				fromAdd = true
-			}
-			for ri < len(remArcs) && (remArcs[ri][0] < v || (remArcs[ri][0] == v && remArcs[ri][1] < next)) {
-				ri++
-			}
-			if !fromAdd && ri < len(remArcs) && remArcs[ri][0] == v && remArcs[ri][1] == next {
-				continue // removed, not re-added
-			}
-			adj = append(adj, next)
-		}
+		offsets[v] = int32(len(adj))
+		adj = mergeRow(adj, base, addArcs[ai:aj], remArcs[ri:rj])
+		ai, ri = aj, rj
 	}
 	offsets[newN] = int32(len(adj))
 	if len(adj) != newM {
@@ -137,22 +148,39 @@ func ApplyDelta(g *Graph, d *Delta) (*Graph, uint64, []int32, error) {
 		panic(fmt.Sprintf("graph: delta: merged %d arcs, counted %d", len(adj), newM))
 	}
 
-	fp := uint64(fnvOffset64)
-	fp = fnvInt32(fp, int32(newN))
-	for _, o := range offsets {
-		fp = fnvInt32(fp, o)
-	}
-	for _, a := range adj {
-		fp = fnvInt32(fp, a)
-	}
+	ng := &Graph{offsets: offsets, adj: adj}
+	return ng, ng.Fingerprint(), frontier, nil
+}
 
-	frontier := make([]int32, 0, 2*d.Size()+d.AddVertices)
-	for v := int32(0); int(v) < newN; v++ {
-		if inFrontier[v] {
-			frontier = append(frontier, v)
+// mergeRow appends one successor row to dst: (base ∪ adds) \ (rems \ adds),
+// where adds and rems are the row's arcs. All three are sorted by
+// destination.
+func mergeRow(dst, base []int32, adds, rems [][2]int32) []int32 {
+	bi, ai, ri := 0, 0, 0
+	for bi < len(base) || ai < len(adds) {
+		var next int32
+		fromAdd := false
+		if bi < len(base) && (ai >= len(adds) || base[bi] <= adds[ai][1]) {
+			next = base[bi]
+			if ai < len(adds) && adds[ai][1] == next {
+				ai++ // add of a present edge: one emit
+				fromAdd = true
+			}
+			bi++
+		} else {
+			next = adds[ai][1]
+			ai++
+			fromAdd = true
 		}
+		for ri < len(rems) && rems[ri][1] < next {
+			ri++
+		}
+		if !fromAdd && ri < len(rems) && rems[ri][1] == next {
+			continue // removed, not re-added
+		}
+		dst = append(dst, next)
 	}
-	return &Graph{offsets: offsets, adj: adj}, fp, frontier, nil
+	return dst
 }
 
 // deltaArcs expands undirected edges into sorted, deduplicated directed

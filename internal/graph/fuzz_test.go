@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -84,6 +85,75 @@ func FuzzWireCSR(f *testing.F) {
 		}
 		if want := g.Fingerprint(); fp != want {
 			t.Fatalf("streaming fingerprint %016x != canonical %016x", fp, want)
+		}
+	})
+}
+
+// FuzzApplyDelta turns arbitrary bytes into a small graph and a valid
+// delta against it. Invariants: the successor equals the graph rebuilt
+// from the edited edge set, it passes full structural validation, its
+// fingerprint is Graph.Fingerprint(), and offsets, adjacency and frontier
+// match the whole-graph reference merge.
+//
+// Layout: n, appended vertices, base edge count k, k (u, v) base edge
+// pairs, then (op, u, v) edits — odd op adds, even op removes.
+func FuzzApplyDelta(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{5, 0, 3, 0, 1, 1, 2, 2, 3, 1, 0, 3, 0, 1, 2})
+	f.Add([]byte{8, 2, 4, 0, 1, 0, 7, 6, 7, 3, 4, 1, 8, 9, 1, 0, 8, 0, 7, 0, 2, 9, 8})
+	f.Add([]byte{3, 3, 0, 1, 3, 5, 0, 4, 3, 1, 0, 2})
+	f.Add([]byte{6, 2, 3, 0, 1, 1, 2, 4, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		at := func(i int) int {
+			if i < len(data) {
+				return int(data[i])
+			}
+			return 0
+		}
+		n, addV, k := at(0)%33, at(1)%4, at(2)%64
+		var edges [][2]int32
+		i := 3
+		for ; i+1 < len(data) && len(edges) < k && n > 0; i += 2 {
+			edges = append(edges, [2]int32{int32(at(i) % n), int32(at(i+1) % n)})
+		}
+		base := FromEdges(n, edges)
+		d := &Delta{AddVertices: addV}
+		newN := n + addV
+		for ; i+2 < len(data) && newN > 1; i += 3 {
+			e := [2]int32{int32(at(i+1) % newN), int32(at(i+2) % newN)}
+			if e[0] == e[1] {
+				continue
+			}
+			if at(i)%2 == 1 {
+				d.AddEdges = append(d.AddEdges, e)
+			} else {
+				d.RemoveEdges = append(d.RemoveEdges, e)
+			}
+		}
+
+		ng, fp, frontier, err := ApplyDelta(base, d)
+		if err != nil {
+			t.Fatalf("valid delta rejected: %v", err)
+		}
+		if verr := ng.Validate(); verr != nil {
+			t.Fatalf("successor invalid: %v", verr)
+		}
+		var want [][2]int32
+		for e := range applyOracle(rebuildEdges(base), d) {
+			want = append(want, e)
+		}
+		if ref := FromEdges(newN, want); !sameGraph(ng, ref) {
+			t.Fatalf("successor differs from the rebuilt edge set")
+		}
+		if got := ng.Fingerprint(); fp != got {
+			t.Fatalf("returned fingerprint %016x != Fingerprint() %016x", fp, got)
+		}
+		rg, rfp, rfrontier, err := applyDeltaReference(base, d)
+		if err != nil {
+			t.Fatalf("reference rejected the delta: %v", err)
+		}
+		if !slices.Equal(ng.offsets, rg.offsets) || !slices.Equal(ng.adj, rg.adj) || fp != rfp || !slices.Equal(frontier, rfrontier) {
+			t.Fatalf("differs from the reference merge: frontier %v, reference %v", frontier, rfrontier)
 		}
 	})
 }

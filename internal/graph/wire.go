@@ -5,7 +5,7 @@
 // adjacency twice. The wire format below carries the CSR arrays themselves,
 // so ingest is a bounds-checked copy: one little-endian frame, one
 // allocation for the combined offset/adjacency storage, and the content
-// fingerprint computed streaming during the same pass (no second walk for
+// fingerprint returned with the graph (callers never hash it again for
 // cache/idempotency keys).
 //
 // Frame layout (all fields little-endian):
@@ -81,9 +81,8 @@ func EncodeWireCSR(g *Graph) []byte {
 
 // DecodeWireCSR parses a binary CSR frame, fully validating the structural
 // invariants (see decodeWireCSRLimit), and returns the graph together with
-// its content fingerprint. The fingerprint is computed streaming during the
-// decode pass and is bit-identical to Graph.Fingerprint(), so callers on the
-// ingest path never need a second hashing walk.
+// its content fingerprint, Graph.Fingerprint() of the decoded graph, so
+// callers on the ingest path never hash it again.
 func DecodeWireCSR(data []byte) (*Graph, uint64, error) {
 	return decodeWireCSRLimit(data, MaxVertices)
 }
@@ -135,9 +134,6 @@ func decodeWireCSRLimit(data []byte, maxN int) (*Graph, uint64, error) {
 	offsets := buf[: n+1 : n+1]
 	adj := buf[n+1:]
 
-	fp := uint64(fnvOffset64)
-	fp = fnvInt32(fp, int32(n))
-
 	body := data[wireCSRHeaderLen:]
 	prev := int32(0)
 	for i := 0; i <= n; i++ {
@@ -150,7 +146,6 @@ func decodeWireCSRLimit(data []byte, maxN int) (*Graph, uint64, error) {
 		}
 		offsets[i] = o
 		prev = o
-		fp = fnvInt32(fp, o)
 	}
 	if int(offsets[n]) != m {
 		return nil, 0, fmt.Errorf("gcsr: row_ptr[n] = %d, want arc count %d", offsets[n], m)
@@ -175,7 +170,6 @@ func decodeWireCSRLimit(data []byte, maxN int) (*Graph, uint64, error) {
 		}
 		adj[i] = a
 		last = a
-		fp = fnvInt32(fp, a)
 	}
 	g := &Graph{offsets: offsets, adj: adj}
 	// Symmetry needs the full arrays, so it runs as a second pass; the
@@ -187,7 +181,7 @@ func decodeWireCSRLimit(data []byte, maxN int) (*Graph, uint64, error) {
 			}
 		}
 	}
-	return g, fp, nil
+	return g, g.Fingerprint(), nil
 }
 
 // ConcatDisjoint packs graphs into one block-diagonal CSR: member i's

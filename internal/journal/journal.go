@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -90,12 +91,12 @@ func (o Options) withDefaults() Options {
 // Stats counts a Journal's lifetime work (atomically readable while
 // appends continue).
 type Stats struct {
-	Appends       int64  `json:"appends"`        // records appended
-	AppendBytes   int64  `json:"append_bytes"`   // framed bytes appended
-	Fsyncs        int64  `json:"fsyncs"`         // fsync calls issued
-	Rotations     int64  `json:"rotations"`      // segment rotations
-	Compactions   int64  `json:"compactions"`    // snapshot compactions completed
-	AppendErrors  int64  `json:"append_errors"`  // appends that failed (disk error); serving continued
+	Appends       int64  `json:"appends"`       // records appended
+	AppendBytes   int64  `json:"append_bytes"`  // framed bytes appended
+	Fsyncs        int64  `json:"fsyncs"`        // fsync calls issued
+	Rotations     int64  `json:"rotations"`     // segment rotations
+	Compactions   int64  `json:"compactions"`   // snapshot compactions completed
+	AppendErrors  int64  `json:"append_errors"` // appends that failed (disk error); serving continued
 	ActiveSegment uint64 `json:"active_segment"`
 	LiveSegments  int    `json:"live_segments"` // sealed + active segment files on disk
 }
@@ -116,8 +117,12 @@ type Journal struct {
 	closed  bool
 	snapSeq uint64 // highest snapshot index on disk (0 = none)
 
-	source     func() ([]AcceptRecord, []CompleteRecord)
+	source     func(*SnapshotWriter) error
 	compacting atomic.Bool
+	// compactRuns counts compactions that have claimed their run, each
+	// registered under mu before Close; Close waits on it, so no
+	// compaction touches the directory after Close returns.
+	compactRuns sync.WaitGroup
 
 	stop        chan struct{}
 	flusherDone chan struct{}
@@ -180,10 +185,12 @@ func Open(dir string, opt Options) (*Journal, *Recovery, error) {
 // Dir returns the journal's directory.
 func (j *Journal) Dir() string { return j.dir }
 
-// SetSource registers the state snapshot used by automatic compaction:
-// the still-pending accepts plus the completions worth keeping (cache
-// contents, idempotency results). Called once by the owning server.
-func (j *Journal) SetSource(fn func() ([]AcceptRecord, []CompleteRecord)) {
+// SetSource registers the state snapshot used by automatic compaction.
+// The source writes the live state worth keeping (the completions of cache
+// contents and idempotency results, then the still-pending accepts) to w in
+// replay order, one record at a time, so a large record need not outlive
+// its write. Called once by the owning server.
+func (j *Journal) SetSource(fn func(w *SnapshotWriter) error) {
 	j.mu.Lock()
 	j.source = fn
 	j.mu.Unlock()
@@ -268,7 +275,7 @@ func (j *Journal) AppendCompletes(rs []CompleteRecord) error {
 	if j.size >= j.opt.SegmentBytes {
 		rotateErr = j.rotateLocked()
 	}
-	compact := j.shouldCompactLocked()
+	compact := j.claimCompactionLocked()
 	j.mu.Unlock()
 	if compact {
 		go j.runCompaction()
@@ -316,7 +323,7 @@ func (j *Journal) append(rec record) error {
 	if j.size >= j.opt.SegmentBytes {
 		rotateErr = j.rotateLocked()
 	}
-	compact := j.shouldCompactLocked()
+	compact := j.claimCompactionLocked()
 	j.mu.Unlock()
 	if compact {
 		go j.runCompaction()
@@ -372,13 +379,18 @@ func (j *Journal) rotateLocked() error {
 	return j.openSegment(j.seg)
 }
 
-// shouldCompactLocked reports whether sealed segments have piled up past
-// the threshold and a compaction is not already running.
-func (j *Journal) shouldCompactLocked() bool {
-	return j.opt.CompactAfterSegments >= 0 &&
-		j.source != nil &&
-		len(j.sealed) > j.opt.CompactAfterSegments &&
-		!j.compacting.Load()
+// claimCompactionLocked claims the compaction flag for a background run
+// when sealed segments have piled up past the threshold and no compaction
+// is running, and registers the run for Close to wait on. The caller holds
+// mu on an open journal and must start runCompaction when it returns true.
+func (j *Journal) claimCompactionLocked() bool {
+	if j.opt.CompactAfterSegments < 0 || j.source == nil ||
+		len(j.sealed) <= j.opt.CompactAfterSegments ||
+		!j.compacting.CompareAndSwap(false, true) {
+		return false
+	}
+	j.compactRuns.Add(1)
+	return true
 }
 
 // runCompaction writes a snapshot of the owner's live state covering
@@ -386,15 +398,14 @@ func (j *Journal) shouldCompactLocked() bool {
 // failed compaction leaves the sealed segments in place (still correct,
 // just un-compacted) and will be retried at the next trigger.
 func (j *Journal) runCompaction() {
-	if !j.compacting.CompareAndSwap(false, true) {
-		return
-	}
+	defer j.compactRuns.Done()
 	defer j.compacting.Store(false)
 	j.compactOwned()
 }
 
 // compactOwned does the compaction work; the caller holds the
-// j.compacting flag.
+// j.compacting flag. A compaction that reaches this point after Close
+// does nothing.
 func (j *Journal) compactOwned() {
 	j.mu.Lock()
 	source := j.source
@@ -410,8 +421,7 @@ func (j *Journal) compactOwned() {
 	sealed := append([]uint64(nil), j.sealed...)
 	j.mu.Unlock()
 
-	pending, completions := source()
-	if err := j.writeSnapshot(cover, pending, completions); err != nil {
+	if err := j.writeSnapshot(cover, source); err != nil {
 		return
 	}
 
@@ -446,7 +456,13 @@ func (j *Journal) Compact() error {
 		j.mu.Unlock()
 		return fmt.Errorf("journal: no compaction source registered")
 	}
+	if j.closed {
+		j.mu.Unlock()
+		return fmt.Errorf("journal: closed")
+	}
+	j.compactRuns.Add(1)
 	j.mu.Unlock()
+	defer j.compactRuns.Done()
 	for !j.compacting.CompareAndSwap(false, true) {
 		time.Sleep(time.Millisecond)
 	}
@@ -455,46 +471,67 @@ func (j *Journal) Compact() error {
 	return nil
 }
 
+// SnapshotWriter frames a compaction source's records into the snapshot
+// being written. Each record is encoded into buffers the writer reuses, so
+// a source that builds one large record at a time holds at most one.
+type SnapshotWriter struct {
+	bw      *bufio.Writer
+	payload bytes.Buffer
+	enc     *json.Encoder
+	frame   []byte
+}
+
+func newSnapshotWriter(bw *bufio.Writer) *SnapshotWriter {
+	w := &SnapshotWriter{bw: bw}
+	w.enc = json.NewEncoder(&w.payload)
+	return w
+}
+
+// Complete writes one completion record.
+func (w *SnapshotWriter) Complete(r *CompleteRecord) error { return w.write(record{Complete: r}) }
+
+// Accept writes one accept record.
+func (w *SnapshotWriter) Accept(r *AcceptRecord) error { return w.write(record{Accept: r}) }
+
+func (w *SnapshotWriter) write(rec record) error {
+	w.payload.Reset()
+	if err := w.enc.Encode(&rec); err != nil {
+		return err
+	}
+	// Encode ends the JSON with a newline that json.Marshal, and so a
+	// segment record, does not have.
+	payload := bytes.TrimSuffix(w.payload.Bytes(), []byte{'\n'})
+	w.frame = encodeFrame(w.frame[:0], payload)
+	_, err := w.bw.Write(w.frame)
+	return err
+}
+
 // writeSnapshot writes the compacted state as snap-<cover>.snap in the
 // same frame format as a segment, atomically (tmp + fsync + rename).
-func (j *Journal) writeSnapshot(cover uint64, pending []AcceptRecord, completions []CompleteRecord) error {
+func (j *Journal) writeSnapshot(cover uint64, source func(*SnapshotWriter) error) (err error) {
 	path := filepath.Join(j.dir, snapshotName(cover))
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriterSize(f, 256<<10)
-	write := func(rec record) error {
-		payload, err := json.Marshal(&rec)
+	defer func() {
 		if err != nil {
-			return err
+			f.Close()
+			_ = os.Remove(tmp) // best effort: replay never reads a .tmp file
 		}
-		_, err = bw.Write(encodeFrame(nil, payload))
+	}()
+	w := newSnapshotWriter(bufio.NewWriterSize(f, 256<<10))
+	if _, err := w.bw.Write(segmentMagic[:]); err != nil {
 		return err
 	}
-	if _, err := bw.Write(segmentMagic[:]); err != nil {
-		f.Close()
+	if err := source(w); err != nil {
 		return err
 	}
-	for i := range completions {
-		if err := write(record{Complete: &completions[i]}); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	for i := range pending {
-		if err := write(record{Accept: &pending[i]}); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
+	if err := w.bw.Flush(); err != nil {
 		return err
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
 		return err
 	}
 	if err := f.Close(); err != nil {
@@ -537,8 +574,10 @@ func (j *Journal) flusher() {
 	}
 }
 
-// Close flushes, fsyncs, and closes the journal. Appends after Close
-// fail; Close is idempotent.
+// Close flushes, fsyncs, and closes the journal, then waits for a
+// compaction in flight to finish; one that has not started yet never
+// will, so nothing touches the directory after Close returns. Appends
+// after Close fail; Close is idempotent.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	if j.closed {
@@ -553,6 +592,8 @@ func (j *Journal) Close() error {
 	}
 	j.mu.Unlock()
 	<-j.flusherDone
+	// Compaction takes mu to finish, so wait without holding it.
+	j.compactRuns.Wait()
 	return err
 }
 

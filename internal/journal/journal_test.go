@@ -1,10 +1,15 @@
 package journal
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -229,9 +234,13 @@ func TestCompaction(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := mustOpen(t, dir, Options{Fsync: FsyncNone, SegmentBytes: 256, CompactAfterSegments: 1})
 	// Live state the source reports: one pending job, one completion.
-	j.SetSource(func() ([]AcceptRecord, []CompleteRecord) {
-		return []AcceptRecord{acceptRec("pend", 5, 50)},
-			[]CompleteRecord{completeRec("done", 6, 60, []int32{0, 1, 0})}
+	j.SetSource(func(w *SnapshotWriter) error {
+		done := completeRec("done", 6, 60, []int32{0, 1, 0})
+		if err := w.Complete(&done); err != nil {
+			return err
+		}
+		pend := acceptRec("pend", 5, 50)
+		return w.Accept(&pend)
 	})
 	for i := 0; i < 80; i++ {
 		if err := j.AppendAccept(acceptRec(fmt.Sprintf("x%d", i), uint64(i), 2)); err != nil {
@@ -360,8 +369,9 @@ func TestAppendAfterClose(t *testing.T) {
 func TestCrashMidCompactionLeftovers(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := mustOpen(t, dir, Options{Fsync: FsyncNone, SegmentBytes: 256})
-	j.SetSource(func() ([]AcceptRecord, []CompleteRecord) {
-		return []AcceptRecord{acceptRec("p", 9, 90)}, nil
+	j.SetSource(func(w *SnapshotWriter) error {
+		p := acceptRec("p", 9, 90)
+		return w.Accept(&p)
 	})
 	for i := 0; i < 40; i++ {
 		j.AppendAccept(acceptRec(fmt.Sprintf("y%d", i), uint64(i), 4))
@@ -467,5 +477,100 @@ func TestSettledVersionPairing(t *testing.T) {
 	}
 	if !rec.Pending[0].Resident {
 		t.Error("pending resident accept lost its Resident flag")
+	}
+}
+
+// TestCloseWaitsForCompaction blocks a background compaction inside its
+// source and closes the journal: Close must return only after the source
+// is released and the compaction has finished with the directory, and no
+// compaction may start once the journal is closed.
+func TestCloseWaitsForCompaction(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := mustOpen(t, dir, Options{Fsync: FsyncNone, SegmentBytes: 256, CompactAfterSegments: 1})
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var calls atomic.Int32
+	j.SetSource(func(w *SnapshotWriter) error {
+		if calls.Add(1) == 1 {
+			close(entered)
+		}
+		<-release
+		p := acceptRec("p", 9, 90)
+		return w.Accept(&p)
+	})
+	// Append until a rotation claims a background compaction.
+	for i := 0; !j.compacting.Load(); i++ {
+		if err := j.AppendAccept(acceptRec(fmt.Sprintf("z%d", i), uint64(i), 3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-entered
+
+	closed := make(chan error, 1)
+	go func() { closed <- j.Close() }()
+	for !journalClosed(j) {
+		runtime.Gosched()
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a compaction was blocked in its source")
+	default:
+	}
+	close(release)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	// The compaction counter moves after the snapshot is renamed into
+	// place and the covered segments are deleted: its last directory step.
+	if got := j.Stats().Compactions; got != 1 {
+		t.Fatalf("%d compactions finished before Close returned, want 1", got)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".tmp") {
+			t.Fatalf("%s left behind after Close", e.Name())
+		}
+	}
+	if err := j.Compact(); err == nil {
+		t.Fatal("Compact ran on a closed journal")
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("source called %d times, want 1 (no compaction after Close)", got)
+	}
+}
+
+func journalClosed(j *Journal) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.closed
+}
+
+// TestSnapshotWriterFramesLikeAppend: a snapshot record is framed from
+// the same bytes json.Marshal gives a segment record.
+func TestSnapshotWriterFramesLikeAppend(t *testing.T) {
+	var out bytes.Buffer
+	w := newSnapshotWriter(bufio.NewWriter(&out))
+	a := acceptRec("a<&>", 1, 2)
+	a.Wire = json.RawMessage(`{"graph_csr_b64": "R0NTUg==", "note": "<&>"}`)
+	c := completeRec("c", 3, 4, []int32{0, 1, 2})
+	var want []byte
+	for _, rec := range []record{{Accept: &a}, {Complete: &c}, {Accept: &a}} {
+		if rec.Accept != nil {
+			if err := w.Accept(rec.Accept); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := w.Complete(rec.Complete); err != nil {
+			t.Fatal(err)
+		}
+		want = encodeFrame(want, mustMarshal(t, rec))
+	}
+	if err := w.bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("snapshot frames differ from segment frames:\n got %q\nwant %q", out.Bytes(), want)
 	}
 }

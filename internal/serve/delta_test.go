@@ -568,3 +568,76 @@ func TestDeltaBinaryWireFrame(t *testing.T) {
 		t.Fatalf("size %d/%d, want %d/%d", out.Vertices, out.Edges, ng.NumVertices(), ng.NumEdges())
 	}
 }
+
+// TestCompactionSnapshotRebuildsVersions pins a chain of resident versions,
+// compacts the journal — the snapshot is the only record of them, since
+// nothing here journals the uploads — and reopens it: every version must
+// come back with its graph (content fingerprint and CSR) and coloring, in
+// the same recency order.
+func TestCompactionSnapshotRebuildsVersions(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	j1, rec1 := openTestJournal(t, dir)
+	s1 := NewServer(Config{Devices: 2, Journal: j1, Recovery: rec1})
+	fp := submitResident(t, s1, gen.RMAT(8, 8, gen.Graph500, 3))
+	rng := rand.New(rand.NewSource(4))
+	for step := 0; step < 5; step++ {
+		base, _ := s1.versions.get(fp)
+		n := int32(base.g.NumVertices())
+		d := &graph.Delta{AddVertices: step % 2}
+		for i := 0; i < 4; i++ {
+			if u, v := rng.Int31n(n), rng.Int31n(n); u != v {
+				d.AddEdges = append(d.AddEdges, [2]int32{u, v})
+			}
+			u := rng.Int31n(n)
+			if nb := base.g.Neighbors(u); len(nb) > 0 {
+				d.RemoveEdges = append(d.RemoveEdges, [2]int32{u, nb[0]})
+			}
+		}
+		res, err := s1.Submit(ctx, &Request{Delta: d, BaseFingerprint: fp})
+		if err != nil {
+			t.Fatalf("delta %d: %v", step, err)
+		}
+		fp = res.Fingerprint
+	}
+	want := s1.versions.export()
+	if len(want) != 6 {
+		t.Fatalf("%d resident versions, want 6", len(want))
+	}
+	if err := j1.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	s1.Stop()
+	if err := j1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, rec2 := openTestJournal(t, dir)
+	if !rec2.Stats.SnapshotLoaded {
+		t.Fatal("snapshot not loaded on reopen")
+	}
+	s2 := NewServer(Config{Devices: 2, Journal: j2, Recovery: rec2})
+	defer func() { s2.Stop(); j2.Close() }()
+	if got := s2.RecoveryInfo().WarmedVersions; got != int64(len(want)) {
+		t.Fatalf("warmed %d versions, want %d", got, len(want))
+	}
+	got := s2.versions.export()
+	if len(got) != len(want) {
+		t.Fatalf("%d versions after replay, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.fp != w.fp {
+			t.Fatalf("version %d: fingerprint %016x, want %016x (recency order lost)", i, g.fp, w.fp)
+		}
+		if fp := g.g.Fingerprint(); fp != w.fp {
+			t.Fatalf("version %d: replayed graph fingerprint %016x, want %016x", i, fp, w.fp)
+		}
+		if !slices.Equal(g.g.Offsets(), w.g.Offsets()) || !slices.Equal(g.g.Adj(), w.g.Adj()) {
+			t.Fatalf("version %d: replayed CSR differs", i)
+		}
+		if !slices.Equal(g.colors, w.colors) {
+			t.Fatalf("version %d: replayed colors differ", i)
+		}
+	}
+}

@@ -101,12 +101,12 @@ func dispositionFor(err error) string {
 	}
 }
 
-// snapshotSource is the journal's compaction source: the live state worth
-// carrying across a compaction — still-pending accepts plus the result
-// cache and idempotency map contents as synthetic completion records
-// (least recently used first, so replaying them in order reproduces LRU
-// recency).
-func (s *Server) snapshotSource() ([]journal.AcceptRecord, []journal.CompleteRecord) {
+// writeSnapshot is the journal's compaction source: the live state worth
+// carrying across a compaction — the result cache and idempotency map
+// contents as synthetic completion records (least recently used first, so
+// replaying them in order reproduces LRU recency), then the still-pending
+// accepts — written to w in that order.
+func (s *Server) writeSnapshot(w *journal.SnapshotWriter) error {
 	s.pendMu.Lock()
 	pending := make([]journal.AcceptRecord, 0, len(s.pendAccepts))
 	for _, a := range s.pendAccepts {
@@ -115,12 +115,13 @@ func (s *Server) snapshotSource() ([]journal.AcceptRecord, []journal.CompleteRec
 	s.pendMu.Unlock()
 	sort.Slice(pending, func(i, k int) bool { return pending[i].AcceptedUnixMS < pending[k].AcceptedUnixMS })
 
-	var comps []journal.CompleteRecord
 	now := time.Now().UnixMilli()
 	for _, e := range s.cache.export() {
 		rec := completionRecord("", "", e.key, cloneHit(e.res), nil, false)
 		rec.CompletedUnixMS = now
-		comps = append(comps, rec)
+		if err := w.Complete(&rec); err != nil {
+			return err
+		}
 	}
 	for _, e := range s.idem.export() {
 		if e.res == nil || e.key == "" {
@@ -128,15 +129,39 @@ func (s *Server) snapshotSource() ([]journal.AcceptRecord, []journal.CompleteRec
 		}
 		rec := completionRecord("", e.key, cacheKey{fp: e.res.Fingerprint, policy: e.pk}, cloneHit(e.res), nil, e.noCache)
 		rec.CompletedUnixMS = now
-		comps = append(comps, rec)
+		if err := w.Complete(&rec); err != nil {
+			return err
+		}
 	}
 
 	// Resident graph versions ride along as self-contained synthetic
 	// accept+completion pairs: the accept's wire form carries the full
 	// graph (not the delta that produced it), so each version rebuilds on
 	// replay without needing its predecessors. Least recently used first,
-	// so re-pinning them in order reproduces the store's recency.
-	for _, v := range s.versions.export() {
+	// so re-pinning them in order reproduces the store's recency. The
+	// completions go with the others; each accept's wire form is built as
+	// it is written, so one version's encoded graph is alive at a time.
+	versions := s.versions.export()
+	for _, v := range versions {
+		rec := journal.CompleteRecord{
+			ID:              versionRecordID(v.fp),
+			Fingerprint:     v.fp,
+			Disposition:     journal.DispOK,
+			NumColors:       color.NumColors(v.colors),
+			ColorsB64:       journal.EncodeColors(v.colors),
+			NoCache:         true,
+			CompletedUnixMS: now,
+		}
+		if err := w.Complete(&rec); err != nil {
+			return err
+		}
+	}
+	for i := range pending {
+		if err := w.Accept(&pending[i]); err != nil {
+			return err
+		}
+	}
+	for _, v := range versions {
 		env := ColorRequest{
 			GraphCSRB64: base64.StdEncoding.EncodeToString(graph.EncodeWireCSR(v.g)),
 			Resident:    true,
@@ -144,28 +169,24 @@ func (s *Server) snapshotSource() ([]journal.AcceptRecord, []journal.CompleteRec
 		}
 		wire, err := json.Marshal(&env)
 		if err != nil {
-			continue
+			return err
 		}
-		id := "ver-" + graph.FingerprintString(v.fp)
-		pending = append(pending, journal.AcceptRecord{
-			ID:             id,
+		if err := w.Accept(&journal.AcceptRecord{
+			ID:             versionRecordID(v.fp),
 			Fingerprint:    v.fp,
 			AcceptedUnixMS: now,
 			Resident:       true,
 			Wire:           wire,
-		})
-		comps = append(comps, journal.CompleteRecord{
-			ID:              id,
-			Fingerprint:     v.fp,
-			Disposition:     journal.DispOK,
-			NumColors:       color.NumColors(v.colors),
-			ColorsB64:       journal.EncodeColors(v.colors),
-			NoCache:         true,
-			CompletedUnixMS: now,
-		})
+		}); err != nil {
+			return err
+		}
 	}
-	return pending, comps
+	return nil
 }
+
+// versionRecordID names the synthetic record pair of a snapshot-exported
+// graph version.
+func versionRecordID(fp uint64) string { return "ver-" + graph.FingerprintString(fp) }
 
 // applyRecovery warm-starts the caches from replayed completions
 // (synchronously — NewServer returns with the cache warm) and re-submits

@@ -392,7 +392,7 @@ func NewServer(cfg Config) *Server {
 		go s.worker()
 	}
 	if s.jrnl != nil {
-		s.jrnl.SetSource(s.snapshotSource)
+		s.jrnl.SetSource(s.writeSnapshot)
 	}
 	// Warm-start happens synchronously (cheap, and callers expect a warm
 	// cache from the moment NewServer returns); pending-job replay runs in
