@@ -12,13 +12,13 @@
 //   - throughput: the gcload default mix (same shape as -hostperf:
 //     60 requests, 4 devices, concurrency 8) batch-on vs batch-off,
 //     gated against the committed BENCH_PR3 baseline;
-//   - ingest: steady-state allocations of one binary CSR upload vs the
-//     JSON/edge-list path for the same graph through the real HTTP
-//     handler, gated at 10%.
+//   - ingest: steady-state allocations of one binary CSR upload and of
+//     the JSON/edge-list upload of the same graph through the real HTTP
+//     handler, each capped at 64 per request.
 //
 // The run exits non-zero if any coloring differs, any leak is detected,
 // the default-mix gain vs the PR 3 baseline falls below -batch-floor, or
-// binary ingest exceeds the allocation ratio.
+// either ingest path exceeds its allocation cap.
 package main
 
 import (
@@ -85,22 +85,21 @@ type batchThroughput struct {
 }
 
 type ingestSection struct {
-	Graph        string  `json:"graph"`
-	JSONAllocs   uint64  `json:"json_allocs_per_request"`
-	BinaryAllocs uint64  `json:"binary_allocs_per_request"`
-	Ratio        float64 `json:"binary_to_json_ratio"`
+	Graph        string `json:"graph"`
+	JSONAllocs   uint64 `json:"json_allocs_per_request"`
+	BinaryAllocs uint64 `json:"binary_allocs_per_request"`
 }
 
 type batchReport struct {
-	Bench         string          `json:"bench"`
-	Members       []memberResult  `json:"identical"`
-	PoisonLeaks   int             `json:"poison_leaks"`
-	Throughput    batchThroughput `json:"default_mix"`
-	Ingest        ingestSection   `json:"binary_ingest"`
-	Floor         float64         `json:"floor_gain_vs_pr3"`
-	IngestCeiling float64         `json:"ingest_ratio_ceiling"`
-	BudgetFile    string          `json:"budget_file,omitempty"`
-	Passed        bool            `json:"passed"`
+	Bench       string          `json:"bench"`
+	Members     []memberResult  `json:"identical"`
+	PoisonLeaks int             `json:"poison_leaks"`
+	Throughput  batchThroughput `json:"default_mix"`
+	Ingest      ingestSection   `json:"binary_ingest"`
+	Floor       float64         `json:"floor_gain_vs_pr3"`
+	IngestCap   uint64          `json:"ingest_allocs_cap"`
+	BudgetFile  string          `json:"budget_file,omitempty"`
+	Passed      bool            `json:"passed"`
 }
 
 // soloResults colors every member on a batch-disabled server: the ground
@@ -265,18 +264,15 @@ func measureIngest() (ingestSection, error) {
 	if sec.BinaryAllocs, err = measure(frame, serve.ContentTypeBinaryCSR); err != nil {
 		return ingestSection{}, err
 	}
-	if sec.JSONAllocs > 0 {
-		sec.Ratio = float64(sec.BinaryAllocs) / float64(sec.JSONAllocs)
-	}
 	return sec, nil
 }
 
 // runBatchBench executes -batch and writes jsonPath; floor is the minimum
 // default-mix throughput gain over the PR 3 baseline. A non-empty
-// budgetPath reads BENCH_BUDGET.json and tightens the binary-ingest
-// allocation gate to its max_binary_ingest_alloc_ratio entry.
+// budgetPath reads BENCH_BUDGET.json and sets the per-path ingest
+// allocation cap to its max_ingest_allocs_per_request entry.
 func runBatchBench(jsonPath, budgetPath string, floor float64) error {
-	ingestCeiling := 0.10
+	ingestCap := uint64(64)
 	var budgetFile string
 	if budgetPath != "" {
 		raw, err := os.ReadFile(budgetPath)
@@ -287,8 +283,8 @@ func runBatchBench(jsonPath, budgetPath string, floor float64) error {
 		if err := json.Unmarshal(raw, &budget); err != nil {
 			return fmt.Errorf("budget %s: %w", budgetPath, err)
 		}
-		if budget.MaxBinaryIngestRatio > 0 {
-			ingestCeiling = budget.MaxBinaryIngestRatio
+		if budget.MaxIngestAllocs > 0 {
+			ingestCap = budget.MaxIngestAllocs
 		}
 		budgetFile = budgetPath
 	}
@@ -312,7 +308,7 @@ func runBatchBench(jsonPath, budgetPath string, floor float64) error {
 
 	rep := batchReport{
 		Bench: "batch-pr8", Floor: floor,
-		IngestCeiling: ingestCeiling, BudgetFile: budgetFile, Passed: true,
+		IngestCap: ingestCap, BudgetFile: budgetFile, Passed: true,
 	}
 	for i := range graphs {
 		m := memberResult{
@@ -369,7 +365,7 @@ func runBatchBench(jsonPath, budgetPath string, floor float64) error {
 	if rep.Ingest, err = measureIngest(); err != nil {
 		return err
 	}
-	if rep.Ingest.Ratio > ingestCeiling {
+	if rep.Ingest.JSONAllocs > ingestCap || rep.Ingest.BinaryAllocs > ingestCap {
 		rep.Passed = false
 	}
 
@@ -388,13 +384,13 @@ func runBatchBench(jsonPath, budgetPath string, floor float64) error {
 	}
 
 	fmt.Fprintf(os.Stderr,
-		"gcbench: batch %.1f rps on vs %.1f off (%.2fx, %.2fx vs PR3's %.1f); %d batches of mean %.1f; binary ingest %d vs json %d allocs (%.1f%%) -> %s\n",
+		"gcbench: batch %.1f rps on vs %.1f off (%.2fx, %.2fx vs PR3's %.1f); %d batches of mean %.1f; ingest allocs binary %d, json %d (cap %d) -> %s\n",
 		onRPS, offRPS, tp.GainVsOff, tp.GainVsPR3, pr3MixThroughputRPS,
 		tp.Batches, tp.MeanBatchSize, rep.Ingest.BinaryAllocs, rep.Ingest.JSONAllocs,
-		100*rep.Ingest.Ratio, jsonPath)
+		ingestCap, jsonPath)
 	if !rep.Passed {
-		return fmt.Errorf("batch gates failed: see %s (floor %.2fx vs PR3, leaks %d, ingest ratio %.3f)",
-			jsonPath, floor, rep.PoisonLeaks, rep.Ingest.Ratio)
+		return fmt.Errorf("batch gates failed: see %s (floor %.2fx vs PR3, leaks %d, ingest allocs binary %d json %d, cap %d)",
+			jsonPath, floor, rep.PoisonLeaks, rep.Ingest.BinaryAllocs, rep.Ingest.JSONAllocs, ingestCap)
 	}
 	return nil
 }

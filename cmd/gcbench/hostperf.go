@@ -156,10 +156,10 @@ func defaultMixThroughput() (mixSection, error) {
 
 type allocBudget struct {
 	MaxAllocsPerRequest int64 `json:"max_allocs_per_request"`
-	// MaxBinaryIngestRatio caps binary-CSR ingest allocations as a
-	// fraction of the JSON path's, enforced by -batch (0 = use the
-	// default gate).
-	MaxBinaryIngestRatio float64 `json:"max_binary_ingest_alloc_ratio"`
+	// MaxIngestAllocs caps the allocations of one cached upload on each
+	// wire format, binary CSR and JSON edge list, enforced by -batch (0 =
+	// use the default cap).
+	MaxIngestAllocs uint64 `json:"max_ingest_allocs_per_request"`
 }
 
 // measureHost runs fn n times after a warmup call and returns the

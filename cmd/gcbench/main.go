@@ -35,7 +35,7 @@ func main() {
 		hostperf  = flag.Bool("hostperf", false, "run the hot-path host benchmark (arena/pooling/fusion) instead of the paper experiments")
 		hostOut   = flag.String("hostperf-json", "BENCH_PR3.json", "output file for -hostperf")
 		hostN     = flag.Int("hostperf-requests", 20, "steady-state request count per section for -hostperf")
-		budgetArg = flag.String("budget", "", "allocation budget file (BENCH_BUDGET.json); -hostperf fails if the pooled path exceeds it, -batch if binary ingest exceeds its alloc ratio")
+		budgetArg = flag.String("budget", "", "allocation budget file (BENCH_BUDGET.json); -hostperf fails if the pooled path exceeds it, -batch if either ingest path exceeds its alloc cap")
 
 		shardBench = flag.Bool("shard", false, "run the sharded multi-device benchmark (single device vs -shard-k shards) instead of the paper experiments")
 		shardOut   = flag.String("shard-json", "BENCH_PR5.json", "output file for -shard")

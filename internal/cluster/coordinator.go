@@ -512,7 +512,7 @@ func (c *Coordinator) resolve(cr *serve.ColorRequest) (*graph.Graph, gpucolor.Al
 	case cr.Gen != "":
 		g, err = c.specs.get(cr.Gen)
 	case cr.Graph != "":
-		g, err = graph.ReadEdgeList(strings.NewReader(cr.Graph))
+		g, err = graph.ParseEdgeList(cr.Graph)
 	default:
 		return nil, 0, fmt.Errorf("set exactly one of graph and gen")
 	}

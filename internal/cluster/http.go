@@ -164,7 +164,7 @@ func breakerCode(s string) int {
 func handleColor(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 	rid := serve.RequestIDFor(r)
 	w.Header().Set("X-Request-ID", rid)
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.DefaultMaxBodyBytes))
+	raw, err := serve.ReadBody(w, r, serve.DefaultMaxBodyBytes)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {

@@ -20,7 +20,10 @@ type BFSResult struct {
 // simulated GPU: one expand kernel per level, thread per frontier vertex,
 // visitation claimed with compare-and-swap. The expand kernel's full
 // neighbour scans make it the classic load-imbalance twin of the coloring
-// candidate kernel.
+// candidate kernel. The claim decides which lane appends a vertex to the
+// next frontier, and where, so every launch that claims or appends runs
+// its workgroups in order (simt.Device.RunOrdered): simulated cycles then
+// do not depend on host parallelism.
 func BFS(dev *simt.Device, g *graph.Graph, src int32) (*BFSResult, error) {
 	n := g.NumVertices()
 	if src < 0 || int(src) >= n {
@@ -41,7 +44,7 @@ func BFS(dev *simt.Device, g *graph.Graph, src int32) (*BFSResult, error) {
 		res.FrontierSizes = append(res.FrontierSizes, count)
 		res.Stats.Iterations++
 		cnt.Data()[0] = 0
-		rr := dev.Run("bfs-expand", count, func(c *simt.Ctx) {
+		rr := dev.RunOrdered("bfs-expand", count, func(c *simt.Ctx) {
 			v := c.Ld(cur, c.Global)
 			start := c.Ld(b.off, v)
 			end := c.Ld(b.off, v+1)
@@ -102,7 +105,7 @@ func BFSHybrid(dev *simt.Device, g *graph.Graph, src int32, threshold int32) (*B
 
 		// Split the frontier by degree.
 		cnt.Data()[1], cnt.Data()[2] = 0, 0
-		rr := dev.Run("bfs-partition", count, func(c *simt.Ctx) {
+		rr := dev.RunOrdered("bfs-partition", count, func(c *simt.Ctx) {
 			v := c.Ld(cur, c.Global)
 			deg := c.Ld(b.off, v+1) - c.Ld(b.off, v)
 			c.Op(2)
@@ -121,7 +124,7 @@ func BFSHybrid(dev *simt.Device, g *graph.Graph, src int32, threshold int32) (*B
 
 		cnt.Data()[0] = 0
 		if nSmall > 0 {
-			rr = dev.Run("bfs-expand-small", nSmall, func(c *simt.Ctx) {
+			rr = dev.RunOrdered("bfs-expand-small", nSmall, func(c *simt.Ctx) {
 				v := c.Ld(small, c.Global)
 				start := c.Ld(b.off, v)
 				end := c.Ld(b.off, v+1)
@@ -137,7 +140,7 @@ func BFSHybrid(dev *simt.Device, g *graph.Graph, src int32, threshold int32) (*B
 			res.Stats.charge(rr, true)
 		}
 		if nBig > 0 {
-			rr = dev.RunCoop("bfs-expand-big", nBig, func(g *simt.GroupCtx) {
+			rr = dev.RunCoopOrdered("bfs-expand-big", nBig, func(g *simt.GroupCtx) {
 				lds := g.AllocLDS(3)
 				g.One(func(c *simt.Ctx) {
 					v := c.Ld(big, g.ID())

@@ -1,7 +1,9 @@
 package gpuapps
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -250,5 +252,46 @@ func TestAppsMatchCPUProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBFSDeterministic: both BFS variants report the same simulated
+// evidence whatever the host parallelism. Their expand and partition
+// kernels claim vertices and append them to worklists through atomics,
+// so the slots, and with them the costed stores, follow workgroup order;
+// a device pinned to one phase-A worker is the reference. CI runs this at
+// -cpu 1,2,4, where the unpinned device uses that many workers.
+func TestBFSDeterministic(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"rmat": gen.RMAT(11, 16, gen.Graph500, 2),
+		"gnm":  gen.GNM(3000, 12000, 3),
+		"star": gen.Star(2000),
+	}
+	variants := map[string]func(*simt.Device, *graph.Graph) (*BFSResult, error){
+		"bfs":    func(d *simt.Device, g *graph.Graph) (*BFSResult, error) { return BFS(d, g, 0) },
+		"hybrid": func(d *simt.Device, g *graph.Graph) (*BFSResult, error) { return BFSHybrid(d, g, 0, 0) },
+	}
+	for gname, g := range graphs {
+		for vname, run := range variants {
+			ref := testDev()
+			ref.Workers = 1
+			want, err := run(ref, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				got, err := run(testDev(), g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Stats.Cycles != want.Stats.Cycles || !maps.Equal(got.Stats.KernelCycles, want.Stats.KernelCycles) {
+					t.Fatalf("%s/%s run %d: cycles %d %v, one worker %d %v", gname, vname, i,
+						got.Stats.Cycles, got.Stats.KernelCycles, want.Stats.Cycles, want.Stats.KernelCycles)
+				}
+				if !slices.Equal(got.Stats.WavefrontWork, want.Stats.WavefrontWork) {
+					t.Fatalf("%s/%s run %d: per-wavefront work differs from one worker's", gname, vname, i)
+				}
+			}
+		}
 	}
 }

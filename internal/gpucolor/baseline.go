@@ -150,7 +150,7 @@ func (r *runner) candidateKernel(name string, wl *simt.BufInt32, count int, mode
 // scan over the neighbour colors, which are stable in this launch because
 // no two adjacent vertices can both be winners.
 func (r *runner) assignKernel(wl, next *simt.BufInt32, count int, iter int32, mode iterMode) *simt.RunResult {
-	return r.dev.Run("assign"+mode.suffix(), count, func(c *simt.Ctx) {
+	return r.runAppend(next, "assign"+mode.suffix(), count, func(c *simt.Ctx) {
 		v := c.Ld(wl, c.Global)
 		survived := int32(0)
 		switch c.Ld(r.win, v) {

@@ -97,7 +97,7 @@ func (r *runner) speculateD2Kernel(wl, snap *simt.BufInt32, count int) *simt.Run
 // detectD2Kernel flags distance-2 conflicts: v loses if any vertex within
 // two hops holds v's color and outranks it by priority.
 func (r *runner) detectD2Kernel(wl, next *simt.BufInt32, count int) *simt.RunResult {
-	return r.dev.Run("detect-d2", count, func(c *simt.Ctx) {
+	return r.runAppend(next, "detect-d2", count, func(c *simt.Ctx) {
 		v := c.Ld(wl, c.Global)
 		cv := c.Ld(r.col, v)
 		pv := uint32(c.Ld(r.prio, v))

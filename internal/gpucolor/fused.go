@@ -60,7 +60,7 @@ func (r *runner) fusedKernel(wl, next *simt.BufInt32, count int, iter int32, mod
 	if maxmin {
 		curMax, curMin = 2*iter, 2*iter+1
 	}
-	return r.dev.Run("fused"+mode.suffix(), count, func(c *simt.Ctx) {
+	return r.runAppend(next, "fused"+mode.suffix(), count, func(c *simt.Ctx) {
 		v := c.Ld(wl, c.Global)
 		pv := uint32(c.Ld(r.prio, v))
 		start := c.Ld(r.off, v)

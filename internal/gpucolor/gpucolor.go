@@ -342,6 +342,18 @@ func (r *runner) releaseAll() {
 	r.release(&r.col)
 }
 
+// runAppend launches a kernel that may append survivors to next. With
+// atomic compaction (next != nil) the slot an AtomicAdd hands a lane is
+// the address it stores to, so the workgroups run in order
+// (simt.Device.RunOrdered) to keep simulated cycles independent of host
+// parallelism; with scan compaction (next == nil) any order will do.
+func (r *runner) runAppend(next *simt.BufInt32, name string, count int, f simt.KernelFunc) *simt.RunResult {
+	if next != nil {
+		return r.dev.RunOrdered(name, count, f)
+	}
+	return r.dev.Run(name, count, f)
+}
+
 // launch folds one kernel's results into the run totals. keepWavefronts
 // marks kernels whose wavefront distribution feeds the imbalance figures.
 func (r *runner) launch(rr *simt.RunResult, keepWavefronts bool) {

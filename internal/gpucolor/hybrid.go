@@ -115,9 +115,10 @@ func (r *runner) runHybrid(mode iterMode) (*Result, error) {
 }
 
 // partitionAtomicKernel splits the full vertex set into low- and
-// high-degree worklists with atomic cursors (cnt[1] and cnt[2]).
+// high-degree worklists with atomic cursors (cnt[1] and cnt[2]), in
+// workgroup order (see runAppend).
 func (r *runner) partitionAtomicKernel(small, big *simt.BufInt32, count int, threshold int32) *simt.RunResult {
-	return r.dev.Run("partition", count, func(c *simt.Ctx) {
+	return r.dev.RunOrdered("partition", count, func(c *simt.Ctx) {
 		v := c.Global
 		deg := c.Ld(r.off, v+1) - c.Ld(r.off, v)
 		c.Op(2)

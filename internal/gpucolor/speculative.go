@@ -94,7 +94,7 @@ func (r *runner) speculateKernel(wl, snap *simt.BufInt32, count int) *simt.RunRe
 // conflict frontier crawls one vertex per round along id order. Colors are
 // stable within this launch; losers go to the next worklist.
 func (r *runner) detectKernel(wl, next *simt.BufInt32, count int) *simt.RunResult {
-	return r.dev.Run("detect", count, func(c *simt.Ctx) {
+	return r.runAppend(next, "detect", count, func(c *simt.Ctx) {
 		v := c.Ld(wl, c.Global)
 		cv := c.Ld(r.col, v)
 		pv := uint32(c.Ld(r.prio, v))

@@ -2,6 +2,7 @@ package graph_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gcolor/internal/gen"
@@ -61,4 +62,33 @@ func BenchmarkDecodeWireCSR(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkParseEdgeList parses the edge-list text of gnm:2000:6000 the
+// way a JSON upload arrives, through the string entry point and through
+// a reader.
+func BenchmarkParseEdgeList(b *testing.B) {
+	var text strings.Builder
+	if err := graph.WriteEdgeList(&text, gen.GNM(2000, 6000, 1)); err != nil {
+		b.Fatal(err)
+	}
+	s := text.String()
+	b.Run("string", func(b *testing.B) {
+		b.SetBytes(int64(len(s)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := graph.ParseEdgeList(s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("reader", func(b *testing.B) {
+		b.SetBytes(int64(len(s)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := graph.ReadEdgeList(strings.NewReader(s)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -1,9 +1,14 @@
 package graph
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
 	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // The fuzz targets drive the text parsers with arbitrary bytes through the
@@ -13,6 +18,11 @@ import (
 
 const fuzzMaxVertices = 1 << 16
 
+// FuzzReadEdgeList drives both edge-list entry points — the reader, also
+// fed one byte per Read so lines straddle buffer refills, and the string
+// parser — and requires each to match readEdgeListReference exactly: the
+// same accept or reject, the same error text, the same graph. A reader
+// that fails after the text must fail the same way in both readers.
 func FuzzReadEdgeList(f *testing.F) {
 	f.Add("0 1\n1 2\n2 0\n")
 	f.Add("# n 6\n0 1\n")
@@ -22,16 +32,52 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("# n 999999999\n")
 	f.Add("0\n")
 	f.Add("a b c\n")
+	f.Add("0 1\r\n1 2\r\n\r\n")
+	f.Add("0\v1\n1\f2\n\v\f\n")
+	f.Add("0\u00a01\n1\u00852\n\u00a0# n 9\n")
+	f.Add("0 1\u00a0x\n2\xc2 3\n")
+	f.Add("+5 -0\n007 +0008\n")
+	f.Add("0 2147483647\n")
+	f.Add("0 2147483648\n")
+	f.Add("1 2 3 4\nx 1\n")
+	f.Add("# n 65537\n0 1\n")
+	f.Add("#% #n  12 \n# n 3 4\n#\tn 5\n")
+	f.Add("0 1\n2")
 	f.Fuzz(func(t *testing.T, in string) {
-		g, err := readEdgeListLimit(strings.NewReader(in), fuzzMaxVertices)
-		if err != nil {
+		want, werr := readEdgeListReference(strings.NewReader(in), fuzzMaxVertices)
+		for _, p := range []struct {
+			name  string
+			parse func() (*Graph, error)
+		}{
+			{"reader", func() (*Graph, error) { return readEdgeListLimit(strings.NewReader(in), fuzzMaxVertices) }},
+			{"one-byte reader", func() (*Graph, error) {
+				return readEdgeListLimit(iotest.OneByteReader(strings.NewReader(in)), fuzzMaxVertices)
+			}},
+			{"string", func() (*Graph, error) { return parseEdgeListLimit(in, fuzzMaxVertices) }},
+		} {
+			g, err := p.parse()
+			if fmt.Sprint(err) != fmt.Sprint(werr) {
+				t.Fatalf("%s: error %v, reference %v\ninput: %q", p.name, err, werr, in)
+			}
+			if err == nil && !sameGraph(g, want) {
+				t.Fatalf("%s: graph differs from the reference\ninput: %q", p.name, in)
+			}
+		}
+		failing := func() io.Reader {
+			return io.MultiReader(strings.NewReader(in), iotest.ErrReader(errors.New("read failed")))
+		}
+		_, ferr := readEdgeListLimit(failing(), fuzzMaxVertices)
+		if _, wferr := readEdgeListReference(failing(), fuzzMaxVertices); fmt.Sprint(ferr) != fmt.Sprint(wferr) {
+			t.Fatalf("failing reader: error %v, reference %v\ninput: %q", ferr, wferr, in)
+		}
+		if werr != nil {
 			return
 		}
-		if verr := g.Validate(); verr != nil {
+		if verr := want.Validate(); verr != nil {
 			t.Fatalf("accepted input built an invalid graph: %v\ninput: %q", verr, in)
 		}
-		if g.NumVertices() > fuzzMaxVertices {
-			t.Fatalf("vertex count %d exceeds the cap", g.NumVertices())
+		if want.NumVertices() > fuzzMaxVertices {
+			t.Fatalf("vertex count %d exceeds the cap", want.NumVertices())
 		}
 	})
 }
@@ -57,7 +103,8 @@ func FuzzDIMACS(f *testing.F) {
 
 // FuzzWireCSR drives the binary CSR decoder with arbitrary frames through
 // the small-cap variant. Invariants: never panic, never over-allocate past
-// the cap, any accepted frame passes full structural validation, and the
+// the cap, accept, reject and error text exactly as decodeWireCSRReference
+// does, any accepted frame passes full structural validation, and the
 // streaming fingerprint matches the canonical Graph.Fingerprint().
 func FuzzWireCSR(f *testing.F) {
 	// Valid frames as mutation seeds: empty graph, a triangle, a path with
@@ -72,10 +119,24 @@ func FuzzWireCSR(f *testing.F) {
 	f.Add([]byte("GCSR"))                                                 // truncated header
 	f.Add([]byte("GCSR\x01\x00\x00\x00\xff\xff\xff\xff\x00\x00\x00\x00")) // huge n, no body
 	f.Add([]byte{})
+	// Asymmetric frames: a lone arc; a missing reverse the row-order scan
+	// meets before the arc the reference names (1->2 reads row 2's 0,
+	// while 2->0 is the arc without a reverse); and an arc 1->2 that finds
+	// row 2 used up, where the next entry in memory, row 3's, is a 1.
+	f.Add(csrFrame([]int32{0, 1, 1}, []int32{1}))
+	f.Add(csrFrame([]int32{0, 0, 1, 3}, []int32{2, 0, 1}))
+	f.Add(csrFrame([]int32{0, 1, 3, 4, 5}, []int32{2, 2, 3, 0, 1}))
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		g, fp, err := decodeWireCSRLimit(frame, fuzzMaxVertices)
+		want, wfp, werr := decodeWireCSRReference(frame, fuzzMaxVertices)
+		if fmt.Sprint(err) != fmt.Sprint(werr) {
+			t.Fatalf("error %v, reference %v", err, werr)
+		}
 		if err != nil {
 			return
+		}
+		if !sameGraph(g, want) || fp != wfp {
+			t.Fatalf("decoded graph or fingerprint differs from the reference")
 		}
 		if g.NumVertices() > fuzzMaxVertices {
 			t.Fatalf("vertex count %d exceeds the cap", g.NumVertices())
@@ -87,6 +148,19 @@ func FuzzWireCSR(f *testing.F) {
 			t.Fatalf("streaming fingerprint %016x != canonical %016x", fp, want)
 		}
 	})
+}
+
+// csrFrame encodes raw CSR arrays as a wire frame without checking them.
+func csrFrame(offsets, cols []int32) []byte {
+	b := []byte(WireCSRMagic)
+	b = binary.LittleEndian.AppendUint16(b, WireCSRVersion)
+	b = binary.LittleEndian.AppendUint16(b, 0)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(offsets)-1))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(cols)))
+	for _, x := range append(slices.Clone(offsets), cols...) {
+		b = binary.LittleEndian.AppendUint32(b, uint32(x))
+	}
+	return b
 }
 
 // FuzzApplyDelta turns arbitrary bytes into a small graph and a valid

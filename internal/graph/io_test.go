@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -35,6 +38,44 @@ func TestReadEdgeListErrors(t *testing.T) {
 	for _, in := range cases {
 		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
 			t.Errorf("ReadEdgeList(%q) succeeded, want error", in)
+		}
+	}
+}
+
+// TestEdgeListLineLimit: a line of 1<<22 bytes or more, its '\r' counted
+// and its '\n' not, fails with bufio.ErrTooLong on both entry points, as
+// it does through bufio.Scanner in the reference; a byte shorter parses,
+// terminated or not, and an error on an earlier line comes first.
+func TestEdgeListLineLimit(t *testing.T) {
+	line := func(n int) string { return "0 1" + strings.Repeat(" ", n-3) }
+	const limit = 1 << 22
+	for i, c := range []struct {
+		in      string
+		tooLong bool
+	}{
+		{"2 3\n" + line(limit-1) + "\n4 5\n", false},
+		{"2 3\n" + line(limit-1), false},
+		{"2 3\n" + line(limit) + "\n4 5\n", true},
+		{"2 3\n" + line(limit), true},
+		{line(limit-2) + "\r\n", false},
+		{line(limit-1) + "\r\n", true},
+		{"x\n" + line(limit+5), false},
+	} {
+		in := c.in
+		want, werr := readEdgeListReference(strings.NewReader(in), MaxVertices)
+		if errors.Is(werr, bufio.ErrTooLong) != c.tooLong {
+			t.Fatalf("case %d: reference error %v, want too long %v", i, werr, c.tooLong)
+		}
+		for name, parse := range map[string]func() (*Graph, error){
+			"reader": func() (*Graph, error) { return ReadEdgeList(strings.NewReader(in)) },
+			"string": func() (*Graph, error) { return ParseEdgeList(in) },
+		} {
+			g, err := parse()
+			if fmt.Sprint(err) != fmt.Sprint(werr) {
+				t.Errorf("case %d %s: error %v, reference %v", i, name, err, werr)
+			} else if err == nil && !sameGraph(g, want) {
+				t.Errorf("case %d %s: graph differs from the reference", i, name)
+			}
 		}
 	}
 }

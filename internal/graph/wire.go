@@ -26,7 +26,9 @@ package graph
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"sync"
 )
 
 // Wire-format constants. WireCSRMagic leads every frame; a decoder can sniff
@@ -96,34 +98,49 @@ func DecodeWireCSR(data []byte) (*Graph, uint64, error) {
 // trust boundary: it arrives from the network, and an accepted graph flows
 // straight into kernels that index with its offsets.
 func decodeWireCSRLimit(data []byte, maxN int) (*Graph, uint64, error) {
+	g, err := decodeCSRRows(data, maxN)
+	if err != nil {
+		return nil, 0, err
+	}
+	// Symmetry needs the full arrays, so it runs as a second pass; the
+	// row-level invariants decodeCSRRows checked make it safe.
+	if !symmetricCSR(g.offsets, g.adj) {
+		return nil, 0, asymmetryError(g)
+	}
+	return g, g.Fingerprint(), nil
+}
+
+// decodeCSRRows decodes a frame's header and CSR arrays, checking every
+// invariant but symmetry.
+func decodeCSRRows(data []byte, maxN int) (*Graph, error) {
 	if len(data) < wireCSRHeaderLen {
-		return nil, 0, fmt.Errorf("gcsr: truncated header: %d bytes, want at least %d", len(data), wireCSRHeaderLen)
+		return nil, fmt.Errorf("gcsr: truncated header: %d bytes, want at least %d", len(data), wireCSRHeaderLen)
 	}
 	if string(data[:4]) != WireCSRMagic {
-		return nil, 0, fmt.Errorf("gcsr: bad magic %q", data[:4])
+		return nil, fmt.Errorf("gcsr: bad magic %q", data[:4])
 	}
 	if v := binary.LittleEndian.Uint16(data[4:6]); v != WireCSRVersion {
-		return nil, 0, fmt.Errorf("gcsr: unsupported version %d", v)
+		return nil, fmt.Errorf("gcsr: unsupported version %d", v)
 	}
 	if fl := binary.LittleEndian.Uint16(data[6:8]); fl != 0 {
-		return nil, 0, fmt.Errorf("gcsr: unsupported flags %#x", fl)
+		return nil, fmt.Errorf("gcsr: unsupported flags %#x", fl)
 	}
 	n64 := int64(binary.LittleEndian.Uint32(data[8:12]))
 	m64 := int64(binary.LittleEndian.Uint32(data[12:16]))
 	if n64 > int64(maxN) {
-		return nil, 0, fmt.Errorf("gcsr: vertex count %d exceeds limit %d", n64, maxN)
+		return nil, fmt.Errorf("gcsr: vertex count %d exceeds limit %d", n64, maxN)
 	}
 	// Arcs are bounded by the frame itself (4 bytes each), but check against
 	// int32 explicitly: offsets must be representable.
 	if m64 > int64(1<<31-1)-1 {
-		return nil, 0, fmt.Errorf("gcsr: arc count %d exceeds int32 range", m64)
+		return nil, fmt.Errorf("gcsr: arc count %d exceeds int32 range", m64)
 	}
 	want := int64(wireCSRHeaderLen) + 4*(n64+1) + 4*m64
 	if int64(len(data)) < want {
-		return nil, 0, fmt.Errorf("gcsr: frame is %d bytes, header declares %d", len(data), want)
+		return nil, fmt.Errorf("gcsr: frame is %d bytes, header declares %d", len(data), want)
 	}
 	if int64(len(data)) > want {
-		return nil, 0, fmt.Errorf("gcsr: %d trailing bytes past declared frame end", int64(len(data))-want)
+		return nil, fmt.Errorf("gcsr: %d trailing bytes past declared frame end", int64(len(data))-want)
 	}
 	n := int(n64)
 	m := int(m64)
@@ -139,16 +156,16 @@ func decodeWireCSRLimit(data []byte, maxN int) (*Graph, uint64, error) {
 	for i := 0; i <= n; i++ {
 		o := int32(binary.LittleEndian.Uint32(body[4*i:]))
 		if i == 0 && o != 0 {
-			return nil, 0, fmt.Errorf("gcsr: row_ptr[0] = %d, want 0", o)
+			return nil, fmt.Errorf("gcsr: row_ptr[0] = %d, want 0", o)
 		}
 		if o < prev {
-			return nil, 0, fmt.Errorf("gcsr: row_ptr not monotone at index %d (%d < %d)", i, o, prev)
+			return nil, fmt.Errorf("gcsr: row_ptr not monotone at index %d (%d < %d)", i, o, prev)
 		}
 		offsets[i] = o
 		prev = o
 	}
 	if int(offsets[n]) != m {
-		return nil, 0, fmt.Errorf("gcsr: row_ptr[n] = %d, want arc count %d", offsets[n], m)
+		return nil, fmt.Errorf("gcsr: row_ptr[n] = %d, want arc count %d", offsets[n], m)
 	}
 	cols := body[4*(n+1):]
 	v := 0
@@ -160,28 +177,63 @@ func decodeWireCSRLimit(data []byte, maxN int) (*Graph, uint64, error) {
 		}
 		a := int32(binary.LittleEndian.Uint32(cols[4*i:]))
 		if a < 0 || int(a) >= n {
-			return nil, 0, fmt.Errorf("gcsr: vertex %d has out-of-range neighbour %d", v, a)
+			return nil, fmt.Errorf("gcsr: vertex %d has out-of-range neighbour %d", v, a)
 		}
 		if a == int32(v) {
-			return nil, 0, fmt.Errorf("gcsr: self loop at vertex %d", v)
+			return nil, fmt.Errorf("gcsr: self loop at vertex %d", v)
 		}
 		if a <= last {
-			return nil, 0, fmt.Errorf("gcsr: adjacency of vertex %d not strictly sorted at arc %d", v, i)
+			return nil, fmt.Errorf("gcsr: adjacency of vertex %d not strictly sorted at arc %d", v, i)
 		}
 		adj[i] = a
 		last = a
 	}
-	g := &Graph{offsets: offsets, adj: adj}
-	// Symmetry needs the full arrays, so it runs as a second pass; the
-	// element-level invariants above already hold, making HasEdge safe.
+	return &Graph{offsets: offsets, adj: adj}, nil
+}
+
+// cursorPool recycles symmetricCSR's per-row cursors, so a decode
+// allocates nothing for them once the pool is warm.
+var cursorPool sync.Pool // *[]int32
+
+// symmetricCSR reports whether every arc u->w of a CSR with sorted,
+// duplicate-free rows has its reverse w->u, in one pass over the arcs.
+// Visiting u in increasing order consumes each row w in increasing order,
+// so the reverse of u->w must be the next unconsumed entry of row w. Every
+// check that passes pairs an arc with a distinct reverse, and a pairing of
+// all m arcs with m arcs is a bijection, so no arc is left unmatched.
+func symmetricCSR(offsets, adj []int32) bool {
+	n := len(offsets) - 1
+	p, _ := cursorPool.Get().(*[]int32)
+	if p == nil || cap(*p) < n {
+		p = &[]int32{}
+		*p = make([]int32, n)
+	}
+	defer cursorPool.Put(p)
+	next := (*p)[:n]
+	copy(next, offsets[:n])
 	for u := 0; u < n; u++ {
+		for _, w := range adj[offsets[u]:offsets[u+1]] {
+			c := next[w]
+			if c == offsets[w+1] || adj[c] != int32(u) {
+				return false
+			}
+			next[w] = c + 1
+		}
+	}
+	return true
+}
+
+// asymmetryError names the first arc, in row order, whose reverse is
+// missing, found by binary search in the reverse row.
+func asymmetryError(g *Graph) error {
+	for u := 0; u < g.NumVertices(); u++ {
 		for _, w := range g.Neighbors(int32(u)) {
 			if !g.HasEdge(w, int32(u)) {
-				return nil, 0, fmt.Errorf("gcsr: arc %d->%d has no reverse", u, w)
+				return fmt.Errorf("gcsr: arc %d->%d has no reverse", u, w)
 			}
 		}
 	}
-	return g, g.Fingerprint(), nil
+	return errors.New("gcsr: adjacency is not symmetric")
 }
 
 // ConcatDisjoint packs graphs into one block-diagonal CSR: member i's

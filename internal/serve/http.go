@@ -390,13 +390,9 @@ func handleColor(s *Server, specs *specCache, hc HandlerConfig, w http.ResponseW
 		}
 	}
 	var cr ColorRequest
-	body := r.Body
-	if hc.MaxBodyBytes > 0 {
-		body = http.MaxBytesReader(w, r.Body, hc.MaxBodyBytes)
-	}
 	// The body is kept in its wire form: it becomes the journal accept
 	// record's replay payload.
-	raw, err := io.ReadAll(body)
+	raw, err := ReadBody(w, r, hc.MaxBodyBytes)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -458,16 +454,7 @@ func handleColor(s *Server, specs *specCache, hc HandlerConfig, w http.ResponseW
 				writeErr(w, http.StatusBadRequest, "bad_request", err.Error(), rid)
 				return
 			}
-			if s.jrnl != nil {
-				// Journal replay rebuilds requests from JSON, so a binary
-				// request journals a synthesized envelope with the frame
-				// base64-wrapped. The cost is paid only when journaling is on.
-				env := cr
-				env.GraphCSRB64 = base64.StdEncoding.EncodeToString(raw)
-				if wire, jerr := json.Marshal(&env); jerr == nil {
-					req.Wire = wire
-				}
-			}
+			req.csrFrame, req.csrOpts = raw, &cr
 		}
 	} else {
 		if err := json.Unmarshal(raw, &cr); err != nil {
@@ -564,6 +551,36 @@ func isBinaryCSR(ct string) bool {
 	return strings.TrimSpace(ct) == ContentTypeBinaryCSR
 }
 
+// ReadBody reads a POST /color body under limit bytes (limit <= 0 means
+// no cap); an oversized body fails with *http.MaxBytesError. A declared
+// Content-Length within the limit sizes the buffer up front, so the read
+// is one allocation and one copy; an unknown length, or no limit to bound
+// what a client may declare, keeps io.ReadAll's growing reads.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	if limit <= 0 {
+		return io.ReadAll(r.Body)
+	}
+	body := http.MaxBytesReader(w, r.Body, limit)
+	if r.ContentLength <= 0 || r.ContentLength > limit {
+		return io.ReadAll(body)
+	}
+	// One spare byte lets the read that meets EOF land without growing.
+	buf := make([]byte, 0, r.ContentLength+1)
+	for {
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
+}
+
 // colorRequestFromQuery fills cr's option fields from URL query
 // parameters — the option channel for binary-body uploads, which have no
 // JSON envelope to carry them. Parameter names match the JSON field names.
@@ -651,7 +668,7 @@ func buildRequest(cr *ColorRequest, specs *specCache) (*Request, *graph.Graph, e
 	case cr.Gen != "":
 		g, err = specs.get(cr.Gen)
 	case cr.Graph != "":
-		g, err = graph.ReadEdgeList(strings.NewReader(cr.Graph))
+		g, err = graph.ParseEdgeList(cr.Graph)
 	default:
 		var frame []byte
 		frame, err = base64.StdEncoding.DecodeString(cr.GraphCSRB64)

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -282,5 +283,36 @@ func TestHTTPShardedRequest(t *testing.T) {
 	}
 	if err := color.Verify(g, cr.Colors); err != nil {
 		t.Fatalf("returned coloring invalid: %v", err)
+	}
+}
+
+// TestReadBody: ReadBody returns the whole body whether the declared
+// length is exact, unknown, short of the body or unbounded by a limit,
+// and refuses a body over the limit with *http.MaxBytesError.
+func TestReadBody(t *testing.T) {
+	body := bytes.Repeat([]byte("0 1\n"), 300)
+	for _, c := range []struct {
+		name            string
+		declared, limit int64
+		tooBig          bool
+	}{
+		{"exact", int64(len(body)), 4096, false},
+		{"at limit", int64(len(body)), int64(len(body)), false},
+		{"unknown", -1, 4096, false},
+		{"short", 10, 4096, false},
+		{"no limit", int64(len(body)), 0, false},
+		{"over limit", int64(len(body)), 1000, true},
+		{"unknown over limit", -1, 1000, true},
+	} {
+		r := httptest.NewRequest(http.MethodPost, "/color", bytes.NewReader(body))
+		r.ContentLength = c.declared
+		got, err := ReadBody(httptest.NewRecorder(), r, c.limit)
+		var tooBig *http.MaxBytesError
+		switch {
+		case c.tooBig && !errors.As(err, &tooBig):
+			t.Errorf("%s: err %v, want *http.MaxBytesError", c.name, err)
+		case !c.tooBig && (err != nil || !bytes.Equal(got, body)):
+			t.Errorf("%s: read %d bytes, err %v; want the %d-byte body", c.name, len(got), err, len(body))
+		}
 	}
 }

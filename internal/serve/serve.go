@@ -33,6 +33,7 @@
 package serve
 
 import (
+	"encoding/base64"
 	"encoding/json"
 	"time"
 
@@ -151,6 +152,27 @@ type Request struct {
 	// can rebuild and re-run it after a crash. Requests without Wire are
 	// served normally but cannot be replayed.
 	Wire json.RawMessage
+
+	// csrFrame and csrOpts are a binary CSR upload's body and query
+	// options, set by the HTTP layer. Journal replay rebuilds requests
+	// from JSON, so a binary upload's Wire is an envelope: its options
+	// with the frame base64-wrapped in graph_csr_b64. enqueue builds it
+	// only for a job it journals; cache hits never pay for it.
+	csrFrame []byte
+	csrOpts  *ColorRequest
+}
+
+// replayWire returns the request's journal wire form, building a binary
+// upload's envelope on first use.
+func (r *Request) replayWire() json.RawMessage {
+	if len(r.Wire) == 0 && r.csrOpts != nil {
+		env := *r.csrOpts
+		env.GraphCSRB64 = base64.StdEncoding.EncodeToString(r.csrFrame)
+		if wire, err := json.Marshal(&env); err == nil {
+			r.Wire = wire
+		}
+	}
+	return r.Wire
 }
 
 // policyKey folds every request knob that can change the *coloring* (not

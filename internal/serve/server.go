@@ -692,7 +692,7 @@ func (s *Server) effectiveShards(req *Request) int {
 // does not resurrect work the caller was told to retry.
 func (s *Server) enqueue(ctx context.Context, req *Request, fp uint64, key cacheKey, shards int, fl *flight, tracked bool) (*Response, error) {
 	j := &job{ctx: ctx, req: req, fp: fp, key: key, shards: shards, fl: fl}
-	if s.jrnl != nil && req.RequestID != "" && len(req.Wire) > 0 {
+	if s.jrnl != nil && req.RequestID != "" && len(req.replayWire()) > 0 {
 		j.journaled = true
 		s.journalAccept(ctx, req, key)
 	}

@@ -14,8 +14,8 @@ import (
 	"fmt"
 	"sync"
 
-	"gcolor/internal/graph"
 	"gcolor/internal/gpucolor"
+	"gcolor/internal/graph"
 	"gcolor/internal/simt"
 )
 

@@ -35,11 +35,11 @@ func testDevices(k int) []*simt.Device {
 
 func TestPartitionInvariants(t *testing.T) {
 	graphs := map[string]*graph.Graph{
-		"rmat":  gen.RMAT(10, 16, gen.Graph500, 1),
-		"grid":  gen.Grid2D(32, 32),
-		"gnm":   gen.GNM(500, 2000, 7),
-		"tiny":  triangle(t),
-		"lone":  gen.GNM(5, 0, 1),
+		"rmat": gen.RMAT(10, 16, gen.Graph500, 1),
+		"grid": gen.Grid2D(32, 32),
+		"gnm":  gen.GNM(500, 2000, 7),
+		"tiny": triangle(t),
+		"lone": gen.GNM(5, 0, 1),
 	}
 	for name, g := range graphs {
 		for _, k := range []int{1, 2, 3, 4, 7} {

@@ -274,4 +274,3 @@ func (d *Device) getWorkerScratch(nWfs int) *workerScratch {
 func (d *Device) putWorkerScratch(ws *workerScratch) {
 	d.workers_.Put(ws)
 }
-

@@ -111,8 +111,18 @@ func (g *GroupCtx) Barrier() {
 // each of the device's workgroup size. Like Run, the result comes from the
 // device pools and may be handed back with Device.Recycle.
 func (d *Device) RunCoop(name string, groups int, f CoopFunc) *RunResult {
+	return d.runCoop(name, groups, f, false)
+}
+
+// RunCoopOrdered is RunCoop with workgroups executed in index order on
+// one worker, for the reason RunOrdered gives.
+func (d *Device) RunCoopOrdered(name string, groups int, f CoopFunc) *RunResult {
+	return d.runCoop(name, groups, f, true)
+}
+
+func (d *Device) runCoop(name string, groups int, f CoopFunc, ordered bool) *RunResult {
 	rr := d.getRunResult()
-	d.execCoopGroups(&rr.Stats, name, groups, d.launches.Add(1), f)
+	d.execCoopGroups(&rr.Stats, name, groups, d.launches.Add(1), f, ordered)
 	rr.Sched = SimulateSchedule(d, rr.Stats.GroupCost, d.Policy)
 	return rr
 }
@@ -182,14 +192,14 @@ func (ws *workerScratch) beginGroup(d *Device, gi, size, nWfs int, launch uint64
 	return gc
 }
 
-func (d *Device) execCoopGroups(stats *KernelStats, name string, groups int, launch uint64, f CoopFunc) {
+func (d *Device) execCoopGroups(stats *KernelStats, name string, groups int, launch uint64, f CoopFunc, ordered bool) {
 	d.initCoopStats(stats, name, groups)
 	if groups == 0 {
 		return
 	}
 	size := d.WorkgroupSize
 	nWfs := size / d.WavefrontWidth
-	workers := d.workers()
+	workers := d.workers(ordered)
 	if workers > groups {
 		workers = groups
 	}

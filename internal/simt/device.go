@@ -26,7 +26,8 @@ type Device struct {
 	// Workers bounds phase-A wall-clock parallelism; 0 means GOMAXPROCS.
 	// Set 1 for fully deterministic inter-group execution order (only
 	// observable by kernels that race through atomics by design). A
-	// device with an armed fault injector always runs one worker.
+	// device with an armed fault injector always runs one worker, and so
+	// does every RunOrdered or RunCoopOrdered launch.
 	Workers int
 	// Fault, when non-nil, injects deterministic seeded faults into every
 	// kernel launch and switches the device to permissive out-of-bounds
@@ -75,12 +76,13 @@ func (d *Device) check() {
 	}
 }
 
-// workers returns the phase-A worker count for the next launch. An armed
-// fault injector forces one: a flipped index can make a lane write into
+// workers returns the phase-A worker count for the next launch. An
+// ordered launch (RunOrdered) runs on one, and so does every launch under
+// an armed fault injector: a flipped index can make a lane write into
 // another group's data, so the launch races, and only a fixed execution
 // order keeps a faulty run reproducible.
-func (d *Device) workers() int {
-	if fi := d.Fault; fi != nil && fi.Armed() {
+func (d *Device) workers(ordered bool) int {
+	if fi := d.Fault; ordered || fi != nil && fi.Armed() {
 		return 1
 	}
 	if d.Workers > 0 {

@@ -116,8 +116,22 @@ func (r *RunResult) Cycles() int64 { return r.Sched.Cycles }
 // allocation-free. Callers that retain results just keep them and the GC
 // takes over, exactly as before.
 func (d *Device) Run(name string, items int, f KernelFunc) *RunResult {
+	return d.run(name, items, f, false)
+}
+
+// RunOrdered is Run with phase A on one worker, so workgroups execute in
+// index order whatever the host parallelism. A kernel whose atomic return
+// values pick store addresses or owners, such as an atomic-append
+// worklist or a compare-and-swap claim, must use it: on several workers
+// the groups interleave, the atomics hand out different values, and the
+// costed accesses, hence the simulated cycles, vary from run to run.
+func (d *Device) RunOrdered(name string, items int, f KernelFunc) *RunResult {
+	return d.run(name, items, f, true)
+}
+
+func (d *Device) run(name string, items int, f KernelFunc, ordered bool) *RunResult {
 	rr := d.getRunResult()
-	d.execGroups(&rr.Stats, name, items, d.launches.Add(1), f)
+	d.execGroups(&rr.Stats, name, items, d.launches.Add(1), f, ordered)
 	rr.Sched = SimulateSchedule(d, rr.Stats.GroupCost, d.Policy)
 	return rr
 }
@@ -160,8 +174,8 @@ func (st *launchState) work() {
 }
 
 // execGroups is phase A: execute every workgroup, recording costs into
-// stats (which is overwritten).
-func (d *Device) execGroups(stats *KernelStats, name string, items int, launch uint64, f KernelFunc) {
+// stats (which is overwritten), in index order on one worker if ordered.
+func (d *Device) execGroups(stats *KernelStats, name string, items int, launch uint64, f KernelFunc, ordered bool) {
 	d.check()
 	wg := d.WorkgroupSize
 	width := d.WavefrontWidth
@@ -180,7 +194,7 @@ func (d *Device) execGroups(stats *KernelStats, name string, items int, launch u
 	// slice keeps the worker merges from reallocating it.
 	stats.WavefrontCost = d.i64s.getCap((items + width - 1) / width)
 
-	workers := d.workers()
+	workers := d.workers(ordered)
 	if workers > groups {
 		workers = groups
 	}
