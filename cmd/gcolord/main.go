@@ -69,6 +69,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -331,6 +332,10 @@ func runCoordinator(addr, peers string, heartbeat time.Duration, noScatter bool,
 	if peers != "" {
 		peerList = strings.Split(peers, ",")
 	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Fatalf("gcolord: %v", err)
+	}
 	coord := cluster.NewCoordinator(cluster.Config{
 		Peers:             peerList,
 		HeartbeatInterval: heartbeat,
@@ -339,11 +344,20 @@ func runCoordinator(addr, peers string, heartbeat time.Duration, noScatter bool,
 		Journal:           jrnl,
 		Recovery:          rec,
 	})
-	hs := &http.Server{Addr: addr, Handler: cluster.Handler(coord)}
+	log.Printf("gcolord: coordinator serving on %s (%d static peers, heartbeat %v, epoch %d)",
+		addr, len(peerList), heartbeat, epoch)
+	serveCoordinator(coord, jrnl, ln, drainTimeout)
+}
+
+// serveCoordinator is the serve-and-drain body of a coordinator, fresh or
+// promoted from standby: serve cluster.Handler on ln, wait for a signal or
+// a /drainz request, drain under drainTimeout, shut HTTP down, close the
+// coordinator and then its journal (when there is one), print the summary
+// line, and exit 7 if jobs were still in flight.
+func serveCoordinator(coord *cluster.Coordinator, jrnl *journal.Journal, ln net.Listener, drainTimeout time.Duration) {
+	hs := &http.Server{Handler: cluster.Handler(coord)}
 	go func() {
-		log.Printf("gcolord: coordinator serving on %s (%d static peers, heartbeat %v, epoch %d)",
-			addr, len(peerList), heartbeat, epoch)
-		if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+		if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Fatalf("gcolord: %v", err)
 		}
 	}()
@@ -438,49 +452,9 @@ func runStandby(addr, primaryURL, dir, fsync string, segBytes int64,
 	}
 	signal.Stop(sig)
 	close(sig)
-	coord := tk.Coordinator
-
-	hs := &http.Server{Handler: cluster.Handler(coord)}
-	go func() {
-		log.Printf("gcolord: standby promoted: serving on %s at epoch %d (%d pending jobs replaying, takeover %dms)",
-			addr, tk.Epoch, tk.Pending, tk.ReadyAt.Sub(tk.DetectedAt).Milliseconds())
-		if err := hs.Serve(tk.Listener); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatalf("gcolord: %v", err)
-		}
-	}()
-
-	sig2 := make(chan os.Signal, 1)
-	signal.Notify(sig2, os.Interrupt, syscall.SIGTERM)
-	select {
-	case s := <-sig2:
-		log.Printf("gcolord: coordinator: %v received, draining (timeout %v)", s, drainTimeout)
-	case <-coord.DrainRequested():
-		log.Printf("gcolord: coordinator: drain requested via /drainz, draining (timeout %v)", drainTimeout)
-	}
-
-	dctx := context.Background()
-	if drainTimeout > 0 {
-		var dcancel context.CancelFunc
-		dctx, dcancel = context.WithTimeout(dctx, drainTimeout)
-		defer dcancel()
-	}
-	left := coord.Drain(dctx)
-	sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer scancel()
-	if err := hs.Shutdown(sctx); err != nil {
-		log.Printf("gcolord: coordinator: http shutdown: %v", err)
-	}
-	coord.Close()
-	if err := tk.Journal.Close(); err != nil {
-		log.Printf("gcolord: coordinator: journal close: %v", err)
-	}
-	st := coord.Stats()
-	fmt.Printf("gcolord: coordinator served %d jobs (%d routed, %d scattered, %d failed, %d failovers, %d redispatches, %d cache hits) across %d workers\n",
-		st.Jobs, st.Routed, st.Scattered, st.Failed, st.RouteFailovers, st.Redispatches, st.CacheHits, st.Workers)
-	if left > 0 {
-		log.Printf("gcolord: coordinator: drain timeout with %d jobs in flight", left)
-		os.Exit(7)
-	}
+	log.Printf("gcolord: standby promoted: serving on %s at epoch %d (%d pending jobs replaying, takeover %dms)",
+		addr, tk.Epoch, tk.Pending, tk.ReadyAt.Sub(tk.DetectedAt).Milliseconds())
+	serveCoordinator(tk.Coordinator, tk.Journal, tk.Listener, drainTimeout)
 }
 
 // ownerName resolves the lease-owner label: the flag if set, else the

@@ -71,15 +71,16 @@ func newControlClient(timeout time.Duration) *http.Client {
 }
 
 // callWorker POSTs one ColorRequest to a worker's /color and decodes the
-// reply. The originating request ID is propagated as X-Request-ID (so the
-// worker's journal records the coordinator's correlation ID — the
-// cross-hop evidence trail) and idemKey, when non-empty, as
-// Idempotency-Key (whole-graph routes only; shard sub-jobs never forward
-// it, a single client key fanned out to K shards would collide in the
-// workers' idempotency maps). epoch, when non-zero, rides as X-GC-Epoch
-// so the worker can fence a deposed coordinator. Any failure returns a
-// *WorkerError; a worker's Retry-After hint is preserved on it.
-func callWorker(ctx context.Context, client *http.Client, workerURL string, cr *serve.ColorRequest, rid, idemKey string, epoch uint64) (*serve.ColorResponse, error) {
+// reply into its in-process form. The originating request ID is
+// propagated as X-Request-ID (so the worker's journal records the
+// coordinator's correlation ID — the cross-hop evidence trail) and
+// idemKey, when non-empty, as Idempotency-Key (whole-graph routes only;
+// shard sub-jobs never forward it, a single client key fanned out to K
+// shards would collide in the workers' idempotency maps). epoch, when
+// non-zero, rides as X-GC-Epoch so the worker can fence a deposed
+// coordinator. Any failure returns a *WorkerError; a worker's Retry-After
+// hint is preserved on it.
+func callWorker(ctx context.Context, client *http.Client, workerURL string, cr *serve.ColorRequest, rid, idemKey string, epoch uint64) (*serve.Response, error) {
 	body, err := json.Marshal(cr)
 	if err != nil {
 		return nil, &WorkerError{Worker: workerURL, Kind: "encode", Err: err}
@@ -138,7 +139,11 @@ func callWorker(ctx context.Context, client *http.Client, workerURL string, cr *
 	if err := json.Unmarshal(raw, &out); err != nil {
 		return nil, &WorkerError{Worker: workerURL, Status: resp.StatusCode, Kind: "decode", Err: err}
 	}
-	return &out, nil
+	res, err := serve.ResponseOf(&out)
+	if err != nil {
+		return nil, &WorkerError{Worker: workerURL, Status: resp.StatusCode, Kind: "decode", Err: err}
+	}
+	return res, nil
 }
 
 func firstNonEmpty(a, b string) string {

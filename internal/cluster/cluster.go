@@ -28,10 +28,14 @@
 //   - failover: a worker failing mid-job (transport error or 5xx) gets
 //     its whole-graph route or shard re-dispatched to a different healthy
 //     worker, excluded-by-id, with bounded attempts and typed errors.
-//   - durability: with a journal attached the coordinator writes accept
-//     records before dispatch and completion records after, exactly as
-//     the PR 6 serving layer does, so a coordinator crash loses no
-//     accepted fleet work.
+//   - the front door: idempotent replay, the merged-result cache,
+//     coalescing, the drain gate and durability are serve's admission
+//     core (serve.Admission), the same one a worker runs; only how a miss
+//     runs differs. With a journal attached the core writes accept records
+//     before dispatch and completion records after, compacts the journal
+//     from snapshots of its live state, and on restart warm-starts and
+//     replays pending accepts, so a coordinator crash loses no accepted
+//     fleet work.
 //
 // Coordinator is the in-process API; Handler wraps it for gcolord
 // -role coordinator, and JoinLoop is the worker-side membership pump.
@@ -54,8 +58,10 @@ var ErrNoWorkers = errors.New("cluster: no live workers")
 
 // ErrFleetBusy reports a submission refused by the coordinator's
 // admission cap (Config.MaxInflight); the HTTP layer maps it to 429 with
-// a Retry-After computed from worker-reported queue depths.
-var ErrFleetBusy = errors.New("cluster: fleet at max inflight")
+// a Retry-After computed from worker-reported queue depths. It wraps
+// serve.ErrShedding, so the front door treats it as a worker's shed: a
+// rejection the caller retries.
+var ErrFleetBusy = fmt.Errorf("cluster: fleet at max inflight: %w", serve.ErrShedding)
 
 // WorkerError is the typed failure of one worker call: transport errors
 // carry Status 0, HTTP failures the worker's status code and error kind.
@@ -142,16 +148,19 @@ type Config struct {
 	// gray-failure demotion (default 0.5; negative disables).
 	GrayScore float64
 
-	// MaxInflight caps concurrently admitted jobs at the coordinator;
-	// excess submissions are refused with ErrFleetBusy and a Retry-After
+	// MaxInflight caps the requests in flight at the coordinator: a miss
+	// that would exceed it is refused with ErrFleetBusy and a Retry-After
 	// computed from worker-reported queue depths, so overload sheds at the
-	// fleet's edge instead of timing out mid-scatter (default 1024;
-	// negative disables).
+	// fleet's edge instead of timing out mid-scatter; cache hits and
+	// idempotent replays are always answered (default 1024; negative
+	// disables).
 	MaxInflight int
 
-	// CacheEntries sizes the coordinator's fingerprint-keyed merged-result
-	// LRU (default 512; negative disables). Shard sub-jobs are sent
-	// no-cache, so this is the only place a scattered result is stored.
+	// CacheEntries sizes the coordinator's merged-result LRU (default 512;
+	// negative disables), keyed like a worker's by fingerprint, policy and
+	// shard count — the count the request asks for, so auto requests share
+	// one key whatever the fleet's size. Shard sub-jobs are sent no-cache,
+	// so this is the only place a scattered result is stored.
 	CacheEntries int
 	// IdemEntries sizes the Idempotency-Key LRU (default 4096; negative
 	// disables idempotent replay at the coordinator).
@@ -198,8 +207,9 @@ type Config struct {
 	ProbationScore float64
 
 	// Journal, when set, makes the coordinator crash-safe: accepts are
-	// journaled before dispatch and completions after, exactly as the
-	// serving layer journals (PR 6). The caller owns journal.Close.
+	// journaled before dispatch and completions after, by the same
+	// admission core a worker runs, which also registers itself as the
+	// journal's compaction source. The caller owns journal.Close.
 	Journal *journal.Journal
 	// Recovery, when set, warm-starts the merged-result cache and
 	// idempotency map from replayed completions and re-dispatches pending
@@ -224,18 +234,6 @@ func (c Config) withDefaults() Config {
 			iv = 500 * time.Millisecond
 		}
 		c.ExpireAfter = 6 * iv
-	}
-	switch {
-	case c.CacheEntries < 0:
-		c.CacheEntries = 0
-	case c.CacheEntries == 0:
-		c.CacheEntries = 512
-	}
-	switch {
-	case c.IdemEntries < 0:
-		c.IdemEntries = 0
-	case c.IdemEntries == 0:
-		c.IdemEntries = 4096
 	}
 	if c.ScatterVertices == 0 {
 		c.ScatterVertices = 8192
@@ -278,9 +276,6 @@ func (c Config) withDefaults() Config {
 		c.MaxInflight = 0
 	case c.MaxInflight == 0:
 		c.MaxInflight = 1024
-	}
-	if c.ReplayParallelism < 1 {
-		c.ReplayParallelism = 4
 	}
 	if c.Client == nil {
 		c.Client = NewWorkerClient(c.WorkerTimeout, 0)

@@ -2,11 +2,15 @@ package cluster_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -413,10 +417,21 @@ func TestJoinGrowsFleet(t *testing.T) {
 }
 
 // A draining coordinator refuses new work with the same typed error the
-// serving layer uses, so rolling restarts look identical fleet-wide.
+// serving layer uses, so rolling restarts look identical fleet-wide — but,
+// like a worker, it still answers what it can from memory: idempotent
+// retries and cache hits.
 func TestDrainRefusesNewWork(t *testing.T) {
 	w := newTestWorker(t, serve.Config{})
 	coord, ts := newTestCoordinator(t, cluster.Config{}, w)
+
+	cached := &serve.ColorRequest{Gen: "grid:11:11", Alg: "baseline"}
+	if got, code, kind := postColor(t, ts.URL, cached, "d-seed", ""); got == nil {
+		t.Fatalf("seed request failed: %d %s", code, kind)
+	}
+	keyed := &serve.ColorRequest{Gen: "grid:12:11", Alg: "baseline", NoCache: true}
+	if got, code, kind := postColor(t, ts.URL, keyed, "d-keyed", "drain-key"); got == nil {
+		t.Fatalf("keyed request failed: %d %s", code, kind)
+	}
 
 	coord.RequestDrain()
 	cr := &serve.ColorRequest{Gen: "grid:10:10", Alg: "baseline"}
@@ -424,13 +439,20 @@ func TestDrainRefusesNewWork(t *testing.T) {
 	if got != nil || code != http.StatusServiceUnavailable || kind != "draining" {
 		t.Fatalf("draining coordinator answered resp=%v code=%d kind=%q, want 503 draining", got, code, kind)
 	}
+	if got, code, kind := postColor(t, ts.URL, keyed, "d-retry", "drain-key"); got == nil || !got.IdempotentReplay {
+		t.Fatalf("idempotent retry during drain: resp=%+v code=%d kind=%q, want a replay", got, code, kind)
+	}
+	if got, code, kind := postColor(t, ts.URL, cached, "d-hit", ""); got == nil || !got.Cached {
+		t.Fatalf("cache hit during drain: resp=%+v code=%d kind=%q, want a hit", got, code, kind)
+	}
 }
 
 // Crash-safety: a coordinator restarted over its journal warm-starts the
-// merged-result cache and answers the repeat without touching the fleet.
+// merged-result cache and answers the repeat without touching the fleet —
+// also after the journal compacted from the coordinator's own snapshot.
 func TestCoordinatorJournalWarmStart(t *testing.T) {
 	dir := t.TempDir()
-	j, rec, err := journal.Open(dir, journal.Options{})
+	j, rec, err := journal.Open(dir, journal.Options{SegmentBytes: 2 << 10, CompactAfterSegments: -1})
 	if err != nil {
 		t.Fatalf("open journal: %v", err)
 	}
@@ -440,6 +462,22 @@ func TestCoordinatorJournalWarmStart(t *testing.T) {
 	cr := &serve.ColorRequest{Gen: "grid:12:12", Alg: "baseline", IncludeColors: true}
 	if got, code, kind := postColor(t, ts1.URL, cr, "warm-1", ""); got == nil {
 		t.Fatalf("seed request failed: %d %s", code, kind)
+	}
+	// Enough further jobs to seal several segments.
+	for i := 0; i < 24; i++ {
+		more := &serve.ColorRequest{Gen: fmt.Sprintf("grid:%d:9", 5+i), Alg: "baseline"}
+		if got, code, kind := postColor(t, ts1.URL, more, fmt.Sprintf("fill-%d", i), ""); got == nil {
+			t.Fatalf("fill request %d failed: %d %s", i, code, kind)
+		}
+	}
+	if st := j.Stats(); st.LiveSegments < 3 {
+		t.Fatalf("live segments before compaction = %d, want several", st.LiveSegments)
+	}
+	if err := j.Compact(); err != nil {
+		t.Fatalf("compact a coordinator journal: %v", err)
+	}
+	if st := j.Stats(); st.LiveSegments != 1 {
+		t.Fatalf("live segments after compaction = %d, want 1", st.LiveSegments)
 	}
 	ts1.Close()
 	coord1.Close()
@@ -452,6 +490,9 @@ func TestCoordinatorJournalWarmStart(t *testing.T) {
 		t.Fatalf("reopen journal: %v", err)
 	}
 	defer j2.Close()
+	if !rec2.Stats.SnapshotLoaded {
+		t.Fatal("restart did not load the compaction snapshot")
+	}
 	coord2, ts2 := newTestCoordinator(t, cluster.Config{Journal: j2, Recovery: rec2}, w)
 	if st := coord2.Stats(); st.WarmedCache < 1 {
 		t.Fatalf("restarted coordinator warmed %d cache entries, want >= 1", st.WarmedCache)
@@ -463,5 +504,341 @@ func TestCoordinatorJournalWarmStart(t *testing.T) {
 	}
 	if w.ridCount("warm-2") != jobsBefore {
 		t.Fatal("warm cache hit still dispatched to a worker")
+	}
+}
+
+// Answers the coordinator hands out are the caller's own: mutating the
+// colors of a miss, a hit or an idempotent replay must not change what the
+// next caller gets.
+func TestCoordinatorAnswersArePrivate(t *testing.T) {
+	w := newTestWorker(t, serve.Config{})
+	coord, _ := newTestCoordinator(t, cluster.Config{}, w)
+	ctx := context.Background()
+	cr := &serve.ColorRequest{Gen: "grid:9:9", Alg: "baseline"}
+
+	miss, err := coord.Submit(ctx, cr, "priv-1", "priv-key", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if miss.Cached || len(miss.Colors) != 81 {
+		t.Fatalf("first answer cached=%v with %d colors, want a miss over 81 vertices", miss.Cached, len(miss.Colors))
+	}
+	want := slices.Clone(miss.Colors)
+	for i := 0; i < 3; i++ {
+		for v := range miss.Colors {
+			miss.Colors[v] = -7 // callers may trash what they receive
+		}
+		hit, err := coord.Submit(ctx, cr, fmt.Sprintf("priv-hit-%d", i), "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replay, err := coord.Submit(ctx, cr, fmt.Sprintf("priv-replay-%d", i), "priv-key", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit.Cached || !replay.IdempotentReplay {
+			t.Fatalf("round %d: hit cached=%v, replay idempotent=%v", i, hit.Cached, replay.IdempotentReplay)
+		}
+		if !slices.Equal(hit.Colors, want) || !slices.Equal(replay.Colors, want) {
+			t.Fatalf("round %d: a stored answer changed after a caller mutated its copy", i)
+		}
+		miss = hit
+		for v := range replay.Colors {
+			replay.Colors[v] = -9
+		}
+	}
+}
+
+// The shard count is part of the cache key: after a 2-shard scatter of a
+// graph, a request pinned to one shard runs whole instead of being handed
+// the cached 2-shard coloring.
+func TestShardPinKeysCache(t *testing.T) {
+	w1 := newTestWorker(t, serve.Config{})
+	w2 := newTestWorker(t, serve.Config{})
+	_, ts := newTestCoordinator(t, cluster.Config{}, w1, w2)
+
+	two := &serve.ColorRequest{Gen: "grid:16:16", Alg: "baseline", Shards: 2, IncludeColors: true}
+	if got, code, kind := postColor(t, ts.URL, two, "pin-2", ""); got == nil || !got.Scattered {
+		t.Fatalf("2-shard request not scattered: resp=%+v code=%d kind=%s", got, code, kind)
+	}
+	one := &serve.ColorRequest{Gen: "grid:16:16", Alg: "baseline", Shards: 1, IncludeColors: true}
+	got, code, kind := postColor(t, ts.URL, one, "pin-1", "")
+	if got == nil {
+		t.Fatalf("1-shard request failed: %d %s", code, kind)
+	}
+	if got.Scattered || got.Cached || got.Worker == "" {
+		t.Fatalf("1-shard request answered scattered=%v cached=%v worker=%q, want a whole-graph route", got.Scattered, got.Cached, got.Worker)
+	}
+	again, _, _ := postColor(t, ts.URL, two, "pin-2-again", "")
+	if again == nil || !again.Cached || !again.Scattered {
+		t.Fatalf("2-shard repeat not its own cached scatter: %+v", again)
+	}
+}
+
+// Concurrent identical misses share one fleet execution: each caller is
+// the leader, a coalesced follower or a later cache hit, so the worker
+// sees the job once and every caller gets the same coloring.
+func TestCoordinatorCoalescesConcurrentMisses(t *testing.T) {
+	w := newTestWorker(t, serve.Config{})
+	coord, _ := newTestCoordinator(t, cluster.Config{}, w)
+	cr := &serve.ColorRequest{Gen: "grid:40:40", Alg: "baseline"}
+
+	const callers = 8
+	start := make(chan struct{})
+	answers := make([][]int32, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			res, err := coord.Submit(context.Background(), cr, fmt.Sprintf("co-%d", i), "", nil)
+			if err != nil {
+				t.Errorf("caller %d: %v", i, err)
+				return
+			}
+			answers[i] = res.Colors
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	w.mu.Lock()
+	calls := len(w.colorRIDs)
+	w.mu.Unlock()
+	if calls != 1 {
+		t.Fatalf("worker saw %d /color calls for %d identical concurrent requests, want 1", calls, callers)
+	}
+	for i := 1; i < callers; i++ {
+		if !slices.Equal(answers[i], answers[0]) {
+			t.Fatalf("caller %d got a different coloring", i)
+		}
+	}
+}
+
+// gatedWorker fronts a real worker with a gate: every /color call is
+// announced on arrived, then held until open is called (at the latest when
+// the test ends).
+func gatedWorker(t *testing.T, w *testWorker) (url string, arrived <-chan string, open func()) {
+	t.Helper()
+	ch := make(chan string, 64)
+	release := make(chan struct{})
+	var once sync.Once
+	open = func() { once.Do(func() { close(release) }) }
+	ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/color" {
+			ch <- r.Header.Get("X-Request-ID")
+			<-release
+		}
+		w.ts.Config.Handler.ServeHTTP(rw, r)
+	}))
+	t.Cleanup(func() {
+		open()
+		ts.Close()
+	})
+	return ts.URL, ch, open
+}
+
+// nextArrival waits for the gated worker's next /color call.
+func nextArrival(t *testing.T, arrived <-chan string) string {
+	t.Helper()
+	select {
+	case rid := <-arrived:
+		return rid
+	case <-time.After(20 * time.Second):
+		t.Fatal("no /color call reached the gated worker")
+		return ""
+	}
+}
+
+// journalPending writes accepts for ids, still pending, into a journal in
+// dir, then settled filler jobs until at least segments segments are
+// sealed, and closes it.
+func journalPending(t *testing.T, dir string, opt journal.Options, segments int, ids ...string) {
+	t.Helper()
+	j, _, err := journal.Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		wire, _ := json.Marshal(&serve.ColorRequest{Gen: fmt.Sprintf("grid:7:%d", 5+i), Alg: "baseline"})
+		if err := j.AppendAccept(journal.AcceptRecord{ID: id, Fingerprint: uint64(i + 1), AcceptedUnixMS: time.Now().UnixMilli(), Wire: wire}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; j.Stats().LiveSegments <= segments; i++ {
+		id := fmt.Sprintf("filler-%d", i)
+		if err := j.AppendAccept(journal.AcceptRecord{ID: id, AcceptedUnixMS: time.Now().UnixMilli(), Wire: []byte(`{"gen":"grid:3:3"}`)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.AppendComplete(journal.CompleteRecord{ID: id, Disposition: journal.DispFailed, ErrKind: "failed"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pendingIDs reads dir as a restart would and returns its pending job IDs.
+func pendingIDs(t *testing.T, dir string) []string {
+	t.Helper()
+	j, rec, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	var ids []string
+	for _, p := range rec.Pending {
+		ids = append(ids, p.ID)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// waitRecovered waits for the coordinator's startup replay to finish.
+func waitRecovered(t *testing.T, coord *cluster.Coordinator) cluster.Stats {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		st := coord.Stats()
+		if st.RecoveryDone {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("recovery did not finish: %+v", st)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// A compaction while a restarted coordinator is still replaying its
+// recovered jobs keeps their accepts: the journal on disk right after it
+// still lists every job not yet settled, in flight or waiting its turn.
+func TestCoordinatorCompactionKeepsPendingReplays(t *testing.T) {
+	dir := t.TempDir()
+	opt := journal.Options{SegmentBytes: 1 << 10, CompactAfterSegments: -1}
+	ids := []string{"pend-0", "pend-1", "pend-2", "pend-3", "pend-4", "pend-5"}
+	journalPending(t, dir, opt, 5, ids...)
+
+	j, rec, err := journal.Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Pending) != len(ids) || j.Stats().LiveSegments < 5 {
+		t.Fatalf("set-up: %d pending over %d segments", len(rec.Pending), j.Stats().LiveSegments)
+	}
+	url, arrived, open := gatedWorker(t, newTestWorker(t, serve.Config{}))
+	coord, _ := newTestCoordinator(t, cluster.Config{Peers: []string{url}, Journal: j, Recovery: rec, ReplayParallelism: 2})
+	nextArrival(t, arrived)
+	nextArrival(t, arrived)
+
+	if err := j.Compact(); err != nil {
+		t.Fatalf("compact mid-replay: %v", err)
+	}
+	if st := j.Stats(); st.LiveSegments != 1 {
+		t.Fatalf("live segments after compaction = %d, want 1", st.LiveSegments)
+	}
+	crashed := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(crashed, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := pendingIDs(t, crashed); !slices.Equal(got, ids) {
+		t.Fatalf("a crash after the mid-replay compaction recovers %v, want %v", got, ids)
+	}
+
+	open()
+	if st := waitRecovered(t, coord); st.RecoveryReplayed != int64(len(ids)) || st.RecoveryFailed != 0 {
+		t.Fatalf("replay settled %d (failed %d), want %d", st.RecoveryReplayed, st.RecoveryFailed, len(ids))
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := pendingIDs(t, dir); len(got) != 0 {
+		t.Fatalf("replayed jobs still pending: %v", got)
+	}
+}
+
+// A drain that starts mid-replay lets the running replay finish and leaves
+// the jobs not yet started pending in the journal: no client holds a
+// replayed job, so only the next start can run them.
+func TestDrainMidReplayKeepsPending(t *testing.T) {
+	dir := t.TempDir()
+	opt := journal.Options{}
+	journalPending(t, dir, opt, 0, "first", "second", "third")
+	j, rec, err := journal.Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	url, arrived, open := gatedWorker(t, newTestWorker(t, serve.Config{}))
+	coord, _ := newTestCoordinator(t, cluster.Config{Peers: []string{url}, Journal: j, Recovery: rec, ReplayParallelism: 1})
+	if rid := nextArrival(t, arrived); rid != "first" {
+		t.Fatalf("first replay dispatched as %q", rid)
+	}
+	coord.RequestDrain()
+	open()
+	if st := waitRecovered(t, coord); st.RecoveryReplayed != 1 || st.RecoveryFailed != 0 {
+		t.Fatalf("replay settled %d (failed %d), want only the running one", st.RecoveryReplayed, st.RecoveryFailed)
+	}
+	if left := coord.Drain(context.Background()); left != 0 {
+		t.Fatalf("drain left %d in flight", left)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pendingIDs(t, dir), []string{"second", "third"}; !slices.Equal(got, want) {
+		t.Fatalf("pending after a drain mid-replay = %v, want %v", got, want)
+	}
+}
+
+// An auto-scattered answer is cached under the request, not the fleet's
+// size: after a worker joins, the repeat is still a hit.
+func TestAutoScatterHitSurvivesJoin(t *testing.T) {
+	w1 := newTestWorker(t, serve.Config{})
+	w2 := newTestWorker(t, serve.Config{})
+	coord, ts := newTestCoordinator(t, cluster.Config{ScatterVertices: 100}, w1, w2)
+
+	cr := &serve.ColorRequest{Gen: "grid:16:16", Alg: "baseline"}
+	if got, code, kind := postColor(t, ts.URL, cr, "auto-1", ""); got == nil || !got.Scattered {
+		t.Fatalf("auto request not scattered: resp=%+v code=%d kind=%s", got, code, kind)
+	}
+	w3 := newTestWorker(t, serve.Config{})
+	coord.JoinAddr(w3.ts.URL)
+	if n := coord.Stats().AliveWorkers; n != 3 {
+		t.Fatalf("alive workers after join = %d, want 3", n)
+	}
+	got, _, _ := postColor(t, ts.URL, cr, "auto-2", "")
+	if got == nil || !got.Cached || !got.Scattered {
+		t.Fatalf("auto repeat after a join not the cached scatter: %+v", got)
+	}
+	if st := coord.Stats(); st.Scattered != 1 {
+		t.Fatalf("scattered %d times, want 1", st.Scattered)
+	}
+}
+
+// With scatter off, an auto request may still come back sharded by the
+// worker it was routed to; a request pinned to one shard is not handed
+// that answer.
+func TestShardPinNotAnsweredByWorkerShardedAuto(t *testing.T) {
+	w := newTestWorker(t, serve.Config{Devices: 2, Shard: serve.ShardConfig{AutoVertices: 100}})
+	_, ts := newTestCoordinator(t, cluster.Config{NoScatter: true}, w)
+
+	auto := &serve.ColorRequest{Gen: "grid:16:16", Alg: "baseline"}
+	if got, code, kind := postColor(t, ts.URL, auto, "wauto-1", ""); got == nil || got.Scattered || got.Shards != 2 {
+		t.Fatalf("auto request not sharded by its worker: resp=%+v code=%d kind=%s", got, code, kind)
+	}
+	one := &serve.ColorRequest{Gen: "grid:16:16", Alg: "baseline", Shards: 1}
+	got, code, kind := postColor(t, ts.URL, one, "wpin-1", "")
+	if got == nil || got.Cached || got.Shards > 1 {
+		t.Fatalf("1-shard request answered %+v (code=%d kind=%s), want a whole-graph run", got, code, kind)
 	}
 }

@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,29 +11,24 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gcolor/internal/gpucolor"
 	"gcolor/internal/graph"
-	"gcolor/internal/journal"
 	"gcolor/internal/serve"
 )
 
 // Coordinator is the fleet's front door: it owns no devices, only the
-// worker registry, the merged-result cache, the idempotency map, and —
-// when configured — the write-ahead journal. One Coordinator serves many
-// concurrent Submit calls.
+// worker registry and serve's admission core (the merged-result cache,
+// the idempotency map, coalescing, the drain gate and — when configured —
+// the write-ahead journal), whose misses it routes or scatters. One
+// Coordinator serves many concurrent Submit calls.
 type Coordinator struct {
 	cfg      Config
 	epoch    uint64 // fencing epoch, immutable after construction (0 = unfenced)
 	reg      *registry
-	cache    *resultCache
-	idem     *idemCache
+	front    *serve.Admission
 	owners   *ownerTable
-	specs    *specMemo
 	client   *http.Client
 	hbClient *http.Client // control-plane client (header-timeout bounded)
-	jnl      *journal.Journal
 
-	draining  atomic.Bool
 	drainCh   chan struct{}
 	drainOnce sync.Once
 	inflight  atomic.Int64
@@ -43,7 +36,7 @@ type Coordinator struct {
 	stopHB chan struct{}
 	hbWG   sync.WaitGroup
 
-	jobs             atomic.Int64 // submitted jobs (post idem/cache)
+	jobs             atomic.Int64 // admitted jobs (post idem/cache)
 	deltaJobs        atomic.Int64 // delta submissions routed to version owners
 	deltaOwnerHits   atomic.Int64 // delta routes that found an owner hint
 	deltaOwnerMisses atomic.Int64 // delta routes that fell back to rendezvous
@@ -62,14 +55,7 @@ type Coordinator struct {
 	staleRejects atomic.Int64 // dispatches a worker refused as stale
 
 	// Takeover provenance, set by Standby on the coordinator it builds.
-	takeoverMS   atomic.Int64 // detect→serving latency of the takeover (0 = not a takeover)
-	recReplayErr atomic.Int64 // replayed pending jobs that failed
-
-	recWarmCache atomic.Int64
-	recWarmIdem  atomic.Int64
-	recPending   atomic.Int64
-	recReplayed  atomic.Int64
-	recDone      atomic.Bool
+	takeoverMS atomic.Int64 // detect→serving latency of the takeover (0 = not a takeover)
 }
 
 // NewCoordinator builds a coordinator, registers the static peers, starts
@@ -79,15 +65,13 @@ type Coordinator struct {
 func NewCoordinator(cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
-		cfg:     cfg,
-		epoch:   cfg.Epoch,
-		reg:     newRegistry(cfg),
-		cache:   newResultCache(cfg.CacheEntries),
-		idem:    newIdemCache(cfg.IdemEntries),
+		cfg:   cfg,
+		epoch: cfg.Epoch,
+		reg:   newRegistry(cfg),
+		front: serve.NewAdmission(serve.Config{CacheEntries: cfg.CacheEntries, IdemEntries: cfg.IdemEntries,
+			ReplayParallelism: cfg.ReplayParallelism, Journal: cfg.Journal}),
 		owners:  newOwnerTable(0),
-		specs:   newSpecMemo(64),
 		client:  cfg.Client,
-		jnl:     cfg.Journal,
 		drainCh: make(chan struct{}),
 		stopHB:  make(chan struct{}),
 	}
@@ -101,11 +85,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 		c.hbWG.Add(1)
 		go c.heartbeatLoop()
 	}
-	if cfg.Recovery != nil {
-		c.applyRecovery(cfg.Recovery)
-	} else {
-		c.recDone.Store(true)
-	}
+	c.front.Recover(cfg.Recovery, c.submit)
 	return c
 }
 
@@ -171,11 +151,12 @@ func (c *Coordinator) Membership() []MemberInfo {
 // or RequestDrain); the daemon watches it to begin graceful shutdown.
 func (c *Coordinator) DrainRequested() <-chan struct{} { return c.drainCh }
 
-// RequestDrain flips the coordinator into draining: new submissions are
-// refused with serve.ErrDraining while in-flight fleet work finishes.
+// RequestDrain flips the coordinator into draining: fresh work is refused
+// with serve.ErrDraining while in-flight fleet work finishes; idempotent
+// replays and cache hits are still answered.
 func (c *Coordinator) RequestDrain() {
 	c.drainOnce.Do(func() {
-		c.draining.Store(true)
+		c.front.StartDrain()
 		close(c.drainCh)
 	})
 }
@@ -301,121 +282,116 @@ func (c *Coordinator) probeTimeout() time.Duration {
 	return to
 }
 
-// Submit runs one coloring job against the fleet: idempotent replay and
-// cache first, then journal-accept, then route-whole or scatter-gather,
-// then journal-complete and publish. wire, when non-nil, is the request's
-// own JSON (the journal replay payload). The returned response always
-// carries full Colors; the HTTP layer strips them per-request.
+// Submit runs one coloring job against the fleet through the admission
+// front door — idempotent replay, the merged-result cache, coalescing, the
+// drain gate and the journal — whose misses are routed whole or
+// scatter-gathered. wire, when non-nil, is the request's own JSON (the
+// journal replay payload). The returned response always carries full
+// Colors; the HTTP layer strips them per-request.
 func (c *Coordinator) Submit(ctx context.Context, cr *serve.ColorRequest, rid, idemKey string, wire []byte) (*serve.ColorResponse, error) {
-	if c.draining.Load() {
-		return nil, serve.ErrDraining
-	}
-	// Admission: shed at the edge while the client can still back off
-	// cheaply, instead of admitting work that will time out mid-scatter.
-	if c.cfg.MaxInflight > 0 && c.inflight.Load() >= int64(c.cfg.MaxInflight) {
-		c.shed.Add(1)
-		return nil, ErrFleetBusy
-	}
-	c.inflight.Add(1)
-	defer c.inflight.Add(-1)
-
-	// Deltas carry a base fingerprint instead of a graph: they bypass
-	// resolve (nothing to parse) and route to the base version's owner.
-	if cr.BaseFingerprint != "" {
-		return c.submitDelta(ctx, cr, rid, idemKey, wire)
-	}
-
-	g, alg, err := c.resolve(cr)
+	req, err := c.front.Request(cr)
 	if err != nil {
 		return nil, &BadRequestError{Err: err}
 	}
-	fp := g.Fingerprint()
-	key := resultKey{fp: fp, policy: policyKey(alg, cr.Seed, cr.Threshold)}
-
-	if res, ok := c.idem.get(idemKey); ok {
-		out := *res
-		out.RequestID = rid
-		out.IdempotentReplay = true
-		return &out, nil
-	}
-	if !cr.NoCache {
-		if res, ok := c.cache.get(key); ok {
-			out := *res
-			out.RequestID = rid
-			out.Cached = true
-			return &out, nil
-		}
-	}
-
-	c.jobs.Add(1)
-	c.journalAccept(rid, idemKey, key, wire, ctx)
-
-	res, err := c.execute(ctx, g, cr, rid, idemKey, fp)
-	c.journalFinish(rid, idemKey, key, cr.NoCache, res, err)
+	req.RequestID, req.IdemKey, req.Wire = rid, idemKey, wire
+	res, err := c.submit(ctx, cr, req)
 	if err != nil {
-		c.failed.Add(1)
 		return nil, err
 	}
-	res.RequestID = rid
-	res.Fingerprint = graph.FingerprintString(fp)
-	if cr.Resident && res.Worker != "" {
-		// The worker pinned this graph in its version store; remember the
-		// binding so the first delta of the chain routes straight to it.
-		c.owners.put(fp, res.Worker)
-	}
-	if !cr.NoCache {
-		stored := *res
-		c.cache.put(key, &stored)
-	}
-	if idemKey != "" {
-		stored := *res
-		c.idem.put(idemKey, &stored)
-	}
-	return res, nil
+	return serve.WireResponse(res, req), nil
 }
 
-// execute picks the execution shape: scatter-gather for large graphs with
-// enough live workers, whole-graph routing otherwise.
-func (c *Coordinator) execute(ctx context.Context, g *graph.Graph, cr *serve.ColorRequest, rid, idemKey string, fp uint64) (*serve.ColorResponse, error) {
-	if c.shouldScatter(g, cr) {
-		res, err := c.scatter(ctx, g, cr, rid, fp)
-		if err == nil || err != errScatterUnavailable {
-			if err == nil {
-				c.scattered.Add(1)
-			}
-			return res, err
-		}
-		// Not enough live workers to scatter after all; fall through.
+// submit serves a built request; recovery re-submits pending accepts
+// through it too. A delta carries a base fingerprint instead of a graph
+// and runs whole on the base version's owner. Everything submit admits
+// counts as in flight, so Drain waits for it.
+func (c *Coordinator) submit(ctx context.Context, cr *serve.ColorRequest, req *serve.Request) (*serve.Response, error) {
+	c.inflight.Add(1)
+	defer c.inflight.Add(-1)
+	if g := req.Graph; g != nil && req.Fingerprint == 0 {
+		req.Fingerprint = g.Fingerprint()
 	}
-	res, err := c.route(ctx, cr, rid, idemKey, fp)
-	if err == nil {
-		c.routed.Add(1)
+	return c.front.Serve(ctx, req, shardKey(cr), func() (*serve.Response, error) {
+		return c.execute(ctx, cr, req)
+	})
+}
+
+// shardKey is the shard count a request's answer is cached and coalesced
+// under: the count it pins (1 = whole), or 0 for auto. An auto request's
+// count is chosen at execution — by the coordinator from the live fleet,
+// or by the worker it is routed to — so the key must not depend on it:
+// a worker joining or leaving would otherwise strand every cached
+// scatter.
+func shardKey(cr *serve.ColorRequest) int { return max(cr.Shards, 0) }
+
+// execute runs one admitted miss: shed it when more than MaxInflight
+// requests are in flight (journaled like a worker's queue-full rejection,
+// and retried by the caller), otherwise route a delta to its owner,
+// scatter-gather a graph of several shards, or route it whole.
+func (c *Coordinator) execute(ctx context.Context, cr *serve.ColorRequest, req *serve.Request) (*serve.Response, error) {
+	if c.cfg.MaxInflight > 0 && c.inflight.Load() > int64(c.cfg.MaxInflight) {
+		c.shed.Add(1)
+		return nil, ErrFleetBusy
+	}
+	c.jobs.Add(1)
+	var res *serve.Response
+	var err error
+	switch shards := c.shardsFor(req.Graph, cr); {
+	case req.Graph == nil:
+		c.deltaJobs.Add(1)
+		res, err = c.routeDelta(ctx, cr, req)
+	case shards > 1:
+		if res, err = c.scatter(ctx, cr, req, shards); err == nil {
+			c.scattered.Add(1)
+		}
+	default:
+		if res, err = c.route(ctx, cr, req); err == nil {
+			c.routed.Add(1)
+		}
+	}
+	if err != nil {
+		c.failed.Add(1)
 	}
 	return res, err
 }
 
-// shouldScatter applies the size thresholds and the explicit Shards pin.
-func (c *Coordinator) shouldScatter(g *graph.Graph, cr *serve.ColorRequest) bool {
-	if c.cfg.NoScatter || cr.Shards == 1 {
-		return false
-	}
-	if cr.Resident {
-		// A resident upload must land whole on one worker — shards spread
-		// across the fleet leave no single version store holding the graph,
-		// so every later delta would 404.
-		return false
-	}
-	if cr.Shards >= 2 {
-		return true
+// shardsFor is the shard count the coordinator runs a graph as: 1 (routed
+// whole) for a delta (nil graph), when scatter is off, the request pins one
+// shard, the upload is resident (a resident graph must land whole on one
+// worker — shards spread across the fleet leave no single version store
+// holding it, so every later delta would 404), fewer than two workers are
+// live, or the graph is below the size thresholds and not pinned to K >= 2
+// shards. Otherwise it is the pinned K, or ShardK, or the live worker
+// count, capped at MaxShards.
+func (c *Coordinator) shardsFor(g *graph.Graph, cr *serve.ColorRequest) int {
+	if g == nil {
+		return 1
 	}
 	big := (c.cfg.ScatterVertices > 0 && g.NumVertices() >= c.cfg.ScatterVertices) ||
 		(c.cfg.ScatterEdges > 0 && g.NumEdges() >= c.cfg.ScatterEdges)
-	return big
+	if c.cfg.NoScatter || cr.Shards == 1 || cr.Resident || (cr.Shards < 2 && !big) {
+		return 1
+	}
+	live := len(c.reg.alive())
+	if live < 2 {
+		return 1
+	}
+	k := c.cfg.ShardK
+	if cr.Shards >= 2 {
+		k = cr.Shards
+	}
+	if k <= 0 {
+		k = live
+	}
+	return max(1, min(k, c.cfg.MaxShards, g.NumVertices()))
 }
 
 // route forwards the whole job to rendezvous-ranked workers, failing over
-// to the next-ranked worker (exclude-failed) up to RouteAttempts times.
-func (c *Coordinator) route(ctx context.Context, cr *serve.ColorRequest, rid, idemKey string, fp uint64) (*serve.ColorResponse, error) {
+// to the next-ranked worker (exclude-failed) up to RouteAttempts times. A
+// resident upload binds its version to the worker that pinned it, so the
+// first delta of the chain routes straight there.
+func (c *Coordinator) route(ctx context.Context, cr *serve.ColorRequest, req *serve.Request) (*serve.Response, error) {
+	fp := req.Fingerprint
 	out := *cr
 	out.IncludeColors = true // the coordinator caches full colorings
 	ctx, cancel := c.workerCtx(ctx)
@@ -432,13 +408,15 @@ func (c *Coordinator) route(ctx context.Context, cr *serve.ColorRequest, rid, id
 		}
 		m.jobs.Add(1)
 		start := time.Now()
-		resp, err := callWorker(ctx, c.client, m.addr, &out, rid, idemKey, c.epoch)
+		resp, err := callWorker(ctx, c.client, m.addr, &out, req.RequestID, req.IdemKey, c.epoch)
 		exec := time.Since(start)
 		if err == nil {
 			m.seen(time.Now())
 			c.reg.observe(m, probe, true, 1, exec)
-			resp.Worker = m.addr
-			resp.Redispatched = attempt
+			resp.Fingerprint, resp.Worker, resp.Redispatched = fp, m.addr, attempt
+			if cr.Resident {
+				c.owners.put(fp, m.addr)
+			}
 			return resp, nil
 		}
 		lastErr = err
@@ -501,33 +479,6 @@ func judgeWorkerError(we *WorkerError) (good bool, reward float64) {
 	return false, 0
 }
 
-// resolve parses the request's graph (memoizing generator specs) and
-// algorithm.
-func (c *Coordinator) resolve(cr *serve.ColorRequest) (*graph.Graph, gpucolor.Algorithm, error) {
-	var g *graph.Graph
-	var err error
-	switch {
-	case cr.Gen != "" && cr.Graph != "":
-		return nil, 0, fmt.Errorf("set exactly one of graph and gen")
-	case cr.Gen != "":
-		g, err = c.specs.get(cr.Gen)
-	case cr.Graph != "":
-		g, err = graph.ParseEdgeList(cr.Graph)
-	default:
-		return nil, 0, fmt.Errorf("set exactly one of graph and gen")
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	alg := gpucolor.AlgBaseline
-	if cr.Alg != "" {
-		if alg, err = gpucolor.ParseAlgorithm(cr.Alg); err != nil {
-			return nil, 0, err
-		}
-	}
-	return g, alg, nil
-}
-
 // BadRequestError marks a submission the coordinator refused before any
 // fleet work: unparseable graph, unknown algorithm.
 type BadRequestError struct{ Err error }
@@ -537,175 +488,6 @@ func (e *BadRequestError) Error() string { return e.Err.Error() }
 
 // Unwrap exposes the underlying error.
 func (e *BadRequestError) Unwrap() error { return e.Err }
-
-// journalAccept writes the accept record before any dispatch, so a
-// coordinator crash mid-fleet-work replays the job.
-func (c *Coordinator) journalAccept(rid, idemKey string, key resultKey, wire []byte, ctx context.Context) {
-	if c.jnl == nil || rid == "" || len(wire) == 0 {
-		return
-	}
-	var deadlineMS int64
-	if dl, ok := ctx.Deadline(); ok {
-		deadlineMS = dl.UnixMilli()
-	}
-	_ = c.jnl.AppendAccept(journal.AcceptRecord{
-		ID:             rid,
-		IdemKey:        idemKey,
-		Fingerprint:    key.fp,
-		PolicyKey:      key.policy,
-		DeadlineUnixMS: deadlineMS,
-		AcceptedUnixMS: time.Now().UnixMilli(),
-		Wire:           json.RawMessage(wire),
-	})
-}
-
-// journalFinish writes the completion record for every disposition, so
-// replay never re-runs finished work.
-func (c *Coordinator) journalFinish(rid, idemKey string, key resultKey, noCache bool, res *serve.ColorResponse, err error) {
-	if c.jnl == nil || rid == "" {
-		return
-	}
-	rec := journal.CompleteRecord{
-		ID:              rid,
-		IdemKey:         idemKey,
-		Fingerprint:     key.fp,
-		PolicyKey:       key.policy,
-		CompletedUnixMS: time.Now().UnixMilli(),
-		NoCache:         noCache,
-	}
-	switch {
-	case err == nil:
-		rec.Disposition = journal.DispOK
-		rec.NumColors = res.NumColors
-		rec.ColorsB64 = journal.EncodeColors(res.Colors)
-		rec.Cycles = res.Cycles
-		rec.Iterations = res.Iterations
-		rec.Shards = res.Shards
-	case isDeadlineErr(err):
-		rec.Disposition = journal.DispExpired
-		rec.ErrKind = "deadline"
-	default:
-		rec.Disposition = journal.DispFailed
-		rec.ErrKind = errKind(err)
-	}
-	_ = c.jnl.AppendComplete(rec)
-}
-
-func isDeadlineErr(err error) bool {
-	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
-}
-
-// errKind flattens an error to its journal/metrics kind.
-func errKind(err error) string {
-	var we *WorkerError
-	var se *ShardError
-	switch {
-	case errors.As(err, &se):
-		return "shard_failed"
-	case errors.As(err, &we):
-		return we.Kind
-	case errors.Is(err, ErrNoWorkers):
-		return "no_workers"
-	default:
-		return "failed"
-	}
-}
-
-// applyRecovery warm-starts the caches from replayed completions and
-// re-dispatches pending accepts in the background (bounded parallelism),
-// mirroring the serving layer's crash recovery.
-func (c *Coordinator) applyRecovery(rec *journal.Recovery) {
-	for i := range rec.Completions {
-		comp := &rec.Completions[i]
-		colors, err := journal.DecodeColors(comp.ColorsB64)
-		if err != nil {
-			continue
-		}
-		res := &serve.ColorResponse{
-			Fingerprint: graph.FingerprintString(comp.Fingerprint),
-			NumColors:   comp.NumColors,
-			Colors:      colors,
-			Cycles:      comp.Cycles,
-			Iterations:  comp.Iterations,
-			Shards:      comp.Shards,
-			Scattered:   comp.Shards > 1,
-		}
-		if !comp.NoCache {
-			c.cache.put(resultKey{fp: comp.Fingerprint, policy: comp.PolicyKey}, res)
-			c.recWarmCache.Add(1)
-		}
-		if comp.IdemKey != "" {
-			c.idem.put(comp.IdemKey, res)
-			c.recWarmIdem.Add(1)
-		}
-	}
-	pending := make([]journal.AcceptRecord, len(rec.Pending))
-	copy(pending, rec.Pending)
-	c.recPending.Store(int64(len(pending)))
-	if len(pending) == 0 {
-		c.recDone.Store(true)
-		return
-	}
-	go c.replayPending(pending)
-}
-
-// replayPending re-dispatches the journal's interrupted jobs through the
-// normal Submit path (which re-journals them; replay dedupe collapses the
-// duplicate accepts). Jobs whose deadline already passed are expired
-// explicitly, never silently dropped.
-func (c *Coordinator) replayPending(pending []journal.AcceptRecord) {
-	defer c.recDone.Store(true)
-	sem := make(chan struct{}, c.cfg.ReplayParallelism)
-	var wg sync.WaitGroup
-	for i := range pending {
-		a := pending[i]
-		if c.draining.Load() {
-			break
-		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			c.replayOne(a)
-			c.recReplayed.Add(1)
-		}()
-	}
-	wg.Wait()
-}
-
-func (c *Coordinator) replayOne(a journal.AcceptRecord) {
-	if a.DeadlineUnixMS > 0 && time.Now().UnixMilli() > a.DeadlineUnixMS {
-		if c.jnl != nil {
-			_ = c.jnl.AppendComplete(journal.CompleteRecord{
-				ID: a.ID, IdemKey: a.IdemKey,
-				Fingerprint: a.Fingerprint, PolicyKey: a.PolicyKey,
-				Disposition:     journal.DispReplayExpired,
-				ErrKind:         "deadline",
-				CompletedUnixMS: time.Now().UnixMilli(),
-			})
-		}
-		return
-	}
-	var cr serve.ColorRequest
-	if len(a.Wire) == 0 || json.Unmarshal(a.Wire, &cr) != nil {
-		if c.jnl != nil {
-			_ = c.jnl.AppendComplete(journal.CompleteRecord{
-				ID: a.ID, IdemKey: a.IdemKey,
-				Fingerprint: a.Fingerprint, PolicyKey: a.PolicyKey,
-				Disposition:     journal.DispFailed,
-				ErrKind:         "unreplayable",
-				CompletedUnixMS: time.Now().UnixMilli(),
-			})
-		}
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.WorkerTimeout)
-	defer cancel()
-	if _, err := c.Submit(ctx, &cr, a.ID, a.IdemKey, a.Wire); err != nil {
-		c.recReplayErr.Add(1)
-	}
-}
 
 // SetTakeoverMS records the detect→serving latency of the standby
 // takeover that built this coordinator (surfaced in Stats/metrics so the
@@ -720,7 +502,7 @@ func (c *Coordinator) SetTakeoverMS(ms int64) { c.takeoverMS.Store(ms) }
 func (c *Coordinator) RetryAfterHint(kind string) int {
 	depth, devices, p50 := c.reg.fleetLoad()
 	depth += int(c.inflight.Load())
-	return serve.ComputeRetryAfter(kind, depth, devices, p50, c.draining.Load())
+	return serve.ComputeRetryAfter(kind, depth, devices, p50, c.front.Draining())
 }
 
 // Stats is the coordinator's observable state.
@@ -779,7 +561,8 @@ type Stats struct {
 
 // Stats snapshots the coordinator.
 func (c *Coordinator) Stats() Stats {
-	hits, misses, evict := c.cache.stats()
+	hits, misses, evict, entries, idemEntries := c.front.CacheStats()
+	ri := c.front.RecoveryInfo()
 	depth, devices, _ := c.reg.fleetLoad()
 	st := Stats{
 		Workers:      c.reg.size(),
@@ -818,64 +601,20 @@ func (c *Coordinator) Stats() Stats {
 		CacheHits:      hits,
 		CacheMisses:    misses,
 		CacheEvictions: evict,
-		CacheEntries:   c.cache.len(),
-		IdemEntries:    c.idem.len(),
+		CacheEntries:   entries,
+		IdemEntries:    idemEntries,
 
-		Draining: c.draining.Load(),
+		Draining: c.front.Draining(),
 		Inflight: c.inflight.Load(),
 
-		RecoveryDone:     c.recDone.Load(),
-		RecoveryPending:  c.recPending.Load(),
-		RecoveryReplayed: c.recReplayed.Load(),
-		RecoveryFailed:   c.recReplayErr.Load(),
-		WarmedCache:      c.recWarmCache.Load(),
-		WarmedIdem:       c.recWarmIdem.Load(),
+		RecoveryDone:     ri.Done,
+		RecoveryPending:  ri.PendingRecovered,
+		RecoveryReplayed: ri.ReplayCompleted + ri.ReplayExpired + ri.ReplayFailed,
+		RecoveryFailed:   ri.ReplayFailed,
+		WarmedCache:      ri.WarmedCache,
+		WarmedIdem:       ri.WarmedIdem,
 
 		Members: c.Membership(),
 	}
 	return st
-}
-
-// specMemo is a tiny LRU of generated graphs keyed by generator spec, so
-// a hot spec driven by every load-generator worker is built once.
-type specMemo struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List
-	byKey map[string]*list.Element
-}
-
-type specMemoEntry struct {
-	key string
-	g   *graph.Graph
-}
-
-func newSpecMemo(capacity int) *specMemo {
-	return &specMemo{cap: capacity, order: list.New(), byKey: make(map[string]*list.Element)}
-}
-
-func (c *specMemo) get(spec string) (*graph.Graph, error) {
-	c.mu.Lock()
-	if el, ok := c.byKey[spec]; ok {
-		c.order.MoveToFront(el)
-		g := el.Value.(*specMemoEntry).g
-		c.mu.Unlock()
-		return g, nil
-	}
-	c.mu.Unlock()
-	g, err := serve.ParseGraphSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if _, ok := c.byKey[spec]; !ok {
-		c.byKey[spec] = c.order.PushFront(&specMemoEntry{key: spec, g: g})
-		for c.order.Len() > c.cap {
-			el := c.order.Back()
-			c.order.Remove(el)
-			delete(c.byKey, el.Value.(*specMemoEntry).key)
-		}
-	}
-	c.mu.Unlock()
-	return g, nil
 }

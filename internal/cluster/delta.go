@@ -8,12 +8,11 @@ import (
 	"sync"
 	"time"
 
-	"gcolor/internal/gpucolor"
 	"gcolor/internal/serve"
 )
 
 // Fleet-level delta routing. A delta request carries no graph — only a
-// base fingerprint and edit lists — so the coordinator can neither resolve
+// base fingerprint and edit lists — so the coordinator can neither parse
 // nor scatter it. What it CAN do is route it to the one worker whose
 // resident version store holds the base: the owner table remembers which
 // worker served each version of a mutation chain, so successive deltas
@@ -100,71 +99,16 @@ func (r *registry) lookup(addr string) *member {
 	return r.byAddr[addr]
 }
 
-// submitDelta is the coordinator's delta path, reached from Submit before
-// resolve (a delta has no graph to resolve). Idempotent replay is checked
-// here; the result cache is not — the successor fingerprint is unknown
-// until a worker applies the delta, but the reply is cached under it, so
-// a later full upload of the same content hits.
-func (c *Coordinator) submitDelta(ctx context.Context, cr *serve.ColorRequest, rid, idemKey string, wire []byte) (*serve.ColorResponse, error) {
-	if cr.Gen != "" || cr.Graph != "" || cr.GraphCSRB64 != "" {
-		return nil, &BadRequestError{Err: fmt.Errorf("a delta request must not also carry a graph")}
-	}
-	baseFp, err := serve.ParseFingerprint(cr.BaseFingerprint)
-	if err != nil {
-		return nil, &BadRequestError{Err: err}
-	}
-	alg := gpucolor.AlgBaseline
-	if cr.Alg != "" {
-		if alg, err = gpucolor.ParseAlgorithm(cr.Alg); err != nil {
-			return nil, &BadRequestError{Err: err}
-		}
-	}
-
-	if res, ok := c.idem.get(idemKey); ok {
-		out := *res
-		out.RequestID = rid
-		out.IdempotentReplay = true
-		return &out, nil
-	}
-
-	c.jobs.Add(1)
-	c.deltaJobs.Add(1)
-	key := resultKey{fp: baseFp, policy: policyKey(alg, cr.Seed, cr.Threshold)}
-	c.journalAccept(rid, idemKey, key, wire, ctx)
-
-	res, err := c.routeDelta(ctx, cr, rid, idemKey, baseFp)
-	if err == nil {
-		// Journal and cache under the successor's content fingerprint —
-		// that is the identity the coloring belongs to.
-		if sfp, perr := serve.ParseFingerprint(res.Fingerprint); perr == nil {
-			key.fp = sfp
-		}
-	}
-	c.journalFinish(rid, idemKey, key, cr.NoCache, res, err)
-	if err != nil {
-		c.failed.Add(1)
-		return nil, err
-	}
-	res.RequestID = rid
-	if !cr.NoCache {
-		stored := *res
-		c.cache.put(key, &stored)
-	}
-	if idemKey != "" {
-		stored := *res
-		c.idem.put(idemKey, &stored)
-	}
-	return res, nil
-}
-
 // routeDelta forwards a delta whole, preferring the recorded owner of the
 // base version and falling back to rendezvous rank on the base
 // fingerprint. An unknown_base rejection drops the stale owner hint and is
 // never failed over — no other worker holds the version either; the
 // client must re-upload. On success both the base and successor
 // fingerprints are (re)bound to the serving worker, keeping the whole
-// mutation chain on one resident store.
-func (c *Coordinator) routeDelta(ctx context.Context, cr *serve.ColorRequest, rid, idemKey string, baseFp uint64) (*serve.ColorResponse, error) {
+// mutation chain on one resident store. The reply carries the successor's
+// fingerprint, under which the front door caches and journals it.
+func (c *Coordinator) routeDelta(ctx context.Context, cr *serve.ColorRequest, req *serve.Request) (*serve.Response, error) {
+	baseFp := req.BaseFingerprint
 	out := *cr
 	out.IncludeColors = true // the coordinator caches full colorings
 	ctx, cancel := c.workerCtx(ctx)
@@ -193,7 +137,7 @@ func (c *Coordinator) routeDelta(ctx context.Context, cr *serve.ColorRequest, ri
 		}
 		m.jobs.Add(1)
 		start := time.Now()
-		resp, err := callWorker(ctx, c.client, m.addr, &out, rid, idemKey, c.epoch)
+		resp, err := callWorker(ctx, c.client, m.addr, &out, req.RequestID, req.IdemKey, c.epoch)
 		exec := time.Since(start)
 		if err == nil {
 			m.seen(time.Now())
@@ -201,9 +145,7 @@ func (c *Coordinator) routeDelta(ctx context.Context, cr *serve.ColorRequest, ri
 			resp.Worker = m.addr
 			resp.Redispatched = attempt
 			c.owners.put(baseFp, m.addr)
-			if sfp, perr := serve.ParseFingerprint(resp.Fingerprint); perr == nil {
-				c.owners.put(sfp, m.addr)
-			}
+			c.owners.put(resp.Fingerprint, m.addr)
 			return resp, nil
 		}
 		lastErr = err

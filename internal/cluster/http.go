@@ -157,10 +157,11 @@ func breakerCode(s string) int {
 	}
 }
 
-// handleColor is the coordinator's /color: same wire contract as a
-// worker's /color (a coordinator is a drop-in endpoint for gcload), with
-// the colors filtered per-request — the coordinator holds full colorings
-// internally for caching and merge verification.
+// handleColor is the coordinator's /color: the JSON wire contract of a
+// worker's /color (a coordinator is a drop-in endpoint for gcload; binary
+// CSR bodies go to workers), with the colors filtered per-request — the
+// coordinator holds full colorings internally for caching and merge
+// verification.
 func handleColor(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 	rid := serve.RequestIDFor(r)
 	w.Header().Set("X-Request-ID", rid)

@@ -14,12 +14,7 @@ import (
 	"gcolor/internal/shard"
 )
 
-// errScatterUnavailable is the internal "fall back to whole-graph
-// routing" signal: the job qualified for scatter but the fleet cannot
-// host one right now (fewer than two live workers).
-var errScatterUnavailable = errors.New("cluster: scatter unavailable")
-
-// scatter runs one job as a cross-worker scatter-gather: partition with
+// scatter runs one job as k-shard cross-worker scatter-gather: partition with
 // the edge-balanced splitter, POST one sub-job per shard to rendezvous-
 // chosen workers in parallel, barrier on the gather, and reconcile the
 // per-shard colorings with the bounded boundary repair loop — at the
@@ -30,27 +25,8 @@ var errScatterUnavailable = errors.New("cluster: scatter unavailable")
 // default 2, exactly one re-dispatch. Sub-jobs are sent no-cache so
 // workers do not stash shard fragments under the subgraph's fingerprint;
 // the merged result lives only in the coordinator's cache.
-func (c *Coordinator) scatter(ctx context.Context, g *graph.Graph, cr *serve.ColorRequest, rid string, fp uint64) (*serve.ColorResponse, error) {
-	live := len(c.reg.alive())
-	if live < 2 {
-		return nil, errScatterUnavailable
-	}
-	k := c.cfg.ShardK
-	if cr.Shards >= 2 {
-		k = cr.Shards
-	}
-	if k <= 0 {
-		k = live
-	}
-	if k > c.cfg.MaxShards {
-		k = c.cfg.MaxShards
-	}
-	if k > g.NumVertices() {
-		k = g.NumVertices()
-	}
-	if k < 2 {
-		return nil, errScatterUnavailable
-	}
+func (c *Coordinator) scatter(ctx context.Context, cr *serve.ColorRequest, req *serve.Request, k int) (*serve.Response, error) {
+	g := req.Graph
 	plan, err := shard.Partition(g, k, true)
 	if err != nil {
 		return nil, err
@@ -76,7 +52,7 @@ func (c *Coordinator) scatter(ctx context.Context, g *graph.Graph, cr *serve.Col
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			colors, cycles, iters, attempts, err := c.dispatchShard(sctx, plan.Subs[i], cr, rid, fp, i, plan.K)
+			colors, cycles, iters, attempts, err := c.dispatchShard(sctx, plan.Subs[i], cr, req, i, plan.K)
 			outs[i] = shardOut{colors: colors, cycles: cycles, iterations: iters, attempts: attempts, err: err}
 			if err != nil {
 				cancel() // a lost shard fails the merge; reel the siblings in
@@ -113,7 +89,8 @@ func (c *Coordinator) scatter(ctx context.Context, g *graph.Graph, cr *serve.Col
 	if err != nil {
 		return nil, err
 	}
-	res := &serve.ColorResponse{
+	res := &serve.Response{
+		Fingerprint:       req.Fingerprint,
 		Colors:            colors,
 		NumColors:         st.NumColors,
 		Vertices:          g.NumVertices(),
@@ -139,12 +116,12 @@ func (c *Coordinator) scatter(ctx context.Context, g *graph.Graph, cr *serve.Col
 // to ShardAttempts times. The shard's rendezvous key decorrelates from
 // the whole graph's (and from sibling shards') so the K sub-jobs of one
 // scatter spread across the fleet instead of piling onto fp's owner.
-func (c *Coordinator) dispatchShard(ctx context.Context, sub *graph.Graph, cr *serve.ColorRequest, rid string, fp uint64, i, k int) (colors []int32, cycles int64, iterations, attempts int, err error) {
+func (c *Coordinator) dispatchShard(ctx context.Context, sub *graph.Graph, cr *serve.ColorRequest, req *serve.Request, i, k int) (colors []int32, cycles int64, iterations, attempts int, err error) {
 	// Shards travel as binary CSR frames (base64 in the JSON envelope),
 	// not edge-list text: the worker decodes the frame straight into its
 	// CSR arrays instead of re-parsing and re-sorting an edge list whose
 	// text form is several times the frame size.
-	req := serve.ColorRequest{
+	sreq := serve.ColorRequest{
 		GraphCSRB64:   base64.StdEncoding.EncodeToString(graph.EncodeWireCSR(sub)),
 		Alg:           cr.Alg,
 		Seed:          cr.Seed + uint32(i), // decorrelate per-shard priorities
@@ -159,10 +136,10 @@ func (c *Coordinator) dispatchShard(ctx context.Context, sub *graph.Graph, cr *s
 	// rid-s<i> keeps the worker journal's evidence trail pointing at the
 	// originating coordinator request while keeping shard records distinct.
 	shardRID := ""
-	if rid != "" {
-		shardRID = rid + "-s" + strconv.Itoa(i)
+	if req.RequestID != "" {
+		shardRID = req.RequestID + "-s" + strconv.Itoa(i)
 	}
-	key := mix64(fp ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
+	key := mix64(req.Fingerprint ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
 	exclude := make(map[int]bool)
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.ShardAttempts; attempt++ {
@@ -173,7 +150,7 @@ func (c *Coordinator) dispatchShard(ctx context.Context, sub *graph.Graph, cr *s
 		m.jobs.Add(1)
 		attempts++
 		start := time.Now()
-		resp, err := callWorker(ctx, c.client, m.addr, &req, shardRID, "", c.epoch)
+		resp, err := callWorker(ctx, c.client, m.addr, &sreq, shardRID, "", c.epoch)
 		exec := time.Since(start)
 		if err == nil {
 			if len(resp.Colors) != sub.NumVertices() {

@@ -25,17 +25,18 @@ import (
 // fsyncs — a segment before rotating past it, so at that point any
 // undecodable tail really is torn and is counted as such).
 //
-// The follower assumes no concurrent compaction, which holds for
-// coordinator journals (they never register a compaction source): only a
-// snapshot already on disk at the first Poll is consulted.
+// Compaction: a snapshot newer than the tailed segment means the primary
+// folded every segment below it into the snapshot (and deletes them), so
+// the follower starts over from the snapshot, as Open does, and resumes
+// at the snapshot's cover segment. The first Poll is just the case where
+// the snapshot predates the follower.
 //
 // A Follower is not safe for concurrent use; the standby owns it.
 type Follower struct {
-	dir     string
-	st      *replayState
-	started bool
-	seg     uint64 // segment currently being tailed
-	off     int    // decoded bytes into that segment (0 = header unverified)
+	dir string
+	st  *replayState
+	seg uint64 // segment currently being tailed
+	off int    // decoded bytes into that segment (0 = header unverified)
 }
 
 // NewFollower tails the journal in dir. No I/O happens until Poll.
@@ -47,7 +48,6 @@ func NewFollower(dir string) *Follower {
 // records applied. An empty or absent directory is not an error — the
 // primary may not have started yet.
 func (f *Follower) Poll() (applied int64, err error) {
-	before := f.st.stats.Records
 	entries, err := os.ReadDir(f.dir)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -55,18 +55,16 @@ func (f *Follower) Poll() (applied int64, err error) {
 		}
 		return 0, fmt.Errorf("journal: follow: %w", err)
 	}
-	segs := listIndexed(entries, "seg-", ".wal")
-	if !f.started {
-		f.started = true
-		snaps := listIndexed(entries, "snap-", ".snap")
-		if len(snaps) > 0 {
-			snapSeq := snaps[len(snaps)-1]
-			if f.replaySnapshot(filepath.Join(f.dir, snapshotName(snapSeq))) {
-				f.st.stats.SnapshotLoaded = true
-				f.seg = snapSeq
-			}
+	before := f.st.stats.Records
+	if snaps := listIndexed(entries, "snap-", ".snap"); len(snaps) > 0 && snaps[len(snaps)-1] > f.seg {
+		snap := snaps[len(snaps)-1]
+		st := newReplayState()
+		if replaySnapshot(st, filepath.Join(f.dir, snapshotName(snap))) {
+			st.stats.SnapshotLoaded = true
+			f.st, f.seg, f.off, before = st, snap, 0, 0
 		}
 	}
+	segs := listIndexed(entries, "seg-", ".wal")
 	for {
 		if !contains(segs, f.seg) {
 			next, ok := nextAbove(segs, f.seg)
@@ -119,13 +117,13 @@ func (f *Follower) drain(data []byte) {
 	}
 }
 
-// replaySnapshot folds a compacted snapshot in (first Poll only).
-func (f *Follower) replaySnapshot(path string) bool {
+// replaySnapshot folds a compacted snapshot into st.
+func replaySnapshot(st *replayState, path string) bool {
 	data, err := os.ReadFile(path)
 	if err != nil || len(data) < len(segmentMagic) || !bytes.Equal(data[:len(segmentMagic)], segmentMagic[:]) {
 		return false
 	}
-	f.st.stats.Segments++
+	st.stats.Segments++
 	off := len(segmentMagic)
 	for off < len(data) {
 		payload, n, ok := decodeFrame(data[off:])
@@ -134,10 +132,10 @@ func (f *Follower) replaySnapshot(path string) bool {
 		}
 		var rec record
 		if json.Unmarshal(payload, &rec) == nil {
-			f.st.apply(&rec)
-			f.st.stats.Records++
+			st.apply(&rec)
+			st.stats.Records++
 		}
-		f.st.stats.Bytes += int64(n)
+		st.stats.Bytes += int64(n)
 		off += n
 	}
 	return true

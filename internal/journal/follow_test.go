@@ -2,8 +2,10 @@ package journal
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -162,4 +164,96 @@ func TestOpenAppendDoesNotReplay(t *testing.T) {
 	if len(rec.Pending) != 2 {
 		t.Fatalf("full replay pending = %d, want both the old and new accepts", len(rec.Pending))
 	}
+}
+
+// A follower must survive the primary compacting under it: once the
+// snapshot replaces the segments the follower has read (or never got to),
+// Recovery() must still match what Open recovers from the same directory.
+func TestFollowerAcrossCompaction(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := Open(dir, Options{Fsync: FsyncNone, SegmentBytes: 512, CompactAfterSegments: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The owner's live state, as a server's compaction source reports it.
+	pending := map[string]AcceptRecord{}
+	var done []CompleteRecord
+	j.SetSource(func(w *SnapshotWriter) error {
+		for i := range done {
+			if err := w.Complete(&done[i]); err != nil {
+				return err
+			}
+		}
+		for id := range pending {
+			a := pending[id]
+			if err := w.Accept(&a); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	f := NewFollower(dir)
+	poll := func() {
+		t.Helper()
+		if _, err := f.Poll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	poll() // before any record
+	for i := 0; i < 40; i++ {
+		a := followAccept(fmt.Sprintf("job-%02d", i))
+		pending[a.ID] = a
+		if err := j.AppendAccept(a); err != nil {
+			t.Fatal(err)
+		}
+		if i == 10 {
+			poll() // mid-stream, inside a segment the compaction deletes
+		}
+	}
+	for i := 0; i < 20; i++ {
+		c := followComplete(fmt.Sprintf("job-%02d", i))
+		c.Fingerprint = uint64(100 + i) // distinct results, none deduped
+		delete(pending, c.ID)
+		done = append(done, c)
+		if err := j.AppendComplete(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	// Records after the compaction boundary replay on top of the snapshot.
+	a := followAccept("after")
+	if err := j.AppendAccept(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	poll()
+
+	j2, open, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	got, want := pendingIDs(f.Recovery()), pendingIDs(open)
+	if len(want) != 21 || !slices.Equal(got, want) {
+		t.Fatalf("follower pending %v, Open pending %v (want the 20 unfinished jobs plus one)", got, want)
+	}
+	if g, w := len(f.Recovery().Completions), len(open.Completions); g != w || w != 20 {
+		t.Fatalf("follower completions %d, Open completions %d, want 20", g, w)
+	}
+	if !open.Stats.SnapshotLoaded || !f.Stats().SnapshotLoaded {
+		t.Fatalf("snapshot loaded: open=%v follower=%v, want both", open.Stats.SnapshotLoaded, f.Stats().SnapshotLoaded)
+	}
+}
+
+func pendingIDs(rec *Recovery) []string {
+	ids := make([]string, 0, len(rec.Pending))
+	for _, a := range rec.Pending {
+		ids = append(ids, a.ID)
+	}
+	slices.Sort(ids)
+	return ids
 }

@@ -7,7 +7,6 @@ import (
 	"gcolor/internal/color"
 	"gcolor/internal/gpucolor"
 	"gcolor/internal/graph"
-	"gcolor/internal/journal"
 )
 
 // This file is the block-diagonal kernel batching engine: the small-graph
@@ -205,7 +204,7 @@ func (s *Server) runBatch(members []*job) {
 		partial = ice.Result.Colors
 	}
 
-	finished := make([]*job, 0, len(members))
+	finished := make([]*flight, 0, len(members))
 	resps := make([]*Response, 0, len(members))
 	var retries []*job
 	var retryWaits []time.Duration
@@ -238,49 +237,13 @@ func (s *Server) runBatch(members []*job) {
 			Wait:        waits[i],
 			Exec:        exec,
 		})
-		finished = append(finished, j)
+		finished = append(finished, j.fl)
 	}
-	s.finishBatchMembers(finished, resps)
+	s.reg.Counter("completed_total").Add(int64(len(finished)))
+	s.front.finishBatch(finished, resps)
 	for i, j := range retries {
 		s.reg.Counter("batch_member_retries_total").Inc()
 		s.runJob(j, retryWaits[i])
-	}
-}
-
-// finishBatchMembers settles successfully batched members: one grouped
-// journal append (one fsync under FsyncAlways, however many members), then
-// per-member idempotency, cache, coalescing-map, and waiter release — the
-// same steps and ordering as finishJob, amortized.
-func (s *Server) finishBatchMembers(members []*job, resps []*Response) {
-	if len(members) == 0 {
-		return
-	}
-	var recs []journal.CompleteRecord
-	for i, j := range members {
-		if !j.journaled {
-			continue
-		}
-		s.pendMu.Lock()
-		delete(s.pendAccepts, j.req.RequestID)
-		s.pendMu.Unlock()
-		recs = append(recs, completionRecord(j.req.RequestID, j.req.IdemKey, j.key, resps[i], nil, j.req.NoCache))
-	}
-	if len(recs) > 0 {
-		if err := s.jrnl.AppendCompletes(recs); err != nil {
-			s.reg.Counter("journal_append_errors_total").Inc()
-		}
-	}
-	for i, j := range members {
-		s.reg.Counter("completed_total").Inc()
-		stored := packResponse(resps[i])
-		s.idem.put(j.req.IdemKey, stored, j.req.NoCache, j.key.policy)
-		if !j.req.NoCache {
-			// Cache before dropping the flight, as in finishJob: a request
-			// arriving between the two sees either the flight or the cache.
-			s.cache.put(j.key, stored)
-			s.dropInflight(j.key)
-		}
-		j.fl.complete(resps[i], nil)
 	}
 }
 

@@ -199,12 +199,17 @@ func (c *idemCache) export() []idemEntry {
 	return out
 }
 
-// flight is one in-flight execution that any number of duplicate requests
-// wait on. done is closed exactly once, after res/err are set; the once
-// guard makes completion idempotent, so the several paths that can end a
-// job (worker, queue expiry, drain hand-off, hedged attempts) never race
-// a double close.
+// flight is one admitted execution that any number of duplicate requests
+// wait on: the leading request, its cache key, and whether its accept was
+// journaled (so its completion must be too). done is closed exactly once,
+// after res/err are set; the once guard makes completion idempotent, so
+// the several paths that can end a job (worker, queue expiry, drain
+// hand-off, hedged attempts) never race a double close.
 type flight struct {
+	req       *Request
+	key       cacheKey
+	journaled bool
+
 	once sync.Once
 	done chan struct{}
 	res  *Response
@@ -219,4 +224,48 @@ func (f *flight) complete(res *Response, err error) {
 		f.err = err
 		close(f.done)
 	})
+}
+
+// cloneHit returns a defensive copy of a cached response: Colors is
+// copied (or unpacked from a stored response's bytes), so a caller
+// mutating the slice it was handed cannot corrupt the cached entry (and
+// with it every later hit). The shallow copy alone used to alias the
+// cache's backing array — the classic "poison one hit, serve bad
+// colorings forever" bug.
+func cloneHit(res *Response) *Response {
+	hit := *res
+	switch {
+	case hit.colors8 != nil:
+		hit.Colors = make([]int32, len(hit.colors8))
+		for i, c := range hit.colors8 {
+			hit.Colors[i] = int32(c)
+		}
+		hit.colors8 = nil
+	case hit.Colors != nil:
+		hit.Colors = append([]int32(nil), hit.Colors...)
+	}
+	return &hit
+}
+
+// packResponse returns the form of a completed response that the result
+// cache and the idempotency LRU keep, one copy shared by both: its colors
+// one byte per vertex when every color is in [0, 255] (the 'b' rule of
+// journal.EncodeColors), which quarters what each remembered answer holds
+// on the heap. Wider palettes keep the int32 slice. cloneHit unpacks.
+func packResponse(res *Response) *Response {
+	if len(res.Colors) == 0 {
+		return res
+	}
+	for _, c := range res.Colors {
+		if c < 0 || c > 0xff {
+			return res
+		}
+	}
+	packed := make([]byte, len(res.Colors))
+	for i, c := range res.Colors {
+		packed[i] = byte(c)
+	}
+	st := *res
+	st.Colors, st.colors8 = nil, packed
+	return &st
 }

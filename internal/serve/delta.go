@@ -195,15 +195,8 @@ func (s *Server) submitDelta(ctx context.Context, req *Request) (*Response, erro
 	}
 
 	// Idempotent replay first, exactly as in Submit — and through drain.
-	if res, ok := s.idem.get(req.IdemKey); ok {
-		s.reg.Counter("idem_hits_total").Inc()
-		hit := cloneHit(res)
-		hit.Cached = true
-		hit.IdempotentReplay = true
-		hit.Device = -1
-		hit.Wait, hit.Exec = 0, 0
-		hit.RequestID = req.RequestID
-		return hit, nil
+	if res, ok := s.front.replay(req); ok {
+		return res, nil
 	}
 
 	base, ok := s.versions.get(req.BaseFingerprint)
@@ -224,23 +217,15 @@ func (s *Server) submitDelta(ctx context.Context, req *Request) (*Response, erro
 	req.Resident = true
 	shards := s.effectiveShards(req)
 	key := keyOf(req, fp, shards)
-	if !req.NoCache {
-		if res, ok := s.cache.get(key); ok {
-			s.reg.Counter("cache_hits").Inc()
-			hit := cloneHit(res)
-			s.versions.put(fp, ng, hit.Colors) // re-pin: the chain continues
-			hit.Cached = true
-			hit.Delta = true
-			hit.FrontierSize = len(frontier)
-			hit.Vertices = ng.NumVertices()
-			hit.Edges = ng.NumEdges()
-			hit.Device = -1
-			hit.Wait, hit.Exec = 0, 0
-			hit.RequestID = req.RequestID
-			return hit, nil
-		}
+	if hit, ok := s.front.hit(req, key); ok {
+		s.versions.put(fp, ng, hit.Colors) // re-pin: the chain continues
+		hit.Delta = true
+		hit.FrontierSize = len(frontier)
+		hit.Vertices = ng.NumVertices()
+		hit.Edges = ng.NumEdges()
+		return hit, nil
 	}
-	if s.draining.Load() {
+	if s.front.Draining() {
 		return nil, ErrDraining
 	}
 
@@ -280,26 +265,18 @@ func (s *Server) submitDelta(ctx context.Context, req *Request) (*Response, erro
 		Edges:        ng.NumEdges(),
 		Device:       -1,
 		Exec:         time.Since(start),
-		RequestID:    req.RequestID,
 	}
 	s.reg.Counter("completed_total").Inc()
-	if s.jrnl != nil && req.RequestID != "" && len(req.Wire) > 0 {
-		// Journal the delta like any replayable request. The accept's
-		// Resident flag and wire form (base fingerprint + edit lists) let
-		// crash replay rebuild this version from its settled pair without
-		// re-running anything.
-		s.journalAccept(ctx, req, key)
-		s.journalDone(req, key, res)
-	}
 	s.versions.put(fp, ng, colors)
-	stored := packResponse(res)
-	if !req.NoCache {
-		s.cache.put(key, stored)
-	}
-	s.idem.put(req.IdemKey, stored, req.NoCache, key.policy)
-	// The stored response is canonical (cache + idem share it); the caller
-	// gets its own Colors copy, like every other path out of Submit.
-	return cloneHit(stored), nil
+	// Settle the delta like any admitted miss, already done: journaled when
+	// replayable — the accept's Resident flag and wire form (base
+	// fingerprint + edit lists) let crash replay rebuild this version from
+	// its settled pair without re-running anything — then cached and stored
+	// under its Idempotency-Key, the caller getting its own Colors copy.
+	return s.front.admit(ctx, req, key, false, func(fl *flight) error {
+		s.front.finish(fl, res, nil)
+		return nil
+	})
 }
 
 // deltaFallback recolors the successor graph from scratch through the
@@ -308,7 +285,7 @@ func (s *Server) submitDelta(ctx context.Context, req *Request) (*Response, erro
 // FrontierSize reporting why the incremental path was not taken.
 func (s *Server) deltaFallback(ctx context.Context, req *Request, fp uint64, key cacheKey, shards int, ng *graph.Graph, frontier int) (*Response, error) {
 	s.reg.Counter("delta_fallbacks_total").Inc()
-	res, err := s.admit(ctx, req, fp, key, shards)
+	res, err := s.front.admit(ctx, req, key, !req.NoCache, s.enqueuer(ctx, fp, shards))
 	if err != nil {
 		return nil, err
 	}
@@ -319,17 +296,4 @@ func (s *Server) deltaFallback(ctx context.Context, req *Request, fp uint64, key
 	res.Vertices = ng.NumVertices()
 	res.Edges = ng.NumEdges()
 	return res, nil
-}
-
-// journalDone writes the completion record for a request settled outside
-// the job queue (the incremental delta path) and clears its pendAccepts
-// mirror — the counterpart of journalFinish for jobless completions.
-func (s *Server) journalDone(req *Request, key cacheKey, res *Response) {
-	s.pendMu.Lock()
-	delete(s.pendAccepts, req.RequestID)
-	s.pendMu.Unlock()
-	rec := completionRecord(req.RequestID, req.IdemKey, key, res, nil, req.NoCache)
-	if aerr := s.jrnl.AppendComplete(rec); aerr != nil {
-		s.reg.Counter("journal_append_errors_total").Inc()
-	}
 }

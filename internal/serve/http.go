@@ -263,9 +263,8 @@ func HandlerWith(s *Server, hc HandlerConfig) http.Handler {
 		hc.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	mux := http.NewServeMux()
-	specs := newSpecCache(64)
 	mux.HandleFunc("POST /color", func(w http.ResponseWriter, r *http.Request) {
-		handleColor(s, specs, hc, w, r)
+		handleColor(s, hc, w, r)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		// queue_depth and exec_p50_us ride on the health probe so a
@@ -371,7 +370,7 @@ func boolToInt(b bool) int {
 	return 0
 }
 
-func handleColor(s *Server, specs *specCache, hc HandlerConfig, w http.ResponseWriter, r *http.Request) {
+func handleColor(s *Server, hc HandlerConfig, w http.ResponseWriter, r *http.Request) {
 	rid := requestID(r)
 	w.Header().Set("X-Request-ID", rid)
 	if hc.Epoch != nil {
@@ -404,7 +403,6 @@ func handleColor(s *Server, specs *specCache, hc HandlerConfig, w http.ResponseW
 		return
 	}
 	var req *Request
-	var g *graph.Graph
 	if isBinaryCSR(r.Header.Get("Content-Type")) {
 		// Binary CSR fast path: the body IS the graph — no JSON envelope,
 		// no edge-list text, no intermediate representation. The frame
@@ -432,7 +430,7 @@ func handleColor(s *Server, specs *specCache, hc HandlerConfig, w http.ResponseW
 			}
 			req.BaseFingerprint = baseFp
 			req.Delta = d
-			if s.jrnl != nil {
+			if s.front.jrnl != nil {
 				env := cr
 				env.BaseFingerprint = graph.FingerprintString(baseFp)
 				env.AddVertices = d.AddVertices
@@ -443,8 +441,7 @@ func handleColor(s *Server, specs *specCache, hc HandlerConfig, w http.ResponseW
 				}
 			}
 		} else {
-			var fp uint64
-			g, fp, err = graph.DecodeWireCSR(raw)
+			g, fp, err := graph.DecodeWireCSR(raw)
 			if err != nil {
 				writeErr(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("csr frame: %v", err), rid)
 				return
@@ -461,7 +458,7 @@ func handleColor(s *Server, specs *specCache, hc HandlerConfig, w http.ResponseW
 			writeErr(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("decode: %v", err), rid)
 			return
 		}
-		req, g, err = buildRequest(&cr, specs)
+		req, err = s.front.Request(&cr)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, "bad_request", err.Error(), rid)
 			return
@@ -485,17 +482,27 @@ func handleColor(s *Server, specs *specCache, hc HandlerConfig, w http.ResponseW
 		writeErr(w, status, kind, err.Error(), rid)
 		return
 	}
-	// Delta requests have no graph of their own; the successor's size
-	// comes back in the response.
-	vertices, edges := res.Vertices, res.Edges
-	if g != nil {
-		vertices, edges = g.NumVertices(), g.NumEdges()
+	out := WireResponse(res, req)
+	if !cr.IncludeColors {
+		out.Colors = nil
 	}
-	out := ColorResponse{
+	w.Header().Set("Content-Type", "application/json")
+	if err := json.NewEncoder(w).Encode(out); err != nil {
+		// Headers are gone; nothing to do but drop the connection.
+		return
+	}
+}
+
+// WireResponse renders a served request's response as the POST /color
+// reply, colors included. Delta requests have no graph of their own; the
+// successor's size comes back in the response.
+func WireResponse(res *Response, req *Request) *ColorResponse {
+	out := &ColorResponse{
 		Fingerprint: graph.FingerprintString(res.Fingerprint),
 		NumColors:   res.NumColors,
-		Vertices:    vertices,
-		Edges:       edges,
+		Colors:      res.Colors,
+		Vertices:    res.Vertices,
+		Edges:       res.Edges,
 		Cycles:      res.Cycles,
 		Iterations:  res.Iterations,
 		Recovery:    res.Recovery.String(),
@@ -510,8 +517,14 @@ func handleColor(s *Server, specs *specCache, hc HandlerConfig, w http.ResponseW
 		WaitUS:      res.Wait.Microseconds(),
 		ExecUS:      res.Exec.Microseconds(),
 
-		RequestID:        rid,
+		RequestID:        res.RequestID,
 		IdempotentReplay: res.IdempotentReplay,
+		Worker:           res.Worker,
+		Scattered:        res.Scattered,
+		Redispatched:     res.Redispatched,
+	}
+	if req.Graph != nil {
+		out.Vertices, out.Edges = req.Graph.NumVertices(), req.Graph.NumEdges()
 	}
 	if res.Shards > 1 {
 		out.Shards = res.Shards
@@ -527,14 +540,54 @@ func handleColor(s *Server, specs *specCache, hc HandlerConfig, w http.ResponseW
 	if req.BaseFingerprint != 0 {
 		out.BaseFingerprint = graph.FingerprintString(req.BaseFingerprint)
 	}
-	if cr.IncludeColors {
-		out.Colors = res.Colors
+	return out
+}
+
+// ResponseOf is the in-process form of a POST /color reply — how a
+// cluster coordinator holds a worker's answer. It fails only on a
+// fingerprint that does not parse.
+func ResponseOf(cr *ColorResponse) (*Response, error) {
+	fp, err := ParseFingerprint(cr.Fingerprint)
+	if err != nil {
+		return nil, err
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(&out); err != nil {
-		// Headers are gone; nothing to do but drop the connection.
-		return
+	res := &Response{
+		Fingerprint:       fp,
+		Colors:            cr.Colors,
+		NumColors:         cr.NumColors,
+		Cycles:            cr.Cycles,
+		Iterations:        cr.Iterations,
+		Attempts:          cr.Attempts,
+		Repaired:          cr.Repaired,
+		Cached:            cr.Cached,
+		Coalesced:         cr.Coalesced,
+		IdempotentReplay:  cr.IdempotentReplay,
+		RequestID:         cr.RequestID,
+		Hedged:            cr.Hedged,
+		Batched:           cr.Batched,
+		BatchSize:         cr.BatchSize,
+		Delta:             cr.Delta,
+		FrontierSize:      cr.FrontierSize,
+		DeltaFallback:     cr.DeltaFallback,
+		Vertices:          cr.Vertices,
+		Edges:             cr.Edges,
+		Shards:            cr.Shards,
+		ShardConflicts:    cr.ShardConflicts,
+		ShardRepairRounds: cr.ShardRepairRounds,
+		ShardRecolored:    cr.ShardRecolored,
+		Device:            cr.Device,
+		Wait:              time.Duration(cr.WaitUS) * time.Microsecond,
+		Exec:              time.Duration(cr.ExecUS) * time.Microsecond,
+		Worker:            cr.Worker,
+		Scattered:         cr.Scattered,
+		Redispatched:      cr.Redispatched,
 	}
+	for l := gpucolor.RecoveryNone; l <= gpucolor.RecoveryCPU; l++ {
+		if l.String() == cr.Recovery {
+			res.Recovery = l
+		}
+	}
+	return res, nil
 }
 
 // ContentTypeBinaryCSR is the POST /color media type for the binary CSR

@@ -30,15 +30,13 @@ var (
 // requester of a key; coalesced duplicates wait on the flight, not the
 // queue.
 type job struct {
-	ctx       context.Context
-	req       *Request
-	fp        uint64
-	key       cacheKey
-	shards    int  // effective shard count resolved at admission (>= 1)
-	journaled bool // an accept record was journaled; completion must be too
-	enqueued  time.Time
-	seq       uint64
-	fl        *flight
+	ctx      context.Context
+	req      *Request
+	fp       uint64
+	shards   int // effective shard count resolved at admission (>= 1)
+	enqueued time.Time
+	seq      uint64
+	fl       *flight
 }
 
 // jobQueue is a bounded priority queue: higher Priority first, FIFO within

@@ -15,115 +15,35 @@ import (
 	"gcolor/internal/journal"
 )
 
-// This file is the server's side of the durability contract with
-// internal/journal: journaling hooks on the accept/complete paths, the
-// snapshot compaction source, and the startup recovery driver that
-// warm-starts caches and re-submits crash-interrupted work.
-
-// journalAccept journals an admitted replayable job before it is pushed,
-// and mirrors the accept into pendAccepts for the compaction source. A
-// journal write failure is counted, not fatal: the server keeps serving,
-// it just cannot promise replay for this job.
-func (s *Server) journalAccept(ctx context.Context, req *Request, key cacheKey) {
-	rec := journal.AcceptRecord{
-		ID:             req.RequestID,
-		IdemKey:        req.IdemKey,
-		Fingerprint:    key.fp,
-		PolicyKey:      key.policy,
-		Priority:       int(req.Priority),
-		AcceptedUnixMS: time.Now().UnixMilli(),
-		Resident:       req.Resident,
-		Wire:           req.Wire,
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		rec.DeadlineUnixMS = dl.UnixMilli()
-	}
-	s.pendMu.Lock()
-	s.pendAccepts[rec.ID] = rec
-	s.pendMu.Unlock()
-	if err := s.jrnl.AppendAccept(rec); err != nil {
-		s.reg.Counter("journal_append_errors_total").Inc()
-	}
-}
-
-// journalFinish journals a completion record for a journaled job and
-// clears its pendAccepts mirror. Every disposition is journaled — replay
-// must know the job is settled even when the caller saw an error.
-func (s *Server) journalFinish(j *job, res *Response, err error) {
-	s.pendMu.Lock()
-	delete(s.pendAccepts, j.req.RequestID)
-	s.pendMu.Unlock()
-	rec := completionRecord(j.req.RequestID, j.req.IdemKey, j.key, res, err, j.req.NoCache)
-	if aerr := s.jrnl.AppendComplete(rec); aerr != nil {
-		s.reg.Counter("journal_append_errors_total").Inc()
-	}
-}
-
-// completionRecord builds the journal completion for one finished job.
-func completionRecord(id, idem string, key cacheKey, res *Response, err error, noCache bool) journal.CompleteRecord {
-	rec := journal.CompleteRecord{
-		ID:              id,
-		IdemKey:         idem,
-		Fingerprint:     key.fp,
-		PolicyKey:       key.policy,
-		Disposition:     dispositionFor(err),
-		NoCache:         noCache,
-		CompletedUnixMS: time.Now().UnixMilli(),
-	}
-	if err != nil {
-		_, rec.ErrKind = classifyErr(err)
-		return rec
-	}
-	rec.NumColors = res.NumColors
-	rec.ColorsB64 = journal.EncodeColors(res.Colors)
-	rec.Cycles = res.Cycles
-	rec.Iterations = res.Iterations
-	rec.Recovery = int(res.Recovery)
-	rec.Shards = res.Shards
-	return rec
-}
-
-// dispositionFor maps a completion error to its journal disposition.
-func dispositionFor(err error) string {
-	switch {
-	case err == nil:
-		return journal.DispOK
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrShedding):
-		return journal.DispRejected
-	case errors.Is(err, ErrClosed):
-		// Covers ErrDraining (which wraps it): the caller was handed the
-		// job back with a typed error and owns the retry.
-		return journal.DispHandedOff
-	case errors.Is(err, ErrDeadlineInQueue), isDeadline(err):
-		return journal.DispExpired
-	default:
-		return journal.DispFailed
-	}
-}
+// This file is the durability half of the admission front door, the side
+// of the contract with internal/journal that runs outside the request
+// path: the snapshot compaction source, and the startup recovery
+// that warm-starts the caches and re-submits crash-interrupted work. A
+// Server adds its resident graph versions to both.
 
 // writeSnapshot is the journal's compaction source: the live state worth
 // carrying across a compaction — the result cache and idempotency map
 // contents as synthetic completion records (least recently used first, so
 // replaying them in order reproduces LRU recency), then the still-pending
-// accepts — written to w in that order.
-func (s *Server) writeSnapshot(w *journal.SnapshotWriter) error {
-	s.pendMu.Lock()
-	pending := make([]journal.AcceptRecord, 0, len(s.pendAccepts))
-	for _, a := range s.pendAccepts {
-		pending = append(pending, a)
+// accepts, then the executor's extras — written to w in that order.
+func (a *Admission) writeSnapshot(w *journal.SnapshotWriter) error {
+	a.pendMu.Lock()
+	pending := make([]journal.AcceptRecord, 0, len(a.pendAccepts))
+	for _, p := range a.pendAccepts {
+		pending = append(pending, p)
 	}
-	s.pendMu.Unlock()
+	a.pendMu.Unlock()
 	sort.Slice(pending, func(i, k int) bool { return pending[i].AcceptedUnixMS < pending[k].AcceptedUnixMS })
 
 	now := time.Now().UnixMilli()
-	for _, e := range s.cache.export() {
+	for _, e := range a.cache.export() {
 		rec := completionRecord("", "", e.key, cloneHit(e.res), nil, false)
 		rec.CompletedUnixMS = now
 		if err := w.Complete(&rec); err != nil {
 			return err
 		}
 	}
-	for _, e := range s.idem.export() {
+	for _, e := range a.idem.export() {
 		if e.res == nil || e.key == "" {
 			continue
 		}
@@ -133,35 +53,32 @@ func (s *Server) writeSnapshot(w *journal.SnapshotWriter) error {
 			return err
 		}
 	}
-
-	// Resident graph versions ride along as self-contained synthetic
-	// accept+completion pairs: the accept's wire form carries the full
-	// graph (not the delta that produced it), so each version rebuilds on
-	// replay without needing its predecessors. Least recently used first,
-	// so re-pinning them in order reproduces the store's recency. The
-	// completions go with the others; each accept's wire form is built as
-	// it is written, so one version's encoded graph is alive at a time.
-	versions := s.versions.export()
-	for _, v := range versions {
-		rec := journal.CompleteRecord{
-			ID:              versionRecordID(v.fp),
-			Fingerprint:     v.fp,
-			Disposition:     journal.DispOK,
-			NumColors:       color.NumColors(v.colors),
-			ColorsB64:       journal.EncodeColors(v.colors),
-			NoCache:         true,
-			CompletedUnixMS: now,
-		}
-		if err := w.Complete(&rec); err != nil {
-			return err
-		}
-	}
 	for i := range pending {
 		if err := w.Accept(&pending[i]); err != nil {
 			return err
 		}
 	}
-	for _, v := range versions {
+	if a.snapshotExtra != nil {
+		return a.snapshotExtra(w, now)
+	}
+	return nil
+}
+
+// writeVersions is a Server's snapshot extra: its resident graph versions
+// as self-contained synthetic completion+accept pairs. The accept's wire
+// form carries the full graph (not the delta that produced it), so each
+// version rebuilds on replay without needing its predecessors. Least
+// recently used first, so re-pinning them in order reproduces the store's
+// recency; each accept's wire form is built as it is written, so one
+// version's encoded graph is alive at a time.
+func (s *Server) writeVersions(w *journal.SnapshotWriter, now int64) error {
+	for _, v := range s.versions.export() {
+		colored := &Response{Fingerprint: v.fp, Colors: v.colors, NumColors: color.NumColors(v.colors)}
+		rec := completionRecord(versionRecordID(v.fp), "", cacheKey{fp: v.fp}, colored, nil, true)
+		rec.CompletedUnixMS = now
+		if err := w.Complete(&rec); err != nil {
+			return err
+		}
 		env := ColorRequest{
 			GraphCSRB64: base64.StdEncoding.EncodeToString(graph.EncodeWireCSR(v.g)),
 			Resident:    true,
@@ -188,17 +105,22 @@ func (s *Server) writeSnapshot(w *journal.SnapshotWriter) error {
 // graph version.
 func versionRecordID(fp uint64) string { return "ver-" + graph.FingerprintString(fp) }
 
-// applyRecovery warm-starts the caches from replayed completions
-// (synchronously — NewServer returns with the cache warm) and re-submits
-// pending accepts in the background. With no recovery state it just
-// closes RecoveryDone.
-func (s *Server) applyRecovery(rec *journal.Recovery) {
+// Recover warm-starts the result cache and idempotency map from replayed
+// completions — synchronously, so the executor is warm from the moment
+// it is built — and re-submits rec's pending accepts through resubmit in
+// the background, at most ReplayParallelism at a time, each bounded by its
+// accept's own deadline. Every pending accept is in pendAccepts until its
+// replay settles, so a compaction meanwhile carries the ones not yet
+// re-run; once draining, the rest are left pending for the next start.
+// With no recovery state it just closes RecoveryDone. Call it once, after
+// the executor can serve and before anything appends to the journal.
+func (a *Admission) Recover(rec *journal.Recovery, resubmit func(ctx context.Context, cr *ColorRequest, req *Request) (*Response, error)) {
 	if rec == nil {
-		close(s.recDone)
+		close(a.recDone)
 		return
 	}
-	s.recEnabled = true
-	s.recReplay = rec.Stats
+	a.recEnabled = true
+	a.recReplay = rec.Stats
 	for i := range rec.Completions {
 		c := &rec.Completions[i]
 		colors, err := journal.DecodeColors(c.ColorsB64)
@@ -216,41 +138,55 @@ func (s *Server) applyRecovery(rec *journal.Recovery) {
 			Device:      -1,
 		})
 		if !c.NoCache {
-			s.cache.put(cacheKey{fp: c.Fingerprint, policy: c.PolicyKey}, res)
-			s.warmCache++
+			a.cache.put(cacheKey{fp: c.Fingerprint, policy: c.PolicyKey}, res)
+			a.warmCache++
 		}
 		if c.IdemKey != "" {
-			s.idem.put(c.IdemKey, res, c.NoCache, c.PolicyKey)
-			s.warmIdem++
+			a.idem.put(c.IdemKey, res, c.NoCache, c.PolicyKey)
+			a.warmIdem++
 		}
 	}
-	// Rebuild the versioned graph store from the settled resident pairs, in
-	// journal order: snapshot-exported versions are self-contained (full
-	// graph in the accept's wire form), and a live delta record replays
-	// against the base version the records before it already rebuilt.
-	specs := newSpecCache(8)
-	for i := range rec.Settled {
-		if s.warmVersion(&rec.Settled[i], specs) {
-			s.warmVersions++
-		}
-	}
-
-	s.recPending = int64(len(rec.Pending))
+	a.recPending = int64(len(rec.Pending))
 	pending := rec.Pending
+	a.pendMu.Lock()
+	for _, p := range pending {
+		a.pendAccepts[p.ID] = p
+	}
+	a.pendMu.Unlock()
 	go func() {
-		defer close(s.recDone)
-		sem := make(chan struct{}, s.cfg.ReplayParallelism)
+		defer close(a.recDone)
+		sem := make(chan struct{}, a.parallel)
 		var wg sync.WaitGroup
 		for i := range pending {
-			wg.Add(1)
 			sem <- struct{}{}
-			go func(a *journal.AcceptRecord) {
+			if a.Draining() {
+				a.reg.Counter("replay_deferred_total").Add(int64(len(pending) - i))
+				break
+			}
+			wg.Add(1)
+			go func(p *journal.AcceptRecord) {
 				defer func() { <-sem; wg.Done() }()
-				s.replayOne(a)
+				a.replayOne(p, resubmit)
 			}(&pending[i])
 		}
 		wg.Wait()
 	}()
+}
+
+// applyVersions rebuilds a Server's versioned graph store from the
+// settled resident pairs, in journal order: snapshot-exported versions
+// are self-contained (full graph in the accept's wire form), and a live
+// delta record replays against the base version the records before it
+// already rebuilt.
+func (s *Server) applyVersions(rec *journal.Recovery) {
+	if rec == nil {
+		return
+	}
+	for i := range rec.Settled {
+		if s.warmVersion(&rec.Settled[i]) {
+			s.warmVersions++
+		}
+	}
 }
 
 // warmVersion rebuilds one resident graph version from its settled
@@ -260,7 +196,7 @@ func (s *Server) applyRecovery(rec *journal.Recovery) {
 // base for live records. Failures (undecodable wire, evicted base, length
 // mismatch) skip the version; a later delta against it will report
 // unknown base and the client re-uploads.
-func (s *Server) warmVersion(sv *journal.SettledVersion, specs *specCache) bool {
+func (s *Server) warmVersion(sv *journal.SettledVersion) bool {
 	colors, err := journal.DecodeColors(sv.Complete.ColorsB64)
 	if err != nil || len(colors) == 0 {
 		return false
@@ -289,7 +225,7 @@ func (s *Server) warmVersion(sv *journal.SettledVersion, specs *specCache) bool 
 		}
 		g = ng
 	} else {
-		_, rg, err := buildRequest(&cr, specs)
+		_, rg, err := buildRequest(&cr, s.front.specs)
 		if err != nil || rg == nil {
 			return false
 		}
@@ -302,70 +238,68 @@ func (s *Server) warmVersion(sv *journal.SettledVersion, specs *specCache) bool 
 	return true
 }
 
-// replayOne re-executes one crash-interrupted accepted job. Every path
-// journals a completion for the record's ID — possibly a duplicate of the
-// one finishJob wrote, which replay dedupes — so the accept can never
-// stay pending across another restart.
-func (s *Server) replayOne(a *journal.AcceptRecord) {
-	key := cacheKey{fp: a.Fingerprint, policy: a.PolicyKey}
-	settle := func(res *Response, err error, noCache bool) {
-		rec := completionRecord(a.ID, a.IdemKey, key, res, err, noCache)
-		if aerr := s.jrnl.AppendComplete(rec); aerr != nil {
-			s.reg.Counter("journal_append_errors_total").Inc()
-		}
+// replayOne re-executes one crash-interrupted accepted job and settles
+// it: one completion record for the accept's ID, and the accept leaves
+// pendAccepts. The re-run itself journals nothing — its request carries no
+// wire form — since the original accept is still live. A re-run the
+// executor refused without starting it (drain, a full queue, a shed) is
+// not settled: no client holds a replayed job to retry it, so it stays
+// pending for the next start.
+func (a *Admission) replayOne(p *journal.AcceptRecord, resubmit func(context.Context, *ColorRequest, *Request) (*Response, error)) {
+	key := cacheKey{fp: p.Fingerprint, policy: p.PolicyKey}
+	settle := func(rec journal.CompleteRecord) {
+		a.pendMu.Lock()
+		delete(a.pendAccepts, p.ID)
+		a.pendMu.Unlock()
+		a.appendComplete(rec)
 	}
-	if a.DeadlineUnixMS > 0 && time.Now().UnixMilli() >= a.DeadlineUnixMS {
-		s.reg.Counter("replay_expired_total").Inc()
-		rec := completionRecord(a.ID, a.IdemKey, key, nil, context.DeadlineExceeded, true)
+	if p.DeadlineUnixMS > 0 && time.Now().UnixMilli() >= p.DeadlineUnixMS {
+		a.reg.Counter("replay_expired_total").Inc()
+		rec := completionRecord(p.ID, p.IdemKey, key, nil, context.DeadlineExceeded, true)
 		rec.Disposition = journal.DispReplayExpired
-		if aerr := s.jrnl.AppendComplete(rec); aerr != nil {
-			s.reg.Counter("journal_append_errors_total").Inc()
-		}
+		settle(rec)
 		return
 	}
 	var cr ColorRequest
-	if len(a.Wire) == 0 || json.Unmarshal(a.Wire, &cr) != nil {
-		s.reg.Counter("replay_failed_total").Inc()
-		settle(nil, errors.New("serve: replay: unreplayable accept record"), true)
+	if len(p.Wire) == 0 || json.Unmarshal(p.Wire, &cr) != nil {
+		a.reg.Counter("replay_failed_total").Inc()
+		settle(completionRecord(p.ID, p.IdemKey, key, nil, errors.New("serve: replay: unreplayable accept record"), true))
 		return
 	}
-	req, _, err := buildRequest(&cr, newSpecCache(8))
+	req, _, err := buildRequest(&cr, a.specs)
 	if err != nil {
-		s.reg.Counter("replay_failed_total").Inc()
-		settle(nil, err, true)
+		a.reg.Counter("replay_failed_total").Inc()
+		settle(completionRecord(p.ID, p.IdemKey, key, nil, err, true))
 		return
 	}
-	req.RequestID = a.ID
-	req.IdemKey = a.IdemKey
-	req.Wire = a.Wire
-	ctx := s.baseCtx
-	if a.DeadlineUnixMS > 0 {
+	req.RequestID = p.ID
+	req.IdemKey = p.IdemKey
+	ctx := a.base
+	if p.DeadlineUnixMS > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, time.UnixMilli(a.DeadlineUnixMS))
+		ctx, cancel = context.WithDeadline(ctx, time.UnixMilli(p.DeadlineUnixMS))
 		defer cancel()
 	}
-	s.reg.Counter("replay_enqueued_total").Inc()
-	res, err := s.Submit(ctx, req)
-	switch {
+	a.reg.Counter("replay_enqueued_total").Inc()
+	res, err := resubmit(ctx, &cr, req)
+	switch d := dispositionFor(err); {
+	case d == journal.DispRejected, d == journal.DispHandedOff:
+		a.reg.Counter("replay_deferred_total").Inc()
+		return
 	case err == nil:
-		s.reg.Counter("replay_completed_total").Inc()
-		// The executed path journaled its own completion; cache, idem, and
-		// coalesced answers did not. Settle unconditionally — duplicates
-		// are idempotent under replay — so the accept is always paired.
-		settle(res, nil, cr.NoCache)
-	case errors.Is(err, ErrDeadlineInQueue), isDeadline(err):
-		s.reg.Counter("replay_expired_total").Inc()
-		settle(nil, err, cr.NoCache)
+		a.reg.Counter("replay_completed_total").Inc()
+	case d == journal.DispExpired:
+		a.reg.Counter("replay_expired_total").Inc()
 	default:
-		s.reg.Counter("replay_failed_total").Inc()
-		settle(nil, err, cr.NoCache)
+		a.reg.Counter("replay_failed_total").Inc()
 	}
+	settle(completionRecord(p.ID, p.IdemKey, key, res, err, cr.NoCache))
 }
 
-// RecoveryDone is closed once startup replay has settled every pending
-// job recovered from the journal (immediately when there was nothing to
-// recover).
-func (s *Server) RecoveryDone() <-chan struct{} { return s.recDone }
+// RecoveryDone is closed once startup replay has settled (or deferred)
+// every pending job recovered from the journal (immediately when there was
+// nothing to recover).
+func (s *Server) RecoveryDone() <-chan struct{} { return s.front.recDone }
 
 // RecoveryInfo is the programmatic form of GET /recoveryz: what the
 // journal replay found, what was warmed, and how the pending re-submits
@@ -373,7 +307,8 @@ func (s *Server) RecoveryDone() <-chan struct{} { return s.recDone }
 type RecoveryInfo struct {
 	// Enabled reports that the server was built with journal recovery.
 	Enabled bool `json:"enabled"`
-	// Done reports that every recovered pending job has settled.
+	// Done reports that startup replay is over: every recovered pending
+	// job has settled or been deferred.
 	Done bool `json:"done"`
 	// Replay describes the journal scan (segments, torn tails, corrupt
 	// segments, record counts).
@@ -386,38 +321,49 @@ type RecoveryInfo struct {
 	WarmedVersions int64 `json:"warmed_versions"`
 	// PendingRecovered is the number of accepted-but-unfinished jobs the
 	// journal held; the Replay* counters say how their re-submission went
-	// (completed + expired + failed = settled).
+	// (completed + expired + failed = settled). ReplayDeferred counts the
+	// jobs drain or admission refused, or that drain kept from starting:
+	// they stay pending in the journal for the next start.
 	PendingRecovered int64 `json:"pending_recovered"`
 	ReplayEnqueued   int64 `json:"replay_enqueued"`
 	ReplayCompleted  int64 `json:"replay_completed"`
 	ReplayExpired    int64 `json:"replay_expired"`
 	ReplayFailed     int64 `json:"replay_failed"`
+	ReplayDeferred   int64 `json:"replay_deferred"`
 	// Journal is the live journal's counters (nil when journaling is off).
 	Journal *journal.Stats `json:"journal,omitempty"`
 }
 
 // RecoveryInfo snapshots the recovery state.
-func (s *Server) RecoveryInfo() RecoveryInfo {
+func (a *Admission) RecoveryInfo() RecoveryInfo {
 	info := RecoveryInfo{
-		Enabled:          s.recEnabled,
-		Replay:           s.recReplay,
-		WarmedCache:      s.warmCache,
-		WarmedIdem:       s.warmIdem,
-		WarmedVersions:   s.warmVersions,
-		PendingRecovered: s.recPending,
-		ReplayEnqueued:   s.reg.Counter("replay_enqueued_total").Value(),
-		ReplayCompleted:  s.reg.Counter("replay_completed_total").Value(),
-		ReplayExpired:    s.reg.Counter("replay_expired_total").Value(),
-		ReplayFailed:     s.reg.Counter("replay_failed_total").Value(),
+		Enabled:          a.recEnabled,
+		Replay:           a.recReplay,
+		WarmedCache:      a.warmCache,
+		WarmedIdem:       a.warmIdem,
+		PendingRecovered: a.recPending,
+		ReplayEnqueued:   a.reg.Counter("replay_enqueued_total").Value(),
+		ReplayCompleted:  a.reg.Counter("replay_completed_total").Value(),
+		ReplayExpired:    a.reg.Counter("replay_expired_total").Value(),
+		ReplayFailed:     a.reg.Counter("replay_failed_total").Value(),
+		ReplayDeferred:   a.reg.Counter("replay_deferred_total").Value(),
 	}
 	select {
-	case <-s.recDone:
+	case <-a.recDone:
 		info.Done = true
 	default:
 	}
-	if s.jrnl != nil {
-		st := s.jrnl.Stats()
+	if a.jrnl != nil {
+		st := a.jrnl.Stats()
 		info.Journal = &st
 	}
+	return info
+}
+
+// RecoveryInfo is the server's Admission.RecoveryInfo plus the resident
+// versions it rebuilt.
+func (s *Server) RecoveryInfo() RecoveryInfo {
+	info := s.front.RecoveryInfo()
+	info.WarmedVersions = s.warmVersions
 	return info
 }

@@ -2,10 +2,18 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -328,5 +336,133 @@ func TestCacheMetricsExported(t *testing.T) {
 		if !strings.Contains(text, line) {
 			t.Errorf("metricsz missing %q", line)
 		}
+	}
+}
+
+// appendPending journals one pending accept per id, each replayable as a
+// small generated graph, and closes the journal.
+func appendPending(t *testing.T, dir string, ids ...string) {
+	t.Helper()
+	j, _ := openTestJournal(t, dir)
+	for i, id := range ids {
+		wire, _ := json.Marshal(ColorRequest{Gen: "grid:5:" + strconv.Itoa(4+i)})
+		if err := j.AppendAccept(journal.AcceptRecord{
+			ID: id, Fingerprint: uint64(i + 1), AcceptedUnixMS: time.Now().UnixMilli(), Wire: wire,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pendingIDs opens dir and returns the IDs of its pending accepts, sorted.
+func pendingIDs(t *testing.T, dir string) []string {
+	t.Helper()
+	j, rec := openTestJournal(t, dir)
+	defer j.Close()
+	var ids []string
+	for _, p := range rec.Pending {
+		ids = append(ids, p.ID)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// A replay the executor refuses without running it — drain, a full queue,
+// a shed — is not settled: nobody holds a replayed job to retry it, so it
+// stays pending for the next start. Once draining, replay launches no
+// more jobs at all.
+func TestRefusedReplayStaysPending(t *testing.T) {
+	dir := t.TempDir()
+	appendPending(t, dir, "drained", "full", "ok", "shed")
+	j, rec := openTestJournal(t, dir)
+	a := NewAdmission(Config{Journal: j, ReplayParallelism: 1})
+	a.Recover(rec, func(_ context.Context, _ *ColorRequest, req *Request) (*Response, error) {
+		switch req.RequestID {
+		case "drained":
+			return nil, fmt.Errorf("handed off: %w", ErrDraining)
+		case "full":
+			return nil, ErrQueueFull
+		case "shed":
+			return nil, fmt.Errorf("fleet busy: %w", ErrShedding)
+		}
+		return &Response{Fingerprint: 77, Colors: []int32{0, 1}, NumColors: 2}, nil
+	})
+	<-a.recDone
+	if ri := a.RecoveryInfo(); ri.ReplayCompleted != 1 || ri.ReplayDeferred != 3 || ri.ReplayFailed != 0 {
+		t.Fatalf("replay verdict %+v, want 1 completed and 3 deferred", ri)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pendingIDs(t, dir), []string{"drained", "full", "shed"}; !slices.Equal(got, want) {
+		t.Fatalf("pending after refused replays = %v, want %v", got, want)
+	}
+
+	j2, rec2 := openTestJournal(t, dir)
+	a2 := NewAdmission(Config{Journal: j2})
+	a2.StartDrain()
+	var calls atomic.Int64
+	a2.Recover(rec2, func(context.Context, *ColorRequest, *Request) (*Response, error) {
+		calls.Add(1)
+		return nil, errors.New("replay launched while draining")
+	})
+	<-a2.recDone
+	if n := calls.Load(); n != 0 || a2.RecoveryInfo().ReplayDeferred != 3 {
+		t.Fatalf("draining replay launched %d jobs, deferred %d; want 0 and 3", n, a2.RecoveryInfo().ReplayDeferred)
+	}
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := pendingIDs(t, dir); len(got) != 3 {
+		t.Fatalf("pending after a draining start = %v, want all 3 kept", got)
+	}
+}
+
+// A compaction while recovered jobs are still replaying keeps their
+// accepts: a crash right after it recovers every job not yet settled.
+func TestCompactionDuringReplayKeepsPending(t *testing.T) {
+	dir := t.TempDir()
+	ids := []string{"r0", "r1", "r2", "r3", "r4", "r5"}
+	appendPending(t, dir, ids...)
+	j, rec, err := journal.Open(dir, journal.Options{Fsync: journal.FsyncNone, CompactAfterSegments: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewAdmission(Config{Journal: j, ReplayParallelism: 2})
+	release := make(chan struct{})
+	a.Recover(rec, func(ctx context.Context, _ *ColorRequest, req *Request) (*Response, error) {
+		<-release
+		return &Response{Fingerprint: 1, Colors: []int32{0}, NumColors: 1}, nil
+	})
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	crashed := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(crashed, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(release)
+	<-a.recDone
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := pendingIDs(t, crashed); !slices.Equal(got, ids) {
+		t.Fatalf("crash after a mid-replay compaction recovers %v, want %v", got, ids)
+	}
+	if got := pendingIDs(t, dir); len(got) != 0 {
+		t.Fatalf("settled replays still pending: %v", got)
 	}
 }

@@ -29,6 +29,10 @@
 //     jobs finish (or hands them back at the deadline), and reports a
 //     typed summary — the gcolord SIGTERM path.
 //
+// Idempotent replay, the result cache, coalescing, the drain gate and the
+// journal together are the admission front door (Admission), which the
+// cluster coordinator runs in front of its workers as well.
+//
 // Server is the in-process API; http.go wraps it for cmd/gcolord.
 package serve
 
@@ -156,7 +160,7 @@ type Request struct {
 	// csrFrame and csrOpts are a binary CSR upload's body and query
 	// options, set by the HTTP layer. Journal replay rebuilds requests
 	// from JSON, so a binary upload's Wire is an envelope: its options
-	// with the frame base64-wrapped in graph_csr_b64. enqueue builds it
+	// with the frame base64-wrapped in graph_csr_b64. admit builds it
 	// only for a job it journals; cache hits never pay for it.
 	csrFrame []byte
 	csrOpts  *ColorRequest
@@ -267,6 +271,13 @@ type Response struct {
 	// Device is the pool index of the device that ran the job (-1 for
 	// cache hits and sharded runs, which span several devices).
 	Device int
+
+	// Cluster evidence, set only by a coordinator: the worker that ran a
+	// routed job, whether the job was scattered across workers, and how
+	// many route or shard attempts were re-dispatched after a failure.
+	Worker       string
+	Scattered    bool
+	Redispatched int
 	// Wait is the time the job spent queued; Exec the device execution
 	// time. Both zero for cache hits.
 	Wait time.Duration

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gcolor/internal/gpucolor"
@@ -277,40 +276,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the concurrent coloring service: admission queue in front,
-// device pool behind, result cache and request coalescing on the side,
-// and the self-healing layer (health-weighted leases, circuit breakers,
-// hedged re-dispatch, graceful drain) wrapped around the lot. Create with
-// NewServer; it is immediately serving. All methods are safe for
-// concurrent use.
+// Server is the concurrent coloring service: the admission front door
+// (idempotency, result cache, coalescing, journal) in front, admission
+// queue and device pool behind, and the self-healing layer
+// (health-weighted leases, circuit breakers, hedged re-dispatch, graceful
+// drain) wrapped around the lot. Create with NewServer; it is immediately
+// serving. All methods are safe for concurrent use.
 type Server struct {
 	cfg      Config
+	front    *Admission
 	pool     *DevicePool
 	queue    *jobQueue
-	cache    *resultCache
-	idem     *idemCache
 	versions *versionStore
 	reg      *metrics.Registry
 	hedge    *hedgeTracker
 
-	jrnl *journal.Journal
-
-	// pendAccepts mirrors the journaled accepts that have no completion
-	// yet; it is the pending half of the snapshot compaction source.
-	pendMu      sync.Mutex
-	pendAccepts map[string]journal.AcceptRecord
-
-	// Recovery bookkeeping (see recovery.go).
-	recReplay    journal.ReplayStats
-	recEnabled   bool
-	warmCache    int64
-	warmIdem     int64
+	// warmVersions counts the resident versions rebuilt at startup.
 	warmVersions int64
-	recPending   int64
-	recDone      chan struct{}
-
-	mu       sync.Mutex
-	inflight map[cacheKey]*flight
 
 	// batchRunHook, when set (tests only), intercepts the fused batch
 	// run's raw result so a test can fault individual members and exercise
@@ -322,7 +304,6 @@ type Server struct {
 	wg      sync.WaitGroup
 	started time.Time
 
-	draining     atomic.Bool
 	drainOnce    sync.Once
 	drainDone    chan struct{}
 	drainSum     DrainSummary
@@ -342,24 +323,19 @@ func NewServer(cfg Config) *Server {
 	pool.configureSelfHeal(cfg.SelfHeal)
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:         cfg,
-		pool:        pool,
-		queue:       newJobQueue(cfg.QueueCapacity, cfg.ShedFraction),
-		cache:       newResultCache(cfg.CacheEntries),
-		idem:        newIdemCache(cfg.IdemEntries),
-		versions:    newVersionStore(cfg.Delta.Entries),
-		reg:         metrics.NewRegistry(),
-		hedge:       newHedgeTracker(cfg.SelfHeal.HedgeMinSamples, cfg.SelfHeal.HedgeFloor, cfg.SelfHeal.HedgeMultiple),
-		jrnl:        cfg.Journal,
-		pendAccepts: make(map[string]journal.AcceptRecord),
-		recDone:     make(chan struct{}),
-		inflight:    make(map[cacheKey]*flight),
-		baseCtx:     ctx,
-		cancel:      cancel,
-		started:     time.Now(),
-		drainDone:   make(chan struct{}),
-		drainReq:    make(chan struct{}),
+		cfg:       cfg,
+		pool:      pool,
+		queue:     newJobQueue(cfg.QueueCapacity, cfg.ShedFraction),
+		versions:  newVersionStore(cfg.Delta.Entries),
+		reg:       metrics.NewRegistry(),
+		hedge:     newHedgeTracker(cfg.SelfHeal.HedgeMinSamples, cfg.SelfHeal.HedgeFloor, cfg.SelfHeal.HedgeMultiple),
+		baseCtx:   ctx,
+		cancel:    cancel,
+		started:   time.Now(),
+		drainDone: make(chan struct{}),
+		drainReq:  make(chan struct{}),
 	}
+	s.front = newAdmission(cfg, s.reg, ctx, s.writeVersions)
 	// Pre-register every metric so /metricsz reports zeros rather than
 	// omitting counters that have not fired yet.
 	for _, name := range []string{
@@ -391,13 +367,14 @@ func NewServer(cfg Config) *Server {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	if s.jrnl != nil {
-		s.jrnl.SetSource(s.writeSnapshot)
-	}
 	// Warm-start happens synchronously (cheap, and callers expect a warm
 	// cache from the moment NewServer returns); pending-job replay runs in
-	// the background behind RecoveryDone.
-	s.applyRecovery(cfg.Recovery)
+	// the background behind RecoveryDone. Versions warm first: a replayed
+	// delta needs its base resident.
+	s.applyVersions(cfg.Recovery)
+	s.front.Recover(cfg.Recovery, func(ctx context.Context, _ *ColorRequest, req *Request) (*Response, error) {
+		return s.Submit(ctx, req)
+	})
 	return s
 }
 
@@ -457,7 +434,7 @@ func (s *Server) RequestDrain() {
 func (s *Server) DrainRequested() <-chan struct{} { return s.drainReq }
 
 // Draining reports whether the server has stopped admitting work.
-func (s *Server) Draining() bool { return s.draining.Load() }
+func (s *Server) Draining() bool { return s.front.Draining() }
 
 // Drain gracefully shuts the server down: admission stops immediately
 // (Submit fails with ErrDraining), queued and in-flight jobs run to
@@ -469,7 +446,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 func (s *Server) Drain(timeout time.Duration) (DrainSummary, error) {
 	s.drainOnce.Do(func() {
 		defer close(s.drainDone)
-		s.draining.Store(true)
+		s.front.StartDrain()
 		start := time.Now()
 		completed0 := s.reg.Counter("completed_total").Value()
 		failed0 := s.reg.Counter("failed_total").Value()
@@ -491,7 +468,7 @@ func (s *Server) Drain(timeout time.Duration) (DrainSummary, error) {
 				// finish promptly and wg drains.
 				handed = int64(s.queue.flush(func(j *job) {
 					s.reg.Counter("drain_handoff_total").Inc()
-					s.finishJob(j, nil, fmt.Errorf("serve: handed off during drain: %w", ErrDraining))
+					s.front.finish(j.fl, nil, fmt.Errorf("serve: handed off during drain: %w", ErrDraining))
 				}))
 				s.cancel()
 				<-done
@@ -515,61 +492,11 @@ func (s *Server) Drain(timeout time.Duration) (DrainSummary, error) {
 	return s.drainSum, nil
 }
 
-// cloneHit returns a defensive copy of a cached response: Colors is
-// copied (or unpacked from a stored response's bytes), so a caller
-// mutating the slice it was handed cannot corrupt the cached entry (and
-// with it every later hit). The shallow copy alone used to alias the
-// cache's backing array — the classic "poison one hit, serve bad
-// colorings forever" bug.
-func cloneHit(res *Response) *Response {
-	hit := *res
-	switch {
-	case hit.colors8 != nil:
-		hit.Colors = make([]int32, len(hit.colors8))
-		for i, c := range hit.colors8 {
-			hit.Colors[i] = int32(c)
-		}
-		hit.colors8 = nil
-	case hit.Colors != nil:
-		hit.Colors = append([]int32(nil), hit.Colors...)
-	}
-	return &hit
-}
-
-// packResponse returns the form of a completed response that the result
-// cache and the idempotency LRU keep, one copy shared by both: its colors
-// one byte per vertex when every color is in [0, 255] (the 'b' rule of
-// journal.EncodeColors), which quarters what each remembered answer holds
-// on the heap. Wider palettes keep the int32 slice. cloneHit unpacks.
-func packResponse(res *Response) *Response {
-	if len(res.Colors) == 0 {
-		return res
-	}
-	for _, c := range res.Colors {
-		if c < 0 || c > 0xff {
-			return res
-		}
-	}
-	packed := make([]byte, len(res.Colors))
-	for i, c := range res.Colors {
-		packed[i] = byte(c)
-	}
-	st := *res
-	st.Colors, st.colors8 = nil, packed
-	return &st
-}
-
-// Submit serves one request: idempotent replay, then the result cache,
-// then coalescing, then the admission queue and a pooled device. It
-// returns a verified coloring or a typed error (ErrQueueFull, ErrShedding,
-// ErrClosed, ErrDraining, *UnknownBaseError, a context error, or a
-// gpucolor failure).
-//
-// The draining check deliberately sits *after* the idempotency and cache
-// lookups: replays and hits never touch a device, and refusing them during
-// drain turned every rolling restart into a spurious client-visible error
-// for retries the server could have answered from memory. Only work that
-// would need the queue is refused while draining.
+// Submit serves one request through the admission front door —
+// idempotent replay, then the result cache, then coalescing — and on a
+// miss the admission queue and a pooled device. It returns a verified
+// coloring or a typed error (ErrQueueFull, ErrShedding, ErrClosed,
+// ErrDraining, *UnknownBaseError, a context error, or a gpucolor failure).
 func (s *Server) Submit(ctx context.Context, req *Request) (*Response, error) {
 	if req == nil {
 		return nil, errors.New("serve: request has no graph")
@@ -581,78 +508,19 @@ func (s *Server) Submit(ctx context.Context, req *Request) (*Response, error) {
 		return nil, errors.New("serve: request has no graph")
 	}
 	s.reg.Counter("requests_total").Inc()
+	if res, ok := s.front.replay(req); ok {
+		return res, nil
+	}
 	fp := req.Fingerprint
 	if fp == 0 {
 		fp = req.Graph.Fingerprint()
 	}
 	shards := s.effectiveShards(req)
-	key := keyOf(req, fp, shards)
-
-	// Idempotent replay comes before everything — even NoCache — because
-	// a retry carrying an Idempotency-Key is explicitly asking for the
-	// answer its original request produced, wherever it now lives.
-	if res, ok := s.idem.get(req.IdemKey); ok {
-		s.reg.Counter("idem_hits_total").Inc()
-		hit := cloneHit(res)
-		hit.Cached = true
-		hit.IdempotentReplay = true
-		hit.Device = -1
-		hit.Wait, hit.Exec = 0, 0
-		hit.RequestID = req.RequestID
-		return hit, nil
-	}
-
-	if !req.NoCache {
-		if res, ok := s.cache.get(key); ok {
-			s.reg.Counter("cache_hits").Inc()
-			hit := cloneHit(res)
-			if req.Resident {
-				s.versions.put(fp, req.Graph, hit.Colors)
-			}
-			hit.Cached = true
-			hit.Device = -1
-			hit.Wait, hit.Exec = 0, 0
-			hit.RequestID = req.RequestID
-			return hit, nil
-		}
-	}
-
-	if s.draining.Load() {
-		return nil, ErrDraining
-	}
-	res, err := s.admit(ctx, req, fp, key, shards)
+	res, err := s.front.serve(ctx, req, keyOf(req, fp, shards), s.enqueuer(ctx, fp, shards))
 	if err == nil && req.Resident {
 		s.versions.put(fp, req.Graph, res.Colors)
 	}
 	return res, err
-}
-
-// admit runs the miss path: coalesce onto an in-flight execution of the
-// same key, or register a flight and enqueue. Factored out of Submit so
-// the delta fallback can reuse it after its own admission checks.
-func (s *Server) admit(ctx context.Context, req *Request, fp uint64, key cacheKey, shards int) (*Response, error) {
-	if !req.NoCache {
-		s.reg.Counter("cache_misses").Inc()
-
-		s.mu.Lock()
-		if fl, ok := s.inflight[key]; ok {
-			s.mu.Unlock()
-			s.reg.Counter("coalesced_total").Inc()
-			res, err := s.wait(ctx, fl, true)
-			if res != nil {
-				res.RequestID = req.RequestID
-			}
-			return res, err
-		}
-		fl := &flight{done: make(chan struct{})}
-		s.inflight[key] = fl
-		s.mu.Unlock()
-		return s.enqueue(ctx, req, fp, key, shards, fl, true)
-	}
-
-	// NoCache: always execute; nothing to coalesce with and nothing cached.
-	fl := &flight{done: make(chan struct{})}
-	return s.enqueue(ctx, req, fp, key, shards, fl, false)
 }
 
 // effectiveShards resolves a request's Shards knob against the server's
@@ -685,64 +553,23 @@ func (s *Server) effectiveShards(req *Request) int {
 	return k
 }
 
-// enqueue admits the job (or fails with a typed admission error) and waits
-// for its flight. Replayable requests are journaled before the push — the
-// write-ahead invariant: a crash can never hold work the journal never
-// saw — and a rejected push journals a DispRejected completion so replay
-// does not resurrect work the caller was told to retry.
-func (s *Server) enqueue(ctx context.Context, req *Request, fp uint64, key cacheKey, shards int, fl *flight, tracked bool) (*Response, error) {
-	j := &job{ctx: ctx, req: req, fp: fp, key: key, shards: shards, fl: fl}
-	if s.jrnl != nil && req.RequestID != "" && len(req.replayWire()) > 0 {
-		j.journaled = true
-		s.journalAccept(ctx, req, key)
-	}
-	if err := s.queue.push(j); err != nil {
-		if tracked {
-			s.dropInflight(key)
+// enqueuer returns how a Server runs an admitted miss: push it onto the
+// admission queue, where a worker picks it up and finishes its flight. A
+// refused push returns the typed admission error.
+func (s *Server) enqueuer(ctx context.Context, fp uint64, shards int) func(*flight) error {
+	return func(fl *flight) error {
+		if err := s.queue.push(&job{ctx: ctx, req: fl.req, fp: fp, shards: shards, fl: fl}); err != nil {
+			switch {
+			case errors.Is(err, ErrQueueFull):
+				s.reg.Counter("queue_full_total").Inc()
+			case errors.Is(err, ErrShedding):
+				s.reg.Counter("shed_total").Inc()
+			}
+			return err
 		}
-		switch {
-		case errors.Is(err, ErrQueueFull):
-			s.reg.Counter("queue_full_total").Inc()
-		case errors.Is(err, ErrShedding):
-			s.reg.Counter("shed_total").Inc()
-		}
-		if j.journaled {
-			s.journalFinish(j, nil, err)
-		}
-		fl.complete(nil, err)
-		return nil, err
+		s.reg.Gauge("queue_depth").Set(int64(s.queue.depth()))
+		return nil
 	}
-	s.reg.Gauge("queue_depth").Set(int64(s.queue.depth()))
-	res, err := s.wait(ctx, fl, false)
-	if res != nil {
-		res.RequestID = req.RequestID
-	}
-	return res, err
-}
-
-// wait blocks on a flight, honouring the waiter's own context.
-func (s *Server) wait(ctx context.Context, fl *flight, coalesced bool) (*Response, error) {
-	select {
-	case <-fl.done:
-		if fl.err != nil {
-			return nil, fl.err
-		}
-		// Each waiter gets its own Colors copy: the flight's result is also
-		// the cache entry, and waiters are free to mutate what they receive.
-		res := cloneHit(fl.res)
-		res.Coalesced = coalesced
-		return res, nil
-	case <-ctx.Done():
-		// The execution (if any) continues for other waiters; this caller
-		// alone gives up.
-		return nil, fmt.Errorf("serve: abandoned wait: %w", ctx.Err())
-	}
-}
-
-func (s *Server) dropInflight(key cacheKey) {
-	s.mu.Lock()
-	delete(s.inflight, key)
-	s.mu.Unlock()
 }
 
 // worker is one executor: pop a live job, lease a device, run the
@@ -773,7 +600,7 @@ func (s *Server) worker() {
 func (s *Server) expireJob(j *job) {
 	s.reg.Counter("deadline_expired_total").Inc()
 	s.reg.Counter("shed_expired").Inc()
-	s.finishJob(j, nil, fmt.Errorf("%w: %w", ErrDeadlineInQueue, j.ctx.Err()))
+	s.front.finish(j.fl, nil, fmt.Errorf("%w: %w", ErrDeadlineInQueue, j.ctx.Err()))
 }
 
 // attemptResult is the outcome of one device attempt (primary or hedge).
@@ -916,7 +743,7 @@ func (s *Server) failJob(j *job, err error) {
 	} else {
 		s.reg.Counter("failed_total").Inc()
 	}
-	s.finishJob(j, nil, err)
+	s.front.finish(j.fl, nil, err)
 }
 
 // runJob executes one admitted job: single-device dispatch, or — for jobs
@@ -960,7 +787,7 @@ func (s *Server) runJob(j *job, wait time.Duration) {
 	if out.Recovery != gpucolor.RecoveryNone {
 		s.reg.Counter("recovered_total").Inc()
 	}
-	s.finishJob(j, res, nil)
+	s.front.finish(j.fl, res, nil)
 }
 
 // dispatchShard colors one shard's subgraph, retrying once on a different
@@ -989,7 +816,7 @@ func (s *Server) runSharded(ctx context.Context, j *job, wait time.Duration) {
 	plan, err := shard.Partition(j.req.Graph, j.shards, true)
 	if err != nil {
 		s.reg.Counter("failed_total").Inc()
-		s.finishJob(j, nil, err)
+		s.front.finish(j.fl, nil, err)
 		return
 	}
 	s.reg.Counter("shard_jobs_total").Inc()
@@ -1041,7 +868,7 @@ func (s *Server) runSharded(ctx context.Context, j *job, wait time.Duration) {
 		s.cfg.Shard.MaxRepairRounds, j.req.NoCPUFallback)
 	if err != nil {
 		s.reg.Counter("failed_total").Inc()
-		s.finishJob(j, nil, err)
+		s.front.finish(j.fl, nil, err)
 		return
 	}
 	s.reg.Counter("shard_conflicts_total").Add(int64(st.Conflicts))
@@ -1087,7 +914,7 @@ func (s *Server) runSharded(ctx context.Context, j *job, wait time.Duration) {
 	if res.Recovery != gpucolor.RecoveryNone {
 		s.reg.Counter("recovered_total").Inc()
 	}
-	s.finishJob(j, res, nil)
+	s.front.finish(j.fl, res, nil)
 }
 
 // attempt runs one device attempt: execute the resilient ladder on the
@@ -1136,31 +963,6 @@ func (s *Server) attempt(ctx context.Context, j *job, g *graph.Graph, seed uint3
 		s.reg.Counter("attempts_canceled_total").Inc()
 	}
 	resCh <- attemptResult{out: out, err: err, device: lease.Index(), exec: exec, hedge: hedge}
-}
-
-// finishJob is the single completion choke point: publish a result to
-// the cache (before the flight is released, so a request arriving between
-// the two sees either the flight or the cache), journal the outcome (when
-// the job was journaled), publish an idempotent result, remove the job's
-// flight from the coalescing map (when tracked), and release every waiter.
-func (s *Server) finishJob(j *job, res *Response, err error) {
-	var stored *Response
-	if err == nil && res != nil {
-		stored = packResponse(res)
-		if !j.req.NoCache {
-			s.cache.put(j.key, stored)
-		}
-	}
-	if j.journaled {
-		s.journalFinish(j, res, err)
-	}
-	if stored != nil {
-		s.idem.put(j.req.IdemKey, stored, j.req.NoCache, j.key.policy)
-	}
-	if !j.req.NoCache {
-		s.dropInflight(j.key)
-	}
-	j.fl.complete(res, err)
 }
 
 // DeviceStat is the per-device slice of Stats: health score, breaker
@@ -1242,10 +1044,10 @@ func (s *Server) Stats() Stats {
 		Failed:          snap["failed_total"],
 		CacheHits:       snap["cache_hits"],
 		CacheMisses:     snap["cache_misses"],
-		CacheEntries:    s.cache.len(),
-		CacheEvictions:  s.cache.evictions(),
+		CacheEntries:    s.front.cache.len(),
+		CacheEvictions:  s.front.cache.evictions(),
 		IdemHits:        snap["idem_hits_total"],
-		IdemEntries:     s.idem.len(),
+		IdemEntries:     s.front.idem.len(),
 		Coalesced:       snap["coalesced_total"],
 		Shed:            snap["shed_total"],
 		QueueFull:       snap["queue_full_total"],
