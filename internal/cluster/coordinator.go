@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -293,7 +294,14 @@ func (c *Coordinator) Submit(ctx context.Context, cr *serve.ColorRequest, rid, i
 	if err != nil {
 		return nil, &BadRequestError{Err: err}
 	}
-	req.RequestID, req.IdemKey, req.Wire = rid, idemKey, wire
+	req.Wire = wire
+	return c.answer(ctx, cr, req, rid, idemKey)
+}
+
+// answer serves a decoded request as rid under idemKey and renders its
+// reply, colors included.
+func (c *Coordinator) answer(ctx context.Context, cr *serve.ColorRequest, req *serve.Request, rid, idemKey string) (*serve.ColorResponse, error) {
+	req.RequestID, req.IdemKey = rid, idemKey
 	res, err := c.submit(ctx, cr, req)
 	if err != nil {
 		return nil, err
@@ -387,13 +395,20 @@ func (c *Coordinator) shardsFor(g *graph.Graph, cr *serve.ColorRequest) int {
 }
 
 // route forwards the whole job to rendezvous-ranked workers, failing over
-// to the next-ranked worker (exclude-failed) up to RouteAttempts times. A
-// resident upload binds its version to the worker that pinned it, so the
-// first delta of the chain routes straight there.
+// to the next-ranked worker (exclude-failed) up to RouteAttempts times. An
+// uploaded graph travels as a binary CSR frame, as shards do, so the
+// worker decodes it in one linear pass and never parses edge-list text
+// again; a generator spec is smaller than any frame, and workers memoize
+// generation, so it goes unchanged. A resident upload binds its version to
+// the worker that pinned it, so the first delta of the chain routes
+// straight there.
 func (c *Coordinator) route(ctx context.Context, cr *serve.ColorRequest, req *serve.Request) (*serve.Response, error) {
 	fp := req.Fingerprint
 	out := *cr
 	out.IncludeColors = true // the coordinator caches full colorings
+	if out.Gen == "" && out.GraphCSRB64 == "" {
+		out.Graph, out.GraphCSRB64 = "", base64.StdEncoding.EncodeToString(req.CSRFrame())
+	}
 	ctx, cancel := c.workerCtx(ctx)
 	defer cancel()
 	exclude := make(map[int]bool)
@@ -546,6 +561,11 @@ type Stats struct {
 	CacheEntries   int   `json:"cache_entries"`
 	IdemEntries    int   `json:"idem_entries"`
 
+	// MemoHits counts requests answered from the request memo, before any
+	// decode; MemoEntries is the memo's size.
+	MemoHits    int64 `json:"memo_hits"`
+	MemoEntries int   `json:"memo_entries"`
+
 	Draining bool  `json:"draining"`
 	Inflight int64 `json:"inflight"`
 
@@ -562,6 +582,7 @@ type Stats struct {
 // Stats snapshots the coordinator.
 func (c *Coordinator) Stats() Stats {
 	hits, misses, evict, entries, idemEntries := c.front.CacheStats()
+	memoHits, memoEntries := c.front.MemoStats()
 	ri := c.front.RecoveryInfo()
 	depth, devices, _ := c.reg.fleetLoad()
 	st := Stats{
@@ -603,6 +624,9 @@ func (c *Coordinator) Stats() Stats {
 		CacheEvictions: evict,
 		CacheEntries:   entries,
 		IdemEntries:    idemEntries,
+
+		MemoHits:    memoHits,
+		MemoEntries: memoEntries,
 
 		Draining: c.front.Draining(),
 		Inflight: c.inflight.Load(),

@@ -16,8 +16,10 @@ import (
 
 // Handler wraps a Coordinator with the gcolord coordinator HTTP API:
 //
-//	POST /color         submit a job (serve.ColorRequest -> ColorResponse);
-//	                    the coordinator routes or scatter-gathers it
+//	POST /color         submit a job (a serve.ColorRequest, or a binary CSR
+//	                    frame with the options in the query ->
+//	                    ColorResponse); the coordinator routes or
+//	                    scatter-gathers it
 //	GET  /healthz       liveness + live worker count
 //	GET  /metricsz      flat text metrics (cluster_* counters plus
 //	                    per-worker health and breaker state)
@@ -61,6 +63,8 @@ func Handler(c *Coordinator) http.Handler {
 		fmt.Fprintf(&sb, "cluster_cache_evictions_total %d\n", st.CacheEvictions)
 		fmt.Fprintf(&sb, "cluster_cache_entries %d\n", st.CacheEntries)
 		fmt.Fprintf(&sb, "cluster_idem_entries %d\n", st.IdemEntries)
+		fmt.Fprintf(&sb, "cluster_memo_hits_total %d\n", st.MemoHits)
+		fmt.Fprintf(&sb, "cluster_memo_entries %d\n", st.MemoEntries)
 		fmt.Fprintf(&sb, "cluster_inflight %d\n", st.Inflight)
 		fmt.Fprintf(&sb, "cluster_draining %d\n", boolToInt(st.Draining))
 		fmt.Fprintf(&sb, "cluster_recovery_done %d\n", boolToInt(st.RecoveryDone))
@@ -157,11 +161,12 @@ func breakerCode(s string) int {
 	}
 }
 
-// handleColor is the coordinator's /color: the JSON wire contract of a
-// worker's /color (a coordinator is a drop-in endpoint for gcload; binary
-// CSR bodies go to workers), with the colors filtered per-request — the
+// handleColor is the coordinator's /color: the wire contract of a
+// worker's /color (a coordinator is a drop-in endpoint for gcload), JSON
+// and binary bodies alike, with the colors filtered per-request — the
 // coordinator holds full colorings internally for caching and merge
-// verification.
+// verification. A repeat of an upload it has decoded before is answered
+// from the request memo before any decode.
 func handleColor(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 	rid := serve.RequestIDFor(r)
 	w.Header().Set("X-Request-ID", rid)
@@ -176,19 +181,24 @@ func handleColor(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 		writeClusterErr(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("read: %v", err), rid)
 		return
 	}
-	var cr serve.ColorRequest
-	if err := json.Unmarshal(raw, &cr); err != nil {
-		writeClusterErr(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("decode: %v", err), rid)
+	idemKey := serve.SanitizeRequestID(r.Header.Get("Idempotency-Key"))
+	up := &serve.Upload{ContentType: r.Header.Get("Content-Type"), RawQuery: r.URL.RawQuery, Body: raw}
+	if out, ok := c.front.Recall(up, rid, idemKey); ok {
+		writeColor(w, out)
 		return
 	}
-	idemKey := serve.SanitizeRequestID(r.Header.Get("Idempotency-Key"))
+	cr, req, err := c.front.Decode(up)
+	if err != nil {
+		writeClusterErr(w, http.StatusBadRequest, "bad_request", err.Error(), rid)
+		return
+	}
 	ctx := r.Context()
 	if cr.TimeoutMS > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(cr.TimeoutMS)*time.Millisecond)
 		defer cancel()
 	}
-	res, err := c.Submit(ctx, &cr, rid, idemKey, raw)
+	out, err := c.answer(ctx, cr, req, rid, idemKey)
 	if err != nil {
 		status, kind := classifyClusterErr(err)
 		if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
@@ -208,13 +218,15 @@ func handleColor(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 		writeClusterErr(w, status, kind, err.Error(), rid)
 		return
 	}
-	out := *res
-	out.RequestID = rid
 	if !cr.IncludeColors {
 		out.Colors = nil
 	}
+	writeColor(w, out)
+}
+
+func writeColor(w http.ResponseWriter, out *serve.ColorResponse) {
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(&out)
+	_ = json.NewEncoder(w).Encode(out)
 }
 
 // classifyClusterErr maps coordinator failures to HTTP status + kind. A

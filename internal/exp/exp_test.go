@@ -1,6 +1,9 @@
 package exp
 
 import (
+	"flag"
+	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -116,16 +119,58 @@ func TestExperimentsRegistryComplete(t *testing.T) {
 	}
 }
 
-// TestAllExperimentsRunAtSmallScale executes the complete harness at Small
-// scale and sanity-checks each table's shape. This is the integration test
-// of the whole stack: generators -> simulator -> algorithms -> metrics.
+// update rewrites testdata/small.golden from this run instead of
+// comparing with it: go test ./internal/exp -run TestAllExperimentsRunAtSmallScale -update
+var update = flag.Bool("update", false, "rewrite testdata/small.golden")
+
+const smallGolden = "testdata/small.golden"
+
+// smallRun is one RunAll at Small scale: its text, each experiment's
+// tables in order, and its error.
+type smallRun struct {
+	out  string
+	exps []Experiment
+	tabs [][]*Table
+	err  error
+}
+
+// smallRuns keeps the Small run per GOMAXPROCS, so the two tests below
+// share one run of the harness (the slowest thing in this package) while
+// `-cpu 1,2` still runs it once at each setting.
+var smallRuns = map[int]*smallRun{}
+
+func runSmall() *smallRun {
+	procs := runtime.GOMAXPROCS(0)
+	if r, ok := smallRuns[procs]; ok {
+		return r
+	}
+	r := &smallRun{}
+	var sb strings.Builder
+	r.err = runAll(Config{Scale: Small}, &sb, func(e Experiment, tables []*Table) {
+		r.exps = append(r.exps, e)
+		r.tabs = append(r.tabs, tables)
+	})
+	r.out = sb.String()
+	smallRuns[procs] = r
+	return r
+}
+
+// TestAllExperimentsRunAtSmallScale checks the complete harness at Small
+// scale — the integration test of the whole stack: generators ->
+// simulator -> algorithms -> metrics. Every experiment must produce
+// well-formed tables, and RunAll's text must match testdata/small.golden
+// byte for byte. Simulated cycles are the paper's metric and do not
+// depend on the host, so a change to a cost-model constant, a generator
+// seed or a kernel's access pattern fails here; a change that moves them
+// on purpose regenerates the file with -update, and the moved rows show in
+// its diff.
 func TestAllExperimentsRunAtSmallScale(t *testing.T) {
-	for _, e := range Experiments() {
-		tables, err := e.Run(Config{Scale: Small})
-		if err != nil {
-			t.Errorf("%s: %v", e.ID, err)
-			continue
-		}
+	r := runSmall()
+	if r.err != nil {
+		t.Fatalf("RunAll: %v", r.err)
+	}
+	for i, e := range r.exps {
+		tables := r.tabs[i]
 		if len(tables) == 0 {
 			t.Errorf("%s: no tables produced", e.ID)
 		}
@@ -141,16 +186,42 @@ func TestAllExperimentsRunAtSmallScale(t *testing.T) {
 			}
 		}
 	}
+	if *update {
+		if err := os.WriteFile(smallGolden, []byte(r.out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(smallGolden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if r.out == string(want) {
+		return
+	}
+	got, exp := strings.Split(r.out, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(got) || i < len(exp); i++ {
+		var g, e string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(exp) {
+			e = exp[i]
+		}
+		if g != e {
+			t.Fatalf("Small-scale output differs from %s at line %d:\n got: %q\nwant: %q\n(a deliberate change regenerates the file with -update)", smallGolden, i+1, g, e)
+		}
+	}
 }
 
+// TestRunAllWrites checks that RunAll writes every experiment's tables.
 func TestRunAllWrites(t *testing.T) {
-	var sb strings.Builder
-	if err := RunAll(Config{Scale: Small}, &sb); err != nil {
-		t.Fatalf("RunAll: %v", err)
+	r := runSmall()
+	if r.err != nil {
+		t.Fatalf("RunAll: %v", r.err)
 	}
-	out := sb.String()
 	for _, id := range []string{"T1", "F1", "F5", "F7", "F9"} {
-		if !strings.Contains(out, "== "+id) {
+		if !strings.Contains(r.out, "== "+id) {
 			t.Errorf("RunAll output missing experiment %s", id)
 		}
 	}

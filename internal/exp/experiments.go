@@ -74,11 +74,18 @@ func Run(id string, cfg Config) ([]*Table, error) {
 }
 
 // RunAll executes every experiment, writing each table to w as it finishes.
-func RunAll(cfg Config, w io.Writer) error {
+func RunAll(cfg Config, w io.Writer) error { return runAll(cfg, w, nil) }
+
+// runAll is RunAll that hands each experiment's tables to check, when set,
+// before writing them.
+func runAll(cfg Config, w io.Writer, check func(Experiment, []*Table)) error {
 	for _, e := range Experiments() {
 		tables, err := e.Run(cfg)
 		if err != nil {
 			return fmt.Errorf("exp %s: %w", e.ID, err)
+		}
+		if check != nil {
+			check(e, tables)
 		}
 		for _, t := range tables {
 			if err := t.Fprint(w); err != nil {

@@ -13,9 +13,11 @@ import (
 )
 
 // Admission is the front door an executor sits behind: the Idempotency-Key
-// LRU, the packed result cache and its key fold, singleflight coalescing,
-// the drain gate, write-ahead journaling of accepts and completions, the
-// journal's snapshot compaction source, and crash recovery (recovery.go).
+// LRU, the packed result cache and its key fold, the request memo that
+// answers a repeated upload without decoding it (memo.go), singleflight
+// coalescing, the drain gate, write-ahead journaling of accepts and
+// completions, the journal's snapshot compaction source, and crash
+// recovery (recovery.go).
 // A Server runs one in front of its queue and device pool; a cluster
 // Coordinator runs one in front of its workers. The only step an executor
 // supplies is how an admitted miss runs. All methods are safe for
@@ -24,6 +26,7 @@ type Admission struct {
 	reg      *metrics.Registry
 	cache    *resultCache
 	idem     *idemCache
+	memo     *requestMemo // nil when the cache is off (memo.go)
 	specs    *specCache
 	jrnl     *journal.Journal
 	base     context.Context // bounds replayed jobs
@@ -73,6 +76,9 @@ func newAdmission(cfg Config, reg *metrics.Registry, base context.Context, extra
 		inflight:      make(map[cacheKey]*flight),
 		pendAccepts:   make(map[string]journal.AcceptRecord),
 		recDone:       make(chan struct{}),
+	}
+	if cfg.CacheEntries > 0 {
+		a.memo = newRequestMemo(cfg.CacheEntries)
 	}
 	if a.jrnl != nil {
 		a.jrnl.SetSource(a.writeSnapshot)
@@ -163,7 +169,10 @@ func answered(res *Response, req *Request) *Response {
 }
 
 // serve is a cache hit or an admitted miss, coalesced unless NoCache.
+// It is where a decoded upload's key becomes known, so it records the
+// upload's memo digest.
 func (a *Admission) serve(ctx context.Context, req *Request, key cacheKey, run func(*flight) error) (*Response, error) {
+	a.remember(req, key)
 	if res, ok := a.hit(req, key); ok {
 		return res, nil
 	}

@@ -388,7 +388,6 @@ func handleColor(s *Server, hc HandlerConfig, w http.ResponseWriter, r *http.Req
 			return
 		}
 	}
-	var cr ColorRequest
 	// The body is kept in its wire form: it becomes the journal accept
 	// record's replay payload.
 	raw, err := ReadBody(w, r, hc.MaxBodyBytes)
@@ -402,68 +401,10 @@ func handleColor(s *Server, hc HandlerConfig, w http.ResponseWriter, r *http.Req
 		writeErr(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("read: %v", err), rid)
 		return
 	}
-	var req *Request
-	if isBinaryCSR(r.Header.Get("Content-Type")) {
-		// Binary CSR fast path: the body IS the graph — no JSON envelope,
-		// no edge-list text, no intermediate representation. The frame
-		// decodes into arena-style contiguous buffers with the content
-		// fingerprint computed streaming during the same pass, and the
-		// coloring options ride in the query string.
-		s.reg.Counter("wire_binary_requests_total").Inc()
-		if err := colorRequestFromQuery(&cr, r.URL.Query()); err != nil {
-			writeErr(w, http.StatusBadRequest, "bad_request", err.Error(), rid)
-			return
-		}
-		if graph.IsWireDelta(raw) {
-			// Binary delta frame (GCSD): same media type, sniffed by magic.
-			// The body carries the base fingerprint and the edit lists; no
-			// graph decodes here at all.
-			baseFp, d, derr := graph.DecodeWireDelta(raw)
-			if derr != nil {
-				writeErr(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("delta frame: %v", derr), rid)
-				return
-			}
-			req, err = requestFromOptions(&cr, nil, 0)
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, "bad_request", err.Error(), rid)
-				return
-			}
-			req.BaseFingerprint = baseFp
-			req.Delta = d
-			if s.front.jrnl != nil {
-				env := cr
-				env.BaseFingerprint = graph.FingerprintString(baseFp)
-				env.AddVertices = d.AddVertices
-				env.AddEdges = d.AddEdges
-				env.RemoveEdges = d.RemoveEdges
-				if wire, jerr := json.Marshal(&env); jerr == nil {
-					req.Wire = wire
-				}
-			}
-		} else {
-			g, fp, err := graph.DecodeWireCSR(raw)
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("csr frame: %v", err), rid)
-				return
-			}
-			req, err = requestFromOptions(&cr, g, fp)
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, "bad_request", err.Error(), rid)
-				return
-			}
-			req.csrFrame, req.csrOpts = raw, &cr
-		}
-	} else {
-		if err := json.Unmarshal(raw, &cr); err != nil {
-			writeErr(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("decode: %v", err), rid)
-			return
-		}
-		req, err = s.front.Request(&cr)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "bad_request", err.Error(), rid)
-			return
-		}
-		req.Wire = raw
+	cr, req, err := s.front.Decode(&Upload{ContentType: r.Header.Get("Content-Type"), RawQuery: r.URL.RawQuery, Body: raw})
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "bad_request", err.Error(), rid)
+		return
 	}
 	req.RequestID = rid
 	req.IdemKey = sanitizeRequestID(r.Header.Get("Idempotency-Key"))
@@ -679,6 +620,65 @@ func colorRequestFromQuery(cr *ColorRequest, q url.Values) error {
 		}
 	}
 	return nil
+}
+
+// Decode turns an upload into the wire options it carries and the Request
+// they describe. The body is a JSON ColorRequest, or — under
+// ContentTypeBinaryCSR, with the options in the query — a binary CSR graph
+// frame (decoded straight into CSR arrays, its fingerprint computed in the
+// same pass) or a GCSD delta frame (sniffed by magic), whose base
+// fingerprint and edit lists are copied into the returned options as a
+// JSON delta carries them. A JSON body is kept as the Request's journal
+// replay payload; a binary one gets its graph_csr_b64 (or delta) envelope
+// built only if it is journaled. Every error is the client's. The Request
+// has no RequestID or IdemKey yet; it carries the upload's memo digest
+// when Recall computed one and the request's answer is all it does.
+func (a *Admission) Decode(u *Upload) (*ColorRequest, *Request, error) {
+	cr := new(ColorRequest)
+	var req *Request
+	if isBinaryCSR(u.ContentType) {
+		a.reg.Counter("wire_binary_requests_total").Inc()
+		q, _ := url.ParseQuery(u.RawQuery)
+		if err := colorRequestFromQuery(cr, q); err != nil {
+			return nil, nil, err
+		}
+		if graph.IsWireDelta(u.Body) {
+			baseFp, d, err := graph.DecodeWireDelta(u.Body)
+			if err != nil {
+				return nil, nil, fmt.Errorf("delta frame: %v", err)
+			}
+			if req, err = requestFromOptions(cr, nil, 0); err != nil {
+				return nil, nil, err
+			}
+			req.BaseFingerprint, req.Delta = baseFp, d
+			cr.BaseFingerprint = graph.FingerprintString(baseFp)
+			cr.AddVertices, cr.AddEdges, cr.RemoveEdges = d.AddVertices, d.AddEdges, d.RemoveEdges
+		} else {
+			g, fp, err := graph.DecodeWireCSR(u.Body)
+			if err != nil {
+				return nil, nil, fmt.Errorf("csr frame: %v", err)
+			}
+			if req, err = requestFromOptions(cr, g, fp); err != nil {
+				return nil, nil, err
+			}
+			req.csrFrame = u.Body
+		}
+		req.csrOpts = cr
+	} else {
+		if err := json.Unmarshal(u.Body, cr); err != nil {
+			return nil, nil, fmt.Errorf("decode: %v", err)
+		}
+		var err error
+		if req, err = a.Request(cr); err != nil {
+			return nil, nil, err
+		}
+		req.Wire = u.Body
+	}
+	if u.memo.set && req.Graph != nil && !req.Resident && !req.NoCache {
+		req.memo = u.memo
+		req.memo.includeColors = cr.IncludeColors
+	}
+	return cr, req, nil
 }
 
 // buildRequest converts the wire request to a serve.Request. Delta

@@ -157,13 +157,18 @@ type Request struct {
 	// served normally but cannot be replayed.
 	Wire json.RawMessage
 
-	// csrFrame and csrOpts are a binary CSR upload's body and query
-	// options, set by the HTTP layer. Journal replay rebuilds requests
-	// from JSON, so a binary upload's Wire is an envelope: its options
-	// with the frame base64-wrapped in graph_csr_b64. admit builds it
-	// only for a job it journals; cache hits never pay for it.
+	// csrOpts is a binary upload's options as Decode read them (a delta
+	// frame's edits included), and csrFrame its graph frame. Journal
+	// replay rebuilds requests from JSON, so a binary upload's Wire is an
+	// envelope: its options, with the frame base64-wrapped in
+	// graph_csr_b64. admit builds it only for a job it journals; cache
+	// hits never pay for it.
 	csrFrame []byte
 	csrOpts  *ColorRequest
+
+	// memo is the memo digest of the upload this request was decoded
+	// from, when it is one Admission.serve should record (memo.go).
+	memo memoTag
 }
 
 // replayWire returns the request's journal wire form, building a binary
@@ -171,12 +176,24 @@ type Request struct {
 func (r *Request) replayWire() json.RawMessage {
 	if len(r.Wire) == 0 && r.csrOpts != nil {
 		env := *r.csrOpts
-		env.GraphCSRB64 = base64.StdEncoding.EncodeToString(r.csrFrame)
+		if r.csrFrame != nil {
+			env.GraphCSRB64 = base64.StdEncoding.EncodeToString(r.csrFrame)
+		}
 		if wire, err := json.Marshal(&env); err == nil {
 			r.Wire = wire
 		}
 	}
 	return r.Wire
+}
+
+// CSRFrame returns the request's graph as a binary CSR wire frame: the
+// upload's own bytes when it arrived as one, else graph.EncodeWireCSR of
+// Graph.
+func (r *Request) CSRFrame() []byte {
+	if r.csrFrame != nil {
+		return r.csrFrame
+	}
+	return graph.EncodeWireCSR(r.Graph)
 }
 
 // policyKey folds every request knob that can change the *coloring* (not
