@@ -35,7 +35,7 @@ func main() {
 		hostperf  = flag.Bool("hostperf", false, "run the hot-path host benchmark (arena/pooling/fusion) instead of the paper experiments")
 		hostOut   = flag.String("hostperf-json", "BENCH_PR3.json", "output file for -hostperf")
 		hostN     = flag.Int("hostperf-requests", 20, "steady-state request count per section for -hostperf")
-		budgetArg = flag.String("budget", "", "allocation budget file (BENCH_BUDGET.json); -hostperf fails if the pooled path exceeds it, -batch if either ingest path exceeds its alloc cap")
+		budgetArg = flag.String("budget", "", "allocation budget file (BENCH_BUDGET.json); -hostperf and -mutate fail if their serving path exceeds it")
 
 		shardBench = flag.Bool("shard", false, "run the sharded multi-device benchmark (single device vs -shard-k shards) instead of the paper experiments")
 		shardOut   = flag.String("shard-json", "BENCH_PR5.json", "output file for -shard")
@@ -45,10 +45,6 @@ func main() {
 		clusterOut   = flag.String("cluster-json", "BENCH_PR7.json", "output file for -cluster")
 		clusterW     = flag.Int("cluster-workers", 3, "worker daemons for -cluster")
 		clusterJobs  = flag.Int("cluster-jobs", 3, "timed jobs per phase for -cluster")
-
-		batchBench = flag.Bool("batch", false, "run the batched-dispatch benchmark (block-diagonal batching + binary CSR ingest) instead of the paper experiments")
-		batchOut   = flag.String("batch-json", "BENCH_PR8.json", "output file for -batch")
-		batchFloor = flag.Float64("batch-floor", 1.5, "minimum default-mix throughput gain vs the PR 3 baseline for -batch")
 
 		partBench = flag.Bool("partition", false, "run the partition-tolerance drill (standby failover under network chaos + gray-failure demotion) instead of the paper experiments")
 		partOut   = flag.String("partition-json", "BENCH_PR9.json", "output file for -partition")
@@ -75,14 +71,6 @@ func main() {
 		}
 		return
 	}
-	if *batchBench {
-		if err := runBatchBench(*batchOut, *budgetArg, *batchFloor); err != nil {
-			fmt.Fprintf(os.Stderr, "gcbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *clusterBench {
 		if err := runClusterBench(*clusterOut, *clusterW, *clusterJobs); err != nil {
 			fmt.Fprintf(os.Stderr, "gcbench: %v\n", err)

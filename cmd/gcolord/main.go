@@ -11,7 +11,6 @@
 //	gcolord -pprof                                  # + /debug/pprof/ endpoints
 //	gcolord -drain-timeout 30s                      # graceful-drain deadline
 //	gcolord -shard-auto-vertices 4096 -max-body 8388608   # sharding + body cap
-//	gcolord -batch-max-jobs 32 -batch-linger 200us        # small-graph batching
 //	gcolord -journal-dir /var/lib/gcolord/wal             # crash-safe serving
 //
 // With -journal-dir set, every accepted job is journaled before it is
@@ -116,16 +115,10 @@ func main() {
 		shardAutE = flag.Int("shard-auto-edges", 0, "auto-shard jobs at or above this many edges (0 = default 262144, negative disables)")
 		noShard   = flag.Bool("no-shard", false, "disable sharded execution entirely; every job runs on one device")
 
-		noBatch     = flag.Bool("no-batch", false, "disable block-diagonal batching; every small graph gets its own kernel launch")
-		batchJobs   = flag.Int("batch-max-jobs", 0, "max compatible small graphs fused into one batched launch (0 = default 16, below 2 disables)")
-		batchVerts  = flag.Int("batch-max-vertices", 0, "max vertices in a batched union CSR (0 = default 16384)")
-		batchEdges  = flag.Int("batch-max-edges", 0, "max arcs in a batched union CSR (0 = default 262144)")
-		batchLinger = flag.Duration("batch-linger", 0, "how long a lone batch-eligible job waits for company before running solo (0 = batch only from queue depth)")
-
 		role      = flag.String("role", "server", "daemon role: server (standalone), coordinator (fleet front door, no devices), worker (server that joins a coordinator)")
 		peers     = flag.String("peers", "", "coordinator: comma-separated static worker base URLs")
 		joinURL   = flag.String("join", "", "worker: coordinator base URL to announce to")
-		advertise = flag.String("advertise", "", "worker: base URL workers advertise to the coordinator (default http://127.0.0.1:<addr port>)")
+		advertise = flag.String("advertise", "", "worker: base URL workers advertise to the coordinator (default http://<addr host>:<addr port>, with 127.0.0.1 for an empty or unspecified host)")
 		heartbeat = flag.Duration("heartbeat", 500*time.Millisecond, "cluster heartbeat/probe interval")
 		noScatter = flag.Bool("no-scatter", false, "coordinator: route every job whole, never scatter-gather")
 
@@ -134,6 +127,14 @@ func main() {
 		leaseOwner    = flag.String("lease-owner", "", "coordinator/standby: name recorded in the epoch lease file (default the hostname)")
 	)
 	flag.Parse()
+
+	if *role == "worker" && *advertise == "" {
+		adv, err := defaultAdvertise(*addr)
+		if err != nil {
+			log.Fatalf("gcolord: -addr: %v", err)
+		}
+		*advertise = adv
+	}
 
 	// Standby mode watches the primary's journal directory with a read-only
 	// follower, so it must run before the append-mode journal open below.
@@ -219,13 +220,6 @@ func main() {
 			AutoVertices: *shardAutV,
 			AutoEdges:    *shardAutE,
 		},
-		Batch: serve.BatchConfig{
-			Disabled:    *noBatch,
-			MaxJobs:     *batchJobs,
-			MaxVertices: *batchVerts,
-			MaxEdges:    *batchEdges,
-			Linger:      *batchLinger,
-		},
 	})
 
 	// Every worker carries an epoch guard even standalone: it is inert until
@@ -265,18 +259,14 @@ func main() {
 		if *joinURL == "" {
 			log.Fatal("gcolord: -role worker requires -join <coordinator-url>")
 		}
-		adv := *advertise
-		if adv == "" {
-			adv = "http://127.0.0.1" + *addr
-		}
 		j := &cluster.Joiner{
 			CoordinatorURL: *joinURL,
-			AdvertiseAddr:  adv,
+			AdvertiseAddr:  *advertise,
 			Instance:       cluster.NewInstanceID(),
 			Interval:       *heartbeat,
 			Guard:          guard,
 		}
-		log.Printf("gcolord: worker joining %s as %s (instance %s)", *joinURL, adv, j.Instance)
+		log.Printf("gcolord: worker joining %s as %s (instance %s)", *joinURL, *advertise, j.Instance)
 		go func() { _ = j.Run(joinCtx) }()
 	}
 
@@ -455,6 +445,23 @@ func runStandby(addr, primaryURL, dir, fsync string, segBytes int64,
 	log.Printf("gcolord: standby promoted: serving on %s at epoch %d (%d pending jobs replaying, takeover %dms)",
 		addr, tk.Epoch, tk.Pending, tk.ReadyAt.Sub(tk.DetectedAt).Milliseconds())
 	serveCoordinator(tk.Coordinator, tk.Journal, tk.Listener, drainTimeout)
+}
+
+// defaultAdvertise is a worker's base URL when -advertise is unset: the
+// -addr host and port, with loopback standing in for an empty or
+// unspecified host (":8431", "0.0.0.0:8431"), which is not dialable.
+func defaultAdvertise(addr string) (string, error) {
+	host, port, err := net.SplitHostPort(addr)
+	if err != nil {
+		return "", err
+	}
+	if port == "" {
+		return "", fmt.Errorf("address %q has no port", addr)
+	}
+	if ip := net.ParseIP(host); host == "" || ip != nil && ip.IsUnspecified() {
+		host = "127.0.0.1"
+	}
+	return "http://" + net.JoinHostPort(host, port), nil
 }
 
 // ownerName resolves the lease-owner label: the flag if set, else the

@@ -247,26 +247,6 @@ func (a *Admission) finish(fl *flight, res *Response, err error) {
 	a.publish(fl, res, err)
 }
 
-// finishBatch settles successful flights together: their completions as
-// one grouped journal append (one fsync under FsyncAlways, however many),
-// then each publish.
-func (a *Admission) finishBatch(fls []*flight, ress []*Response) {
-	var recs []journal.CompleteRecord
-	for i, fl := range fls {
-		if fl.journaled {
-			recs = append(recs, a.completion(fl, ress[i], nil))
-		}
-	}
-	if len(recs) > 0 {
-		if err := a.jrnl.AppendCompletes(recs); err != nil {
-			a.reg.Counter("journal_append_errors_total").Inc()
-		}
-	}
-	for i, fl := range fls {
-		a.publish(fl, ress[i], nil)
-	}
-}
-
 // publish stores a success, packed, in the result cache (before the flight
 // leaves the coalescing map, so a request arriving between the two sees
 // one or the other) and under its Idempotency-Key, both keyed by the

@@ -280,8 +280,8 @@ func (s *Server) submitDelta(ctx context.Context, req *Request) (*Response, erro
 }
 
 // deltaFallback recolors the successor graph from scratch through the
-// normal admission path (queue, devices, sharding, batching) and pins the
-// result. The caller still gets delta evidence: Delta + DeltaFallback set,
+// normal admission path (queue, devices, sharding) and pins the result.
+// The caller still gets delta evidence: Delta + DeltaFallback set,
 // FrontierSize reporting why the incremental path was not taken.
 func (s *Server) deltaFallback(ctx context.Context, req *Request, fp uint64, key cacheKey, shards int, ng *graph.Graph, frontier int) (*Response, error) {
 	s.reg.Counter("delta_fallbacks_total").Inc()

@@ -87,8 +87,8 @@ type ColorResponse struct {
 	Cached    bool  `json:"cached"`
 	Coalesced bool  `json:"coalesced"`
 	Hedged    bool  `json:"hedged,omitempty"`
-	Batched   bool  `json:"batched,omitempty"`
-	BatchSize int   `json:"batch_size,omitempty"`
+	Batched   bool  `json:"batched,omitempty"`    // always zero (off the wire): every job runs as its own launch
+	BatchSize int   `json:"batch_size,omitempty"` // always zero, like Batched
 	Device    int   `json:"device"`
 	WaitUS    int64 `json:"wait_us"`
 	ExecUS    int64 `json:"exec_us"`
@@ -452,8 +452,6 @@ func WireResponse(res *Response, req *Request) *ColorResponse {
 		Cached:      res.Cached,
 		Coalesced:   res.Coalesced,
 		Hedged:      res.Hedged,
-		Batched:     res.Batched,
-		BatchSize:   res.BatchSize,
 		Device:      res.Device,
 		WaitUS:      res.Wait.Microseconds(),
 		ExecUS:      res.Exec.Microseconds(),
@@ -505,8 +503,6 @@ func ResponseOf(cr *ColorResponse) (*Response, error) {
 		IdempotentReplay:  cr.IdempotentReplay,
 		RequestID:         cr.RequestID,
 		Hedged:            cr.Hedged,
-		Batched:           cr.Batched,
-		BatchSize:         cr.BatchSize,
 		Delta:             cr.Delta,
 		FrontierSize:      cr.FrontierSize,
 		DeltaFallback:     cr.DeltaFallback,

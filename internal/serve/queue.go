@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sort"
 	"sync"
 	"time"
 )
@@ -161,59 +160,6 @@ func (q *jobQueue) pop(ctx context.Context, expired func(*job)) (*job, error) {
 		case <-q.nonEmpty:
 		}
 	}
-}
-
-// gather removes queued jobs for batching. Candidates are examined in
-// dequeue order (priority descending, FIFO within a level) so batching
-// never reorders work relative to a plain pop; accept is called under the
-// queue lock for each live candidate and returns true to claim it (the
-// callback tracks its own batch caps). Jobs whose context already expired
-// are removed and returned in expired regardless of accept — they would
-// be discarded at their own pop anyway — and the caller must fail them
-// exactly as pop's expired callback would. Every returned job has left
-// the queue: the caller owns its completion (the exactly-once audit in
-// pop's comment gains this third exit).
-func (q *jobQueue) gather(accept func(*job) bool) (got, expired []*job) {
-	q.mu.Lock()
-	if len(q.items) == 0 {
-		q.mu.Unlock()
-		return nil, nil
-	}
-	order := make([]*job, len(q.items))
-	copy(order, q.items)
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].req.Priority != order[j].req.Priority {
-			return order[i].req.Priority > order[j].req.Priority
-		}
-		return order[i].seq < order[j].seq
-	})
-	taken := make(map[*job]bool)
-	for _, j := range order {
-		if j.ctx.Err() != nil {
-			expired = append(expired, j)
-			taken[j] = true
-			continue
-		}
-		if accept(j) {
-			got = append(got, j)
-			taken[j] = true
-		}
-	}
-	if len(taken) > 0 {
-		kept := q.items[:0]
-		for _, j := range q.items {
-			if !taken[j] {
-				kept = append(kept, j)
-			}
-		}
-		for i := len(kept); i < len(q.items); i++ {
-			q.items[i] = nil
-		}
-		q.items = kept
-		heap.Init(&q.items)
-	}
-	q.mu.Unlock()
-	return got, expired
 }
 
 // close marks the queue closed; queued jobs continue to drain, new pushes

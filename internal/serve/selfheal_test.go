@@ -342,9 +342,7 @@ func TestHedgedDispatch(t *testing.T) {
 // TestDrainCompletesQueuedWork: Drain(0) lets every admitted job finish —
 // nothing in flight or queued is dropped.
 func TestDrainCompletesQueuedWork(t *testing.T) {
-	// Batching off: this test counts device leases, and the five queued
-	// small jobs would legitimately fuse into one launch otherwise.
-	s := NewServer(Config{Devices: 1, Workers: 1, Batch: BatchConfig{Disabled: true}})
+	s := NewServer(Config{Devices: 1, Workers: 1})
 
 	errs := make(chan error, 6)
 	// One long job occupies the only device...

@@ -254,12 +254,9 @@ type Response struct {
 	// result was returned and the loser was canceled).
 	Hedged bool
 
-	// Batched reports that the job ran as one member of a block-diagonal
-	// batch: BatchSize compatible small graphs fused into a single kernel
-	// launch on one device. Colors are bit-identical to a solo run of this
-	// graph with the same seed; Cycles, Iterations, and Exec are the whole
-	// batch's (the members shared one launch, so per-member device cost is
-	// not separable).
+	// Batched and BatchSize are always zero: every job runs as its own
+	// launch, so Cycles and Iterations are this graph's alone. The fields
+	// stay for readers that still report them.
 	Batched   bool
 	BatchSize int
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -320,33 +321,19 @@ func TestServerStopDrains(t *testing.T) {
 	}
 }
 
-// TestBatchedJobsMatchSolo: distinct small graphs queued behind a blocker
-// fuse into one block-diagonal launch, and every member's coloring is
-// bit-identical to the same request served by a batch-disabled server.
-func TestBatchedJobsMatchSolo(t *testing.T) {
-	s := NewServer(Config{Devices: 1, Workers: 1})
-	defer s.Stop()
-	solo := NewServer(Config{Devices: 1, Workers: 1, Batch: BatchConfig{Disabled: true}})
-	defer solo.Stop()
-
-	reqs := []*Request{
-		{Graph: gen.Grid2D(8, 9), Seed: 0},
-		{Graph: gen.GNM(120, 480, 2), Seed: 7},
-		{Graph: gen.Star(40), Seed: 1234},
-		{Graph: gen.GNM(60, 90, 9), Seed: 7},
-	}
-
-	blockerDone := make(chan struct{})
+// queueBehindBlocker submits reqs to a one-device, one-worker server
+// while slowBlockerGraph holds its device, waits until every one of them
+// is queued, and returns their responses in request order.
+func queueBehindBlocker(t *testing.T, s *Server, reqs []*Request) []*Response {
+	t.Helper()
+	blockerDone := make(chan error, 1)
 	go func() {
-		defer close(blockerDone)
-		if _, err := s.Submit(context.Background(), &Request{Graph: slowBlockerGraph(), NoCache: true}); err != nil {
-			t.Errorf("blocker: %v", err)
-		}
+		_, err := s.Submit(context.Background(), &Request{Graph: slowBlockerGraph(), NoCache: true})
+		blockerDone <- err
 	}()
 	waitFor(t, "blocker to occupy the device", func() bool {
 		return s.Metrics().Gauge("devices_busy").Value() == 1
 	})
-
 	type result struct {
 		i   int
 		res *Response
@@ -354,194 +341,132 @@ func TestBatchedJobsMatchSolo(t *testing.T) {
 	}
 	results := make(chan result, len(reqs))
 	for i, r := range reqs {
-		go func(i int, r *Request) {
-			res, err := s.Submit(context.Background(), &Request{Graph: r.Graph, Seed: r.Seed})
+		go func() {
+			res, err := s.Submit(context.Background(), r)
 			results <- result{i, res, err}
-		}(i, r)
+		}()
 	}
-	waitFor(t, "members to queue", func() bool { return s.Stats().QueueDepth == int64(len(reqs)) })
-	<-blockerDone
-
+	waitFor(t, "jobs to queue", func() bool { return s.Stats().QueueDepth == int64(len(reqs)) })
+	if err := <-blockerDone; err != nil {
+		t.Fatalf("blocker: %v", err)
+	}
 	got := make([]*Response, len(reqs))
 	for range reqs {
 		r := <-results
 		if r.err != nil {
-			t.Fatalf("member %d: %v", r.i, r.err)
+			t.Fatalf("job %d: %v", r.i, r.err)
 		}
 		got[r.i] = r.res
 	}
-	for i, r := range reqs {
-		res := got[i]
-		if !res.Batched || res.BatchSize != len(reqs) {
-			t.Fatalf("member %d: batched=%v size=%d, want batched size %d", i, res.Batched, res.BatchSize, len(reqs))
-		}
-		if err := color.Verify(r.Graph, res.Colors); err != nil {
-			t.Fatalf("member %d: invalid coloring: %v", i, err)
-		}
-		want, err := solo.Submit(context.Background(), &Request{Graph: r.Graph, Seed: r.Seed})
-		if err != nil {
-			t.Fatalf("member %d solo: %v", i, err)
-		}
-		if len(want.Colors) != len(res.Colors) {
-			t.Fatalf("member %d: %d colors, solo %d", i, len(res.Colors), len(want.Colors))
-		}
-		for v := range want.Colors {
-			if want.Colors[v] != res.Colors[v] {
-				t.Fatalf("member %d: batched coloring differs from solo at vertex %d", i, v)
-			}
-		}
-		if res.NumColors != want.NumColors {
-			t.Fatalf("member %d: NumColors %d, solo %d", i, res.NumColors, want.NumColors)
-		}
-	}
-	st := s.Stats()
-	if st.Batches != 1 || st.BatchedJobs != int64(len(reqs)) {
-		t.Fatalf("stats: batches=%d batched_jobs=%d, want 1 batch of %d", st.Batches, st.BatchedJobs, len(reqs))
-	}
+	return got
+}
 
-	// The batched results were cached under each member's own solo key: a
-	// repeat of any member must hit without a device run.
-	rep, err := s.Submit(context.Background(), &Request{Graph: reqs[1].Graph, Seed: reqs[1].Seed})
-	if err != nil || !rep.Cached {
-		t.Fatalf("repeat of batched member: cached=%v err=%v, want cache hit", rep != nil && rep.Cached, err)
+// queuedSmallJobs are distinct small graphs that share every request knob
+// but the seed.
+func queuedSmallJobs() []*Request {
+	return []*Request{
+		{Graph: gen.Grid2D(8, 9), Seed: 0},
+		{Graph: gen.GNM(120, 480, 2), Seed: 7},
+		{Graph: gen.Star(40), Seed: 1234},
+		{Graph: gen.GNM(60, 90, 9), Seed: 7},
 	}
 }
 
-// TestBatchMemberFaultRetriesSolo: when one member of a fused launch comes
-// back with an invalid block, only that member re-runs solo — the healthy
-// members finish from the batch — and every waiter settles exactly once.
-func TestBatchMemberFaultRetriesSolo(t *testing.T) {
+// TestBatchedJobsMatchSolo: small graphs queued together behind a blocker
+// are each answered as their own run — colors, color count, cycles and
+// iterations equal a fresh server's answer to the same request — and the
+// cached repeat of each carries those same solo cycles.
+func TestBatchedJobsMatchSolo(t *testing.T) {
 	s := NewServer(Config{Devices: 1, Workers: 1})
 	defer s.Stop()
-	var faulted bool
-	s.batchRunHook = func(union *graph.Graph, starts []int32, res *gpucolor.Result, err error) (*gpucolor.Result, error) {
-		if err != nil || faulted || len(starts) < 3 {
-			return res, err
+	reqs := queuedSmallJobs()
+	got := queueBehindBlocker(t, s, reqs)
+	for i, r := range reqs {
+		res := got[i]
+		if res.Batched || res.BatchSize != 0 {
+			t.Fatalf("job %d: batched=%v size=%d, want a solo run", i, res.Batched, res.BatchSize)
 		}
-		faulted = true
-		// Poison member 1's block with a monochromatic coloring — invalid
-		// for any member with at least one edge — and report the run the
-		// way a real damaged launch would: an InvalidColoringError carrying
-		// the partial result.
-		for v := starts[1]; v < starts[2]; v++ {
-			res.Colors[v] = 0
+		if err := color.Verify(r.Graph, res.Colors); err != nil {
+			t.Fatalf("job %d: invalid coloring: %v", i, err)
 		}
-		return res, &gpucolor.InvalidColoringError{Result: res, Err: errors.New("injected member fault")}
+		want := freshRun(t, r)
+		if !slices.Equal(res.Colors, want.Colors) || res.NumColors != want.NumColors ||
+			res.Cycles != want.Cycles || res.Iterations != want.Iterations {
+			t.Fatalf("job %d: %d colors, %d cycles, %d iterations; a fresh server gives %d, %d, %d (colors equal: %v)",
+				i, res.NumColors, res.Cycles, res.Iterations, want.NumColors, want.Cycles, want.Iterations,
+				slices.Equal(res.Colors, want.Colors))
+		}
+		rep, err := s.Submit(context.Background(), &Request{Graph: r.Graph, Seed: r.Seed})
+		if err != nil || !rep.Cached {
+			t.Fatalf("job %d repeat: cached=%v err=%v, want a cache hit", i, rep != nil && rep.Cached, err)
+		}
+		if rep.Cycles != want.Cycles || rep.Iterations != want.Iterations {
+			t.Fatalf("job %d repeat: %d cycles, %d iterations; solo %d, %d", i, rep.Cycles, rep.Iterations, want.Cycles, want.Iterations)
+		}
 	}
+	if st := s.Stats(); st.BatchedJobs != 0 {
+		t.Fatalf("BatchedJobs = %d, want 0", st.BatchedJobs)
+	}
+}
 
+// freshRun answers r on a server that has served nothing else.
+func freshRun(t *testing.T, r *Request) *Response {
+	t.Helper()
+	s := NewServer(Config{Devices: 1, Workers: 1})
+	defer s.Stop()
+	res, err := s.Submit(context.Background(), &Request{Graph: r.Graph, Seed: r.Seed})
+	if err != nil {
+		t.Fatalf("fresh run: %v", err)
+	}
+	return res
+}
+
+// TestBatchMemberFaultRetriesSolo: on a device whose fault injector is
+// armed, every job queued behind the blocker settles exactly once with a
+// coloring that verifies for its own graph and fingerprint, and none ran
+// fused with another.
+func TestBatchMemberFaultRetriesSolo(t *testing.T) {
+	s := NewServer(Config{Devices: 1, Workers: 1, Device: DeviceConfig{FaultRate: 5e-3, FaultSeed: 11}})
+	defer s.Stop()
 	reqs := []*Request{
 		{Graph: gen.Grid2D(8, 9), Seed: 3},
 		{Graph: gen.GNM(120, 480, 2), Seed: 7},
 		{Graph: gen.Grid2D(10, 7), Seed: 11},
 	}
-	blockerDone := make(chan struct{})
-	go func() {
-		defer close(blockerDone)
-		if _, err := s.Submit(context.Background(), &Request{Graph: slowBlockerGraph(), NoCache: true}); err != nil {
-			t.Errorf("blocker: %v", err)
-		}
-	}()
-	waitFor(t, "blocker to occupy the device", func() bool {
-		return s.Metrics().Gauge("devices_busy").Value() == 1
-	})
-	results := make(chan *Response, len(reqs))
-	for _, r := range reqs {
-		go func(r *Request) {
-			res, err := s.Submit(context.Background(), &Request{Graph: r.Graph, Seed: r.Seed})
-			if err != nil {
-				t.Errorf("member: %v", err)
-				results <- nil
-				return
-			}
-			results <- res
-		}(r)
-	}
-	waitFor(t, "members to queue", func() bool { return s.Stats().QueueDepth == int64(len(reqs)) })
-	<-blockerDone
-
-	byFP := make(map[uint64]*Response, len(reqs))
-	for range reqs {
-		res := <-results
-		if res == nil {
-			t.Fatal("a member failed")
-		}
-		if _, dup := byFP[res.Fingerprint]; dup {
-			t.Fatalf("two responses share fingerprint %x", res.Fingerprint)
-		}
-		byFP[res.Fingerprint] = res
-	}
-	var batched, retried int
-	for _, r := range reqs {
-		res := byFP[r.Graph.Fingerprint()]
-		if res == nil {
-			t.Fatalf("no response for graph %x", r.Graph.Fingerprint())
+	got := queueBehindBlocker(t, s, reqs)
+	for i, r := range reqs {
+		res := got[i]
+		if res.Fingerprint != r.Graph.Fingerprint() {
+			t.Fatalf("job %d: fingerprint %x, want %x", i, res.Fingerprint, r.Graph.Fingerprint())
 		}
 		if err := color.Verify(r.Graph, res.Colors); err != nil {
-			t.Fatalf("invalid coloring after member fault: %v", err)
+			t.Fatalf("job %d: invalid coloring under faults: %v", i, err)
 		}
 		if res.Batched {
-			batched++
-		} else {
-			retried++
+			t.Fatalf("job %d: reported Batched", i)
 		}
 	}
-	if batched != 2 || retried != 1 {
-		t.Fatalf("batched=%d retried=%d, want exactly the faulted member to retry solo", batched, retried)
+	injected := s.Pool().FaultInjector(0).Stats().Injected()
+	t.Logf("%d faults injected, %d jobs recovered", injected, s.Metrics().Counter("recovered_total").Value())
+	if injected == 0 {
+		t.Fatal("no fault was injected; the test exercises nothing")
 	}
 	st := s.Stats()
-	if st.BatchMemberRetries != 1 {
-		t.Fatalf("BatchMemberRetries = %d, want 1", st.BatchMemberRetries)
-	}
-	if st.Completed != int64(len(reqs))+1 { // members + blocker
-		t.Fatalf("Completed = %d, want %d", st.Completed, len(reqs)+1)
+	if st.Completed != int64(len(reqs))+1 || st.Failed != 0 { // jobs + blocker
+		t.Fatalf("Completed = %d, Failed = %d; want %d and 0", st.Completed, st.Failed, len(reqs)+1)
 	}
 }
 
-// TestQueueGather: gather removes exactly the accepted jobs plus expired
-// ones, in dequeue order, and leaves the rest popping in the original
-// priority/FIFO order.
+// TestQueueGather: compatible small jobs queued together each take their
+// own device lease, so the device's job count rises by one per job plus
+// the blocker.
 func TestQueueGather(t *testing.T) {
-	q := newJobQueue(10, 1)
-	mk := func(p Priority, tag uint64) *job {
-		return &job{ctx: context.Background(), req: &Request{Priority: p}, fp: tag, fl: &flight{done: make(chan struct{})}}
-	}
-	expCtx, expCancel := context.WithCancel(context.Background())
-	dead := &job{ctx: expCtx, req: &Request{}, fp: 99, fl: &flight{done: make(chan struct{})}}
-	jobs := []*job{mk(PriorityNormal, 1), mk(PriorityHigh, 2), dead, mk(PriorityNormal, 3), mk(PriorityHigh, 4)}
-	for _, j := range jobs {
-		if err := q.push(j); err != nil {
-			t.Fatalf("push: %v", err)
-		}
-	}
-	expCancel()
-	var got []uint64
-	taken, expired := q.gather(func(j *job) bool {
-		if j.fp%2 == 1 { // take odd tags only
-			got = append(got, j.fp)
-			return true
-		}
-		return false
-	})
-	if len(taken) != 2 || len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("gather took %v, want odd tags [1 3] in FIFO order", got)
-	}
-	if len(expired) != 1 || expired[0] != dead {
-		t.Fatalf("gather diverted %d expired jobs, want the dead one", len(expired))
-	}
-	// The rest still pop in priority/FIFO order.
-	var rest []uint64
-	for i := 0; i < 2; i++ {
-		j, err := q.pop(context.Background(), func(*job) { t.Fatal("unexpected expiry") })
-		if err != nil {
-			t.Fatalf("pop: %v", err)
-		}
-		rest = append(rest, j.fp)
-	}
-	if rest[0] != 2 || rest[1] != 4 {
-		t.Fatalf("post-gather pop order %v, want [2 4]", rest)
-	}
-	if q.depth() != 0 {
-		t.Fatalf("queue depth %d after draining, want 0", q.depth())
+	s := NewServer(Config{Devices: 1, Workers: 1})
+	defer s.Stop()
+	reqs := queuedSmallJobs()
+	queueBehindBlocker(t, s, reqs)
+	if got, want := s.Stats().PerDevice[0].Jobs, int64(len(reqs))+1; got != want {
+		t.Fatalf("device leases = %d, want %d (one per job plus the blocker)", got, want)
 	}
 }
 

@@ -145,47 +145,6 @@ func (c ShardConfig) withDefaults(devices int) ShardConfig {
 	return c
 }
 
-// BatchConfig tunes block-diagonal kernel batching: compatible small
-// graphs (below the shard auto thresholds) dequeued together are fused
-// into one disjoint-union CSR and colored in a single launch through one
-// pooled runner, with per-graph result splitting. Per-member colorings are
-// bit-identical to solo runs (gpucolor.PrioritySegments carries each
-// member's seed), so batching is invisible except in the evidence fields.
-// Zero values take the documented defaults.
-type BatchConfig struct {
-	// Disabled turns batching off entirely.
-	Disabled bool
-	// MaxJobs caps the members fused into one launch (default 16; values
-	// below 2 disable batching, since a batch of one is a solo run).
-	MaxJobs int
-	// MaxVertices and MaxEdges cap the union CSR: a member only joins
-	// while the running totals stay at or below these (defaults 16384
-	// vertices / 262144 arcs). Members above the caps run solo.
-	MaxVertices int
-	MaxEdges    int
-	// Linger is how long a worker holding a single batch-eligible job
-	// waits for company before running it solo (default 0: batches form
-	// only from jobs already queued at dequeue time — under load the queue
-	// has depth and lingering just adds latency).
-	Linger time.Duration
-}
-
-func (c BatchConfig) withDefaults() BatchConfig {
-	if c.MaxJobs == 0 {
-		c.MaxJobs = 16
-	}
-	if c.MaxVertices == 0 {
-		c.MaxVertices = 16384
-	}
-	if c.MaxEdges == 0 {
-		c.MaxEdges = 1 << 18
-	}
-	if c.Linger < 0 {
-		c.Linger = 0
-	}
-	return c
-}
-
 // Config sizes a Server. Zero values take the documented defaults.
 type Config struct {
 	// Devices is the pool size (default 4). Ignored when DeviceConfigs is
@@ -212,8 +171,6 @@ type Config struct {
 	SelfHeal SelfHealConfig
 	// Shard tunes sharded scatter-gather execution.
 	Shard ShardConfig
-	// Batch tunes block-diagonal kernel batching of small graphs.
-	Batch BatchConfig
 	// Delta tunes the incremental coloring engine (versioned resident
 	// graphs + frontier recolor of mutations).
 	Delta DeltaConfig
@@ -271,7 +228,6 @@ func (c Config) withDefaults() Config {
 	}
 	c.SelfHeal = c.SelfHeal.withDefaults()
 	c.Shard = c.Shard.withDefaults(c.Devices)
-	c.Batch = c.Batch.withDefaults()
 	c.Delta = c.Delta.withDefaults()
 	return c
 }
@@ -293,11 +249,6 @@ type Server struct {
 
 	// warmVersions counts the resident versions rebuilt at startup.
 	warmVersions int64
-
-	// batchRunHook, when set (tests only), intercepts the fused batch
-	// run's raw result so a test can fault individual members and exercise
-	// the per-member salvage/solo-retry path.
-	batchRunHook func(union *graph.Graph, starts []int32, res *gpucolor.Result, err error) (*gpucolor.Result, error)
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -349,7 +300,6 @@ func NewServer(cfg Config) *Server {
 		"idem_hits_total", "journal_append_errors_total",
 		"replay_enqueued_total", "replay_completed_total",
 		"replay_expired_total", "replay_failed_total",
-		"batches_total", "batched_jobs_total", "batch_member_retries_total",
 		"wire_binary_requests_total",
 		"delta_requests_total", "delta_hits", "delta_fallbacks_total",
 		"delta_unknown_base_total",
@@ -360,8 +310,6 @@ func NewServer(cfg Config) *Server {
 	s.reg.Gauge("devices_busy")
 	s.reg.Histogram("wait_us")
 	s.reg.Histogram("exec_us")
-	s.reg.Histogram("batch_size")
-	s.reg.Histogram("batch_linger_us")
 	s.reg.Histogram("delta_frontier_size")
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -583,10 +531,6 @@ func (s *Server) worker() {
 			return
 		}
 		s.reg.Gauge("queue_depth").Set(int64(s.queue.depth()))
-		if members := s.gatherBatch(j); len(members) > 1 {
-			s.runBatch(members)
-			continue
-		}
 		wait := time.Since(j.enqueued)
 		s.reg.Histogram("wait_us").Add(wait.Microseconds())
 		s.runJob(j, wait)
@@ -1007,10 +951,9 @@ type Stats struct {
 	ShardRecolored int64 // vertices recolored by boundary repair
 	ShardFallbacks int64 // sharded jobs that degraded to the CPU greedy
 
-	// Block-diagonal kernel batching.
-	Batches            int64 // fused multi-graph launches executed
-	BatchedJobs        int64 // jobs that rode in a fused launch
-	BatchMemberRetries int64 // batch members re-run solo after a batch failure
+	// BatchedJobs is always zero: every job runs as its own launch. The
+	// field stays for readers that still report it.
+	BatchedJobs        int64
 	WireBinaryRequests int64 // POST /color bodies in the binary CSR wire format
 
 	// Incremental (delta) coloring.
@@ -1066,9 +1009,6 @@ func (s *Server) Stats() Stats {
 		ShardRecolored:  snap["shard_recolored_total"],
 		ShardFallbacks:  snap["shard_fallback_total"],
 
-		Batches:            snap["batches_total"],
-		BatchedJobs:        snap["batched_jobs_total"],
-		BatchMemberRetries: snap["batch_member_retries_total"],
 		WireBinaryRequests: snap["wire_binary_requests_total"],
 		DeltaRequests:      snap["delta_requests_total"],
 		DeltaHits:          snap["delta_hits"],

@@ -382,6 +382,6 @@ func TestBinaryIngestAllocBudget(t *testing.T) {
 }
 
 // maxIngestAllocs caps one cached upload's allocations on either wire
-// format; BENCH_BUDGET.json's max_ingest_allocs_per_request holds the same
-// number for gcbench -batch.
+// format. This test is the only place the cap is checked; it skips under
+// the race detector, so CI's bench-smoke job runs it without one.
 const maxIngestAllocs = 64
