@@ -49,7 +49,10 @@ type Recovery struct {
 	// Settled holds Resident accepts paired with their DispOK completion,
 	// in settlement order: the version chain of the graph store. Pairing
 	// is order-insensitive (snapshots write completions before accepts),
-	// deduplicated by fingerprint with the newest pair winning.
+	// deduplicated by fingerprint with the newest pair winning, at the
+	// newest pair's position. So a delta record can come before the pair
+	// of the base it applies to (the base re-settled later), and a
+	// consumer rebuilds in dependency order, not in one pass.
 	Settled []SettledVersion
 	// Stats describes the scan.
 	Stats ReplayStats

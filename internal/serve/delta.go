@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -93,9 +94,10 @@ func ParseFingerprint(s string) (uint64, error) {
 }
 
 // versionStore is the fixed-capacity LRU of resident graph versions:
-// fingerprint -> (graph, proper coloring). Entries are immutable once
-// stored (the coloring is copied in, and readers copy out), so lookups can
-// hand back the entry without further locking.
+// fingerprint -> (graph, proper coloring, how it was made). Entries are
+// immutable once stored (the coloring and edit lists are copied in, a
+// refresh replaces the entry, and readers copy out), so lookups can hand
+// back the entry without further locking.
 type versionStore struct {
 	mu    sync.Mutex
 	cap   int
@@ -107,6 +109,11 @@ type versionEntry struct {
 	fp     uint64
 	g      *graph.Graph
 	colors []int32
+	// delta, applied to the version whose fingerprint is base, made this
+	// one (nil for an upload). Snapshot compaction writes a version in
+	// this form when its base was written earlier in the same snapshot.
+	base  uint64
+	delta *graph.Delta
 }
 
 func newVersionStore(capacity int) *versionStore {
@@ -130,29 +137,39 @@ func (c *versionStore) get(fp uint64) (*versionEntry, bool) {
 	return el.Value.(*versionEntry), true
 }
 
-// put pins (or refreshes) a version. The coloring is copied; the graph is
-// shared (Graph is immutable). Colorings that do not match the graph are
-// refused — a truncated journal record must not poison the chain.
-func (c *versionStore) put(fp uint64, g *graph.Graph, colors []int32) {
+// put pins (or refreshes) a version made by applying d to the version base
+// (d nil for an upload). The coloring and d's edit lists are copied; the
+// graph is shared (Graph is immutable). Colorings that do not match the
+// graph are refused — a truncated journal record must not poison the
+// chain.
+func (c *versionStore) put(fp uint64, g *graph.Graph, colors []int32, base uint64, d *graph.Delta) {
 	if c.cap == 0 || g == nil || len(colors) != g.NumVertices() {
 		return
 	}
-	stored := make([]int32, len(colors))
-	copy(stored, colors)
+	e := &versionEntry{fp: fp, g: g, colors: slices.Clone(colors)}
+	if d != nil {
+		e.base, e.delta = base, cloneDelta(d)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byFp[fp]; ok {
-		e := el.Value.(*versionEntry)
-		e.g, e.colors = g, stored
+		el.Value = e
 		c.order.MoveToFront(el)
 		return
 	}
-	c.byFp[fp] = c.order.PushFront(&versionEntry{fp: fp, g: g, colors: stored})
+	c.byFp[fp] = c.order.PushFront(e)
 	for c.order.Len() > c.cap {
 		el := c.order.Back()
 		c.order.Remove(el)
 		delete(c.byFp, el.Value.(*versionEntry).fp)
 	}
+}
+
+// cloneDelta copies d's edit lists into one allocation.
+func cloneDelta(d *graph.Delta) *graph.Delta {
+	na := len(d.AddEdges)
+	edits := append(append(make([][2]int32, 0, na+len(d.RemoveEdges)), d.AddEdges...), d.RemoveEdges...)
+	return &graph.Delta{AddVertices: d.AddVertices, AddEdges: edits[:na:na], RemoveEdges: edits[na:]}
 }
 
 func (c *versionStore) len() int {
@@ -189,10 +206,10 @@ func (s *Server) submitDelta(ctx context.Context, req *Request) (*Response, erro
 	}
 	s.reg.Counter("requests_total").Inc()
 	s.reg.Counter("delta_requests_total").Inc()
-	d := req.Delta
-	if d == nil {
-		d = &graph.Delta{}
+	if req.Delta == nil {
+		req.Delta = &graph.Delta{}
 	}
+	d := req.Delta
 
 	// Idempotent replay first, exactly as in Submit — and through drain.
 	if res, ok := s.front.replay(req); ok {
@@ -218,7 +235,7 @@ func (s *Server) submitDelta(ctx context.Context, req *Request) (*Response, erro
 	shards := s.effectiveShards(req)
 	key := keyOf(req, fp, shards)
 	if hit, ok := s.front.hit(req, key); ok {
-		s.versions.put(fp, ng, hit.Colors) // re-pin: the chain continues
+		s.versions.put(fp, ng, hit.Colors, req.BaseFingerprint, d) // re-pin: the chain continues
 		hit.Delta = true
 		hit.FrontierSize = len(frontier)
 		hit.Vertices = ng.NumVertices()
@@ -267,7 +284,7 @@ func (s *Server) submitDelta(ctx context.Context, req *Request) (*Response, erro
 		Exec:         time.Since(start),
 	}
 	s.reg.Counter("completed_total").Inc()
-	s.versions.put(fp, ng, colors)
+	s.versions.put(fp, ng, colors, req.BaseFingerprint, d)
 	// Settle the delta like any admitted miss, already done: journaled when
 	// replayable — the accept's Resident flag and wire form (base
 	// fingerprint + edit lists) let crash replay rebuild this version from
@@ -289,7 +306,7 @@ func (s *Server) deltaFallback(ctx context.Context, req *Request, fp uint64, key
 	if err != nil {
 		return nil, err
 	}
-	s.versions.put(fp, ng, res.Colors)
+	s.versions.put(fp, ng, res.Colors, req.BaseFingerprint, req.Delta)
 	res.Delta = true
 	res.DeltaFallback = true
 	res.FrontierSize = frontier

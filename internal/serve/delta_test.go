@@ -1,12 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -612,6 +616,27 @@ func TestCompactionSnapshotRebuildsVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The snapshot writes the chain as its oldest version's full graph
+	// followed by the five deltas.
+	jc, recc, err := journal.Open(copyJournalDir(t, dir), journal.Options{Fsync: journal.FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jc.Close()
+	deltas := 0
+	for _, sv := range recc.Settled {
+		var cr ColorRequest
+		if err := json.Unmarshal(sv.Accept.Wire, &cr); err != nil {
+			t.Fatal(err)
+		}
+		if cr.BaseFingerprint != "" {
+			deltas++
+		}
+	}
+	if deltas != len(want)-1 {
+		t.Fatalf("snapshot wrote %d of %d versions as deltas, want %d", deltas, len(want), len(want)-1)
+	}
+
 	j2, rec2 := openTestJournal(t, dir)
 	if !rec2.Stats.SnapshotLoaded {
 		t.Fatal("snapshot not loaded on reopen")
@@ -640,4 +665,481 @@ func TestCompactionSnapshotRebuildsVersions(t *testing.T) {
 			t.Fatalf("version %d: replayed colors differ", i)
 		}
 	}
+}
+
+// TestVersionRefreshRacesCompaction re-pins one graph with repeated
+// resident uploads while the journal compacts in a loop. Refreshing a
+// version must replace its store entry, never write the entry a snapshot
+// is reading; run under -race, the detector checks it.
+func TestVersionRefreshRacesCompaction(t *testing.T) {
+	j, rec := openTestJournal(t, t.TempDir())
+	s := NewServer(Config{Devices: 2, Journal: j, Recovery: rec})
+	defer func() { s.Stop(); j.Close() }()
+	g := gen.Grid2D(12, 12)
+	submitResident(t, s, g)
+
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 40; i++ {
+			if err := j.Compact(); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("compact: %v", err)
+			}
+			if n := s.versions.len(); n != 1 {
+				t.Fatalf("%d resident versions, want 1", n)
+			}
+			return
+		default:
+			submitResident(t, s, g)
+		}
+	}
+}
+
+// TestVersionWarmStartDependencyOrder journals a resident upload, a delta
+// on it, then a no_cache resident re-upload of the base, whose pair
+// settles after the delta's. A restart must rebuild both versions — the
+// delta once its base is back, not in one pass of settlement order — so a
+// delta against the successor is served incrementally.
+func TestVersionWarmStartDependencyOrder(t *testing.T) {
+	dir := t.TempDir()
+	j1, rec1 := openTestJournal(t, dir)
+	s1 := NewServer(Config{Devices: 2, Journal: j1, Recovery: rec1})
+	ts1 := httptest.NewServer(Handler(s1))
+	post := func(ts *httptest.Server, cr ColorRequest) ColorResponse {
+		t.Helper()
+		resp, body := postColorHeaders(t, ts, cr, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%+v: %d: %s", cr, resp.StatusCode, body)
+		}
+		var out ColorResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	base := post(ts1, ColorRequest{Gen: "grid:6:6", Resident: true})
+	d1 := post(ts1, ColorRequest{BaseFingerprint: base.Fingerprint, AddEdges: [][2]int32{{0, 35}}})
+	if again := post(ts1, ColorRequest{Gen: "grid:6:6", Resident: true, NoCache: true}); again.Fingerprint != base.Fingerprint {
+		t.Fatalf("re-upload fingerprint %s, want %s", again.Fingerprint, base.Fingerprint)
+	}
+	ts1.Close()
+	s1.Stop()
+	if err := j1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, rec2 := openTestJournal(t, dir)
+	if len(rec2.Settled) != 2 || rec2.Settled[0].Complete.Fingerprint == rec2.Settled[1].Complete.Fingerprint {
+		t.Fatalf("recovered %d settled versions, want the delta's and the base's", len(rec2.Settled))
+	}
+	if got := graph.FingerprintString(rec2.Settled[0].Complete.Fingerprint); got != d1.Fingerprint {
+		t.Fatalf("first settled version %s, want the delta %s (its base settles after it)", got, d1.Fingerprint)
+	}
+	s2 := NewServer(Config{Devices: 2, Journal: j2, Recovery: rec2})
+	defer func() { s2.Stop(); j2.Close() }()
+	if got := s2.RecoveryInfo().WarmedVersions; got != 2 {
+		t.Fatalf("warmed %d versions, want 2", got)
+	}
+	ts2 := httptest.NewServer(Handler(s2))
+	defer ts2.Close()
+	after := post(ts2, ColorRequest{BaseFingerprint: d1.Fingerprint, AddEdges: [][2]int32{{1, 34}}})
+	if !after.Delta || after.BaseFingerprint != d1.Fingerprint {
+		t.Fatalf("delta on the rebuilt successor not served incrementally: %+v", after)
+	}
+}
+
+// editScript draws a small delta on g: a few added and removed edges, and
+// one appended vertex when grow is set.
+func editScript(rng *rand.Rand, g *graph.Graph, grow bool) *graph.Delta {
+	n := int32(g.NumVertices())
+	d := &graph.Delta{}
+	if grow {
+		d.AddVertices = 1
+		d.AddEdges = append(d.AddEdges, [2]int32{n, rng.Int31n(n)})
+	}
+	for i := 0; i < 4; i++ {
+		if u, v := rng.Int31n(n), rng.Int31n(n); u != v {
+			d.AddEdges = append(d.AddEdges, [2]int32{u, v})
+		}
+		u := rng.Int31n(n)
+		if nb := g.Neighbors(u); len(nb) > 0 {
+			d.RemoveEdges = append(d.RemoveEdges, [2]int32{u, nb[0]})
+		}
+	}
+	return d
+}
+
+// versionModel is a test's own record of how each resident version was
+// made, kept beside the server's store.
+type versionModel struct {
+	t     *testing.T
+	s     *Server
+	base  map[uint64]uint64 // successor -> base; absent for an upload
+	delta map[uint64]*graph.Delta
+}
+
+func newVersionModel(t *testing.T, s *Server) *versionModel {
+	return &versionModel{t: t, s: s, base: map[uint64]uint64{}, delta: map[uint64]*graph.Delta{}}
+}
+
+func (m *versionModel) upload(g *graph.Graph) uint64 {
+	fp := submitResident(m.t, m.s, g)
+	delete(m.base, fp)
+	delete(m.delta, fp)
+	return fp
+}
+
+// apply submits d on base, then scribbles on d's edit lists: the store
+// must have copied them, as a caller may reuse its Delta once Submit
+// returns.
+func (m *versionModel) apply(base uint64, d *graph.Delta) uint64 {
+	m.t.Helper()
+	sent := &graph.Delta{AddVertices: d.AddVertices, AddEdges: slices.Clone(d.AddEdges), RemoveEdges: slices.Clone(d.RemoveEdges)}
+	res, err := m.s.Submit(context.Background(), &Request{Delta: d, BaseFingerprint: base})
+	if err != nil {
+		m.t.Fatalf("delta on %016x: %v", base, err)
+	}
+	for _, edits := range [][][2]int32{d.AddEdges, d.RemoveEdges} {
+		for i := range edits {
+			edits[i] = [2]int32{0, 1}
+		}
+	}
+	m.base[res.Fingerprint], m.delta[res.Fingerprint] = base, sent
+	return res.Fingerprint
+}
+
+// wantDeltaForm reports which versions, in the store's least recently
+// used first order, a snapshot should write as edit scripts: exactly those
+// made by a delta from another version that comes earlier in that order.
+func (m *versionModel) wantDeltaForm(order []*versionEntry) map[uint64]bool {
+	want := make(map[uint64]bool, len(order))
+	seen := make(map[uint64]bool, len(order))
+	for _, v := range order {
+		b, ok := m.base[v.fp]
+		want[v.fp] = ok && b != v.fp && seen[b]
+		seen[v.fp] = true
+	}
+	return want
+}
+
+// copyJournalDir copies a closed journal directory, so it can be opened
+// once to inspect its records and once to restart a server.
+func copyJournalDir(t *testing.T, dir string) string {
+	t.Helper()
+	out := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(out, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// checkSnapshotForms reads a compacted journal's version records and
+// checks each one's wire form against want: a delta form names the base
+// and edit lists the model recorded; a full form is byte for byte the
+// json.Marshal form of the version's CSR frame. It returns the number of
+// delta-form and full-graph records.
+func (m *versionModel) checkSnapshotForms(rec *journal.Recovery, order []*versionEntry, want map[uint64]bool) (deltas, fulls int) {
+	m.t.Helper()
+	byFp := make(map[uint64]*versionEntry, len(order))
+	for _, v := range order {
+		byFp[v.fp] = v
+	}
+	if len(rec.Settled) != len(order) {
+		m.t.Fatalf("snapshot holds %d versions, want %d", len(rec.Settled), len(order))
+	}
+	for i, sv := range rec.Settled {
+		fp := sv.Complete.Fingerprint
+		if fp != order[i].fp || sv.Accept.ID != versionRecordID(fp) {
+			m.t.Fatalf("record %d is %s for %016x, want %016x (least recently used first)", i, sv.Accept.ID, fp, order[i].fp)
+		}
+		var cr ColorRequest
+		if err := json.Unmarshal(sv.Accept.Wire, &cr); err != nil {
+			m.t.Fatalf("record %d: wire: %v", i, err)
+		}
+		if cr.BaseFingerprint != "" {
+			deltas++
+			if !want[fp] {
+				m.t.Fatalf("record %d (%016x) written as a delta, want the full graph", i, fp)
+			}
+			d := m.delta[fp]
+			if cr.BaseFingerprint != graph.FingerprintString(m.base[fp]) || cr.AddVertices != d.AddVertices ||
+				!slices.Equal(cr.AddEdges, d.AddEdges) || !slices.Equal(cr.RemoveEdges, d.RemoveEdges) || !cr.Resident {
+				m.t.Fatalf("record %d (%016x): delta form %+v, want base %016x and %+v", i, fp, cr, m.base[fp], d)
+			}
+			continue
+		}
+		fulls++
+		if want[fp] {
+			m.t.Fatalf("record %d (%016x) written as a full graph, want a delta", i, fp)
+		}
+		marshalled, err := json.Marshal(&ColorRequest{
+			GraphCSRB64: base64.StdEncoding.EncodeToString(graph.EncodeWireCSR(byFp[fp].g)),
+			NoCache:     true,
+			Resident:    true,
+		})
+		if err != nil {
+			m.t.Fatal(err)
+		}
+		if !bytes.Equal(sv.Accept.Wire, marshalled) {
+			m.t.Fatalf("record %d (%016x): full-graph wire is not the json.Marshal form", i, fp)
+		}
+	}
+	return deltas, fulls
+}
+
+// checkRebuilt checks that every exported version came back with an equal
+// fingerprint, CSR and coloring.
+func checkRebuilt(t *testing.T, want, got []*versionEntry) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d versions after replay, want %d", len(got), len(want))
+	}
+	byFp := make(map[uint64]*versionEntry, len(got))
+	for _, g := range got {
+		byFp[g.fp] = g
+	}
+	for _, w := range want {
+		g, ok := byFp[w.fp]
+		if !ok {
+			t.Fatalf("version %016x not rebuilt", w.fp)
+		}
+		if fp := g.g.Fingerprint(); fp != w.fp {
+			t.Fatalf("version %016x: rebuilt graph fingerprint %016x", w.fp, fp)
+		}
+		if !slices.Equal(g.g.Offsets(), w.g.Offsets()) || !slices.Equal(g.g.Adj(), w.g.Adj()) {
+			t.Fatalf("version %016x: rebuilt CSR differs", w.fp)
+		}
+		if !slices.Equal(g.colors, w.colors) {
+			t.Fatalf("version %016x: rebuilt colors differ", w.fp)
+		}
+	}
+}
+
+// TestVersionSnapshotWritesEditScripts builds a chain of deltas, a fork
+// off an earlier version, an empty-delta re-pin, a fork off the upload
+// (which leaves the chain's first delta older than its base), a delta
+// answered from the cache and one over the frontier budget, compacts, and
+// checks the snapshot: delta accepts for exactly the versions whose base
+// precedes them, byte-identical full-graph accepts for the rest. A restart
+// from the snapshot rebuilds every version.
+func TestVersionSnapshotWritesEditScripts(t *testing.T) {
+	dir := t.TempDir()
+	j1, rec1 := openTestJournal(t, dir)
+	s1 := NewServer(Config{Devices: 2, Journal: j1, Recovery: rec1})
+	m := newVersionModel(t, s1)
+	rng := rand.New(rand.NewSource(9))
+	graphOf := func(fp uint64) *graph.Graph {
+		v, ok := s1.versions.get(fp)
+		if !ok {
+			t.Fatalf("version %016x not resident", fp)
+		}
+		return v.g
+	}
+
+	chain := []uint64{m.upload(gen.RMAT(8, 8, gen.Graph500, 5))}
+	for step := 1; step <= 8; step++ {
+		prev := chain[len(chain)-1]
+		chain = append(chain, m.apply(prev, editScript(rng, graphOf(prev), step%3 == 0)))
+	}
+	m.apply(chain[2], editScript(rng, graphOf(chain[2]), false)) // fork off an earlier version
+	if fp := m.apply(chain[5], &graph.Delta{}); fp != chain[5] { // empty-delta re-pin
+		t.Fatalf("empty delta moved %016x to %016x", chain[5], fp)
+	}
+	m.apply(chain[0], editScript(rng, graphOf(chain[0]), true)) // fork off the upload
+
+	// Upload a graph first, then reach it by a delta: the delta is a cache
+	// hit, and the re-pinned version records the delta that made it.
+	head := chain[len(chain)-1]
+	d := editScript(rng, graphOf(head), false)
+	ng, _, _, err := graph.ApplyDelta(graphOf(head), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := m.upload(ng)
+	hits := s1.reg.Counter("delta_hits").Value()
+	if fp := m.apply(head, d); fp != cached || s1.reg.Counter("delta_hits").Value() != hits {
+		t.Fatalf("delta to an uploaded graph: %016x, frontier recolors %d -> %d; want a cache hit on %016x",
+			fp, hits, s1.reg.Counter("delta_hits").Value(), cached)
+	}
+	// Recolored from scratch: more edits than the frontier budget allows.
+	big := &graph.Delta{}
+	for _, e := range [][2]int32{{0, 1}, {2, 3}} {
+		for k := int32(0); k < 40; k++ {
+			big.AddEdges = append(big.AddEdges, [2]int32{e[0] + 4*k, e[1] + 4*k})
+		}
+	}
+	m.apply(cached, big)
+	if got := s1.reg.Counter("delta_fallbacks_total").Value(); got != 1 {
+		t.Fatalf("%d delta fallbacks, want 1", got)
+	}
+
+	order := s1.versions.export()
+	want := m.wantDeltaForm(order)
+	if err := j1.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	s1.Stop()
+	if err := j1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	jc, recc, err := journal.Open(copyJournalDir(t, dir), journal.Options{Fsync: journal.FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltas, fulls := m.checkSnapshotForms(recc, order, want)
+	jc.Close()
+	if deltas != 8 || fulls != 5 {
+		t.Fatalf("snapshot wrote %d delta and %d full-graph versions, want 8 and 5", deltas, fulls)
+	}
+
+	j2, rec2 := openTestJournal(t, dir)
+	s2 := NewServer(Config{Devices: 2, Journal: j2, Recovery: rec2})
+	defer func() { s2.Stop(); j2.Close() }()
+	if got := s2.RecoveryInfo().WarmedVersions; got != int64(len(order)) {
+		t.Fatalf("warmed %d versions, want %d", got, len(order))
+	}
+	checkRebuilt(t, order, s2.versions.export())
+}
+
+// TestVersionSnapshotTwoChains fills the store with two interleaved
+// delta chains, so each chain's oldest resident version has lost its base
+// to eviction: the snapshot writes those two as full graphs and every
+// other version as a delta, and two compactions in a row (the second from
+// the rebuilt store, which remembers how each version was made) write the
+// same records.
+func TestVersionSnapshotTwoChains(t *testing.T) {
+	const capacity = 16
+	dir := t.TempDir()
+	j1, rec1 := openTestJournal(t, dir)
+	s1 := NewServer(Config{Devices: 2, Journal: j1, Recovery: rec1, Delta: DeltaConfig{Entries: capacity}})
+	m := newVersionModel(t, s1)
+	rng := rand.New(rand.NewSource(11))
+	var heads [2]uint64
+	var graphs [2]*graph.Graph
+	for c := range heads {
+		graphs[c] = gen.RMAT(7, 8, gen.Graph500, int64(c+1))
+		heads[c] = m.upload(graphs[c])
+	}
+	for step := 0; step < capacity; step++ {
+		for c := range heads {
+			d := editScript(rng, graphs[c], step%5 == 4)
+			ng, _, _, err := graph.ApplyDelta(graphs[c], d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			heads[c], graphs[c] = m.apply(heads[c], d), ng
+		}
+	}
+	order := s1.versions.export()
+	if len(order) != capacity {
+		t.Fatalf("%d resident versions, want %d", len(order), capacity)
+	}
+	want := m.wantDeltaForm(order)
+	if err := j1.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	s1.Stop()
+	if err := j1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for round := 0; round < 2; round++ {
+		jc, recc, err := journal.Open(copyJournalDir(t, dir), journal.Options{Fsync: journal.FsyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		deltas, fulls := m.checkSnapshotForms(recc, order, want)
+		jc.Close()
+		if fulls != 2 || deltas != capacity-2 {
+			t.Fatalf("round %d: snapshot wrote %d full-graph and %d delta versions, want 2 and %d", round, fulls, deltas, capacity-2)
+		}
+
+		j2, rec2 := openTestJournal(t, dir)
+		s2 := NewServer(Config{Devices: 2, Journal: j2, Recovery: rec2, Delta: DeltaConfig{Entries: capacity}})
+		if got := s2.RecoveryInfo().WarmedVersions; got != capacity {
+			t.Fatalf("round %d: warmed %d versions, want %d", round, got, capacity)
+		}
+		checkRebuilt(t, order, s2.versions.export())
+		order = s2.versions.export()
+		want = m.wantDeltaForm(order)
+		err = j2.Compact()
+		s2.Stop()
+		if cerr := j2.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCompactVersions times one journal compaction of a store holding
+// 64 resident rmat:12:16 versions on two delta chains, the shape of the
+// serving benchmark's delta workload, and reports the snapshot's size.
+func BenchmarkCompactVersions(b *testing.B) {
+	dir := b.TempDir()
+	j, rec, err := journal.Open(dir, journal.Options{Fsync: journal.FsyncNone})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := NewServer(Config{Devices: 4, Journal: j, Recovery: rec})
+	defer func() { s.Stop(); j.Close() }()
+	rng := rand.New(rand.NewSource(1))
+	var heads [2]uint64
+	var graphs [2]*graph.Graph
+	for c := range heads {
+		g := gen.RMAT(12, 16, gen.Graph500, int64(c+1))
+		res, err := s.Submit(context.Background(), &Request{Graph: g, Resident: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		heads[c], graphs[c] = res.Fingerprint, g
+	}
+	for s.versions.len() < 64 {
+		for c := range heads {
+			d := editScript(rng, graphs[c], false)
+			res, err := s.Submit(context.Background(), &Request{Delta: d, BaseFingerprint: heads[c]})
+			if err != nil {
+				b.Fatal(err)
+			}
+			graphs[c], _, _, _ = graph.ApplyDelta(graphs[c], d)
+			heads[c] = res.Fingerprint
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := j.Compact(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	if len(snaps) != 1 {
+		b.Fatalf("%d snapshots after compaction, want 1", len(snaps))
+	}
+	st, err := os.Stat(snaps[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(st.Size())/(1<<20), "snapshot-MB")
 }

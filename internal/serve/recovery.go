@@ -5,6 +5,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -65,29 +66,48 @@ func (a *Admission) writeSnapshot(w *journal.SnapshotWriter) error {
 }
 
 // writeVersions is a Server's snapshot extra: its resident graph versions
-// as self-contained synthetic completion+accept pairs. The accept's wire
-// form carries the full graph (not the delta that produced it), so each
-// version rebuilds on replay without needing its predecessors. Least
-// recently used first, so re-pinning them in order reproduces the store's
-// recency; each accept's wire form is built as it is written, so one
-// version's encoded graph is alive at a time.
+// as synthetic completion+accept pairs, least recently used first, so
+// re-pinning them in order reproduces the store's recency. A version whose
+// recorded base was written earlier in this snapshot is written as the
+// delta that made it (base fingerprint plus edit lists, the wire form of a
+// live journaled delta), which replay re-applies to the rebuilt base. Every
+// other version (the oldest of a chain here, a fork off a more recent
+// version, one whose base was evicted, an upload, a re-pin by an empty
+// delta) carries its full graph as a graph_csr_b64 frame, encoded into
+// buffers reused across versions.
 func (s *Server) writeVersions(w *journal.SnapshotWriter, now int64) error {
-	for _, v := range s.versions.export() {
+	versions := s.versions.export()
+	written := make(map[uint64]bool, len(versions))
+	var frame, full []byte
+	for _, v := range versions {
 		colored := &Response{Fingerprint: v.fp, Colors: v.colors, NumColors: color.NumColors(v.colors)}
 		rec := completionRecord(versionRecordID(v.fp), "", cacheKey{fp: v.fp}, colored, nil, true)
 		rec.CompletedUnixMS = now
 		if err := w.Complete(&rec); err != nil {
 			return err
 		}
-		env := ColorRequest{
-			GraphCSRB64: base64.StdEncoding.EncodeToString(graph.EncodeWireCSR(v.g)),
-			Resident:    true,
-			NoCache:     true,
+		var wire []byte
+		// A version re-pinned by an empty delta is its own base, which is
+		// never written before it.
+		if v.delta != nil && written[v.base] {
+			var err error
+			wire, err = json.Marshal(&ColorRequest{
+				BaseFingerprint: graph.FingerprintString(v.base),
+				AddVertices:     v.delta.AddVertices,
+				AddEdges:        v.delta.AddEdges,
+				RemoveEdges:     v.delta.RemoveEdges,
+				NoCache:         true,
+				Resident:        true,
+			})
+			if err != nil {
+				return err
+			}
+		} else {
+			frame = graph.AppendWireCSR(frame[:0], v.g)
+			full = appendCSRWire(full[:0], frame)
+			wire = full
 		}
-		wire, err := json.Marshal(&env)
-		if err != nil {
-			return err
-		}
+		written[v.fp] = true
 		if err := w.Accept(&journal.AcceptRecord{
 			ID:             versionRecordID(v.fp),
 			Fingerprint:    v.fp,
@@ -99,6 +119,19 @@ func (s *Server) writeVersions(w *journal.SnapshotWriter, now int64) error {
 		}
 	}
 	return nil
+}
+
+// appendCSRWire appends the snapshot wire form of a full-graph version,
+// byte for byte json.Marshal(&ColorRequest{GraphCSRB64: <frame in
+// base64>, NoCache: true, Resident: true}): base64 needs no JSON escaping.
+func appendCSRWire(dst, frame []byte) []byte {
+	const head, tail = `{"graph_csr_b64":"`, `","no_cache":true,"resident":true}`
+	n := base64.StdEncoding.EncodedLen(len(frame))
+	dst = slices.Grow(dst, len(head)+n+len(tail))
+	dst = append(dst, head...)
+	dst = dst[:len(dst)+n]
+	base64.StdEncoding.Encode(dst[len(dst)-n:], frame)
+	return append(dst, tail...)
 }
 
 // versionRecordID names the synthetic record pair of a snapshot-exported
@@ -174,68 +207,83 @@ func (a *Admission) Recover(rec *journal.Recovery, resubmit func(ctx context.Con
 }
 
 // applyVersions rebuilds a Server's versioned graph store from the
-// settled resident pairs, in journal order: snapshot-exported versions
-// are self-contained (full graph in the accept's wire form), and a live
-// delta record replays against the base version the records before it
-// already rebuilt.
+// settled resident pairs, in dependency order. A full-graph record (a
+// resident upload, or a snapshot's chain root) rebuilds on its own, and a
+// delta record once its base has: at its place in journal order when the
+// base came earlier, else right after the base rebuilds. The base's newest
+// pair can settle after the delta (the base re-uploaded later, or re-pinned
+// in a segment after the snapshot that holds the delta). A delta whose
+// base never rebuilds is dropped.
 func (s *Server) applyVersions(rec *journal.Recovery) {
 	if rec == nil {
 		return
 	}
+	waiting := make(map[uint64][]*journal.SettledVersion) // base fp -> its unbuilt deltas
 	for i := range rec.Settled {
-		if s.warmVersion(&rec.Settled[i]) {
-			s.warmVersions++
+		queue := []*journal.SettledVersion{&rec.Settled[i]}
+		for k := 0; k < len(queue); k++ {
+			sv := queue[k]
+			pinned, base, wait := s.warmVersion(sv)
+			switch {
+			case pinned:
+				s.warmVersions++
+				fp := sv.Complete.Fingerprint
+				queue = append(queue, waiting[fp]...)
+				delete(waiting, fp)
+			case wait:
+				waiting[base] = append(waiting[base], sv)
+			}
 		}
 	}
 }
 
 // warmVersion rebuilds one resident graph version from its settled
 // accept+completion pair: the coloring comes from the completion, the
-// graph from the accept's wire form — a full graph spec for snapshot
-// exports and resident uploads, or a delta applied to an already-rebuilt
-// base for live records. Failures (undecodable wire, evicted base, length
-// mismatch) skip the version; a later delta against it will report
-// unknown base and the client re-uploads.
-func (s *Server) warmVersion(sv *journal.SettledVersion) bool {
+// graph from the accept's wire form — a full graph spec for resident
+// uploads and a snapshot's full-graph records, or a delta applied to its
+// rebuilt base for live and snapshot delta records; the rebuilt version
+// remembers which. It reports whether it pinned the version, and for a
+// delta whose base is not in the store, that base with wait set. Other
+// failures (undecodable wire, a fingerprint or length mismatch) skip the
+// version; a later delta against it will report unknown base and the
+// client re-uploads.
+func (s *Server) warmVersion(sv *journal.SettledVersion) (pinned bool, base uint64, wait bool) {
 	colors, err := journal.DecodeColors(sv.Complete.ColorsB64)
 	if err != nil || len(colors) == 0 {
-		return false
+		return false, 0, false
 	}
 	var cr ColorRequest
 	if len(sv.Accept.Wire) == 0 || json.Unmarshal(sv.Accept.Wire, &cr) != nil {
-		return false
+		return false, 0, false
 	}
 	var g *graph.Graph
+	var d *graph.Delta
 	if cr.BaseFingerprint != "" {
-		baseFp, err := ParseFingerprint(cr.BaseFingerprint)
-		if err != nil {
-			return false
+		if base, err = ParseFingerprint(cr.BaseFingerprint); err != nil {
+			return false, 0, false
 		}
-		base, ok := s.versions.get(baseFp)
+		bv, ok := s.versions.get(base)
 		if !ok {
-			return false
+			return false, base, true
 		}
-		ng, fp, _, err := graph.ApplyDelta(base.g, &graph.Delta{
-			AddVertices: cr.AddVertices,
-			AddEdges:    cr.AddEdges,
-			RemoveEdges: cr.RemoveEdges,
-		})
+		d = &graph.Delta{AddVertices: cr.AddVertices, AddEdges: cr.AddEdges, RemoveEdges: cr.RemoveEdges}
+		ng, fp, _, err := graph.ApplyDelta(bv.g, d)
 		if err != nil || fp != sv.Complete.Fingerprint {
-			return false
+			return false, 0, false
 		}
 		g = ng
 	} else {
 		_, rg, err := buildRequest(&cr, s.front.specs)
 		if err != nil || rg == nil {
-			return false
+			return false, 0, false
 		}
 		g = rg
 	}
 	if g.NumVertices() != len(colors) {
-		return false
+		return false, 0, false
 	}
-	s.versions.put(sv.Complete.Fingerprint, g, colors)
-	return true
+	s.versions.put(sv.Complete.Fingerprint, g, colors, base, d)
+	return true, 0, false
 }
 
 // replayOne re-executes one crash-interrupted accepted job and settles
