@@ -197,11 +197,25 @@ func TestGrayWorkerLosesRendezvousRank(t *testing.T) {
 	// The gray signal is latency versus the FLEET median, so the fleet
 	// needs a fast majority for the slow member to stand out — exactly the
 	// production shape (one sick node among healthy peers).
+	const slowdown = 150 * time.Millisecond
 	in := netchaos.New(1)
-	in.SlowHost(strings.TrimPrefix(slow.ts.URL, "http://"), 150*time.Millisecond)
+	in.SlowHost(strings.TrimPrefix(slow.ts.URL, "http://"), slowdown)
 	client := &http.Client{Transport: in.Transport(http.DefaultTransport)}
 
 	coord, tsC := newTestCoordinator(t, cluster.Config{Client: client}, fast1, fast2, slow)
+	// The health scores see each dispatch as 1 ms of work plus the
+	// slow-down injected on its link. Measured round trips would make the
+	// signal the host's speed: an EWMA score settles at the mean reward,
+	// slack x fleet median / exec, so a member turns gray only past
+	// slack / GrayScore = 8x the fleet median, and that median (the slow
+	// member's own share included) sat at about 28 ms under -race on a
+	// busy 2-vCPU host, putting 150 ms + 28 ms at about 6x.
+	cluster.SetHealthLatency(coord, func(addr string, _ time.Duration) time.Duration {
+		if addr == slow.ts.URL {
+			return time.Millisecond + slowdown
+		}
+		return time.Millisecond
+	})
 
 	for i := 0; i < 60; i++ {
 		cr := &serve.ColorRequest{Gen: fmt.Sprintf("grid:%d:%d", 8+i%8, 9+i%5), Alg: "baseline", NoCache: true}

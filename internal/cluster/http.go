@@ -226,7 +226,7 @@ func handleColor(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 
 func writeColor(w http.ResponseWriter, out *serve.ColorResponse) {
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(out)
+	_ = serve.WriteColorResponse(w, out)
 }
 
 // classifyClusterErr maps coordinator failures to HTTP status + kind. A

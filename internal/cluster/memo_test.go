@@ -65,6 +65,13 @@ func mustOK(t *testing.T, what string, code int, body []byte) *serve.ColorRespon
 	if err := json.Unmarshal(body, &cr); err != nil {
 		t.Fatalf("%s: decode reply: %v", what, err)
 	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(&cr); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Fatalf("%s: reply\n%s\nis not encoding/json's\n%s", what, body, want.Bytes())
+	}
 	return &cr
 }
 

@@ -76,6 +76,10 @@ type registry struct {
 	readmitStreak int
 
 	health *serve.FleetHealth
+	// latency, when set, is what the health scores observe for a dispatch
+	// in place of its measured round trip. Tests set it (export_test.go)
+	// so the gray signal is the latency they inject, not the host's speed.
+	latency atomic.Pointer[func(addr string, measured time.Duration) time.Duration]
 
 	mu      sync.Mutex
 	members []*member // id-indexed
@@ -251,7 +255,11 @@ func (r *registry) pick(key uint64, exclude map[int]bool) (m *member, probe bool
 // 0.5 for an overload rejection (the worker is loaded, not broken), 0 for
 // a failure. good is what the breaker counts as failure-free.
 func (r *registry) observe(m *member, probe, good bool, reward float64, exec time.Duration) {
-	score := r.health.Observe(m.id, reward, exec)
+	scored := exec
+	if f := r.latency.Load(); f != nil {
+		scored = (*f)(m.addr, exec)
+	}
+	score := r.health.Observe(m.id, reward, scored)
 	m.mu.Lock()
 	m.lat.add(exec.Microseconds())
 	m.mu.Unlock()

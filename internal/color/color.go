@@ -77,6 +77,55 @@ func Verify(g *graph.Graph, colors []int32) error {
 	return nil
 }
 
+// VerifyChanged is Verify for a coloring derived from base, the coloring
+// of the graph that g was edited from, where frontier holds every endpoint
+// of every edge the edit added (graph.ApplyDelta's frontier does). It checks
+// only the edges at frontier vertices, at vertices whose color differs
+// from base, and at vertices past len(base): every other edge of g is an
+// edge of the base graph whose endpoints keep base's colors. So when base
+// is a proper coloring of the base graph, VerifyChanged returns exactly
+// what Verify returns — a violation it finds is named by Verify itself,
+// with the same text — at the cost of one O(V) diff plus the changed
+// vertices' degrees. An improper base can hide a violation; the caller
+// owns that precondition.
+func VerifyChanged(g *graph.Graph, colors, base, frontier []int32) error {
+	n := g.NumVertices()
+	if len(colors) != n || len(base) > n {
+		return Verify(g, colors)
+	}
+	for _, v := range frontier {
+		if v >= 0 && int(v) < n && !properAt(g, colors, v) {
+			return Verify(g, colors)
+		}
+	}
+	for v, c := range colors[:len(base)] {
+		if c != base[v] && !properAt(g, colors, int32(v)) {
+			return Verify(g, colors)
+		}
+	}
+	for v := len(base); v < n; v++ {
+		if !properAt(g, colors, int32(v)) {
+			return Verify(g, colors)
+		}
+	}
+	return nil
+}
+
+// properAt reports whether v is colored and shares its color with no
+// neighbour.
+func properAt(g *graph.Graph, colors []int32, v int32) bool {
+	c := colors[v]
+	if c < 0 {
+		return false
+	}
+	for _, u := range g.Neighbors(v) {
+		if colors[u] == c {
+			return false
+		}
+	}
+	return true
+}
+
 // NumColors returns the number of distinct colors used, assuming colors form
 // the dense range 0..max (which every algorithm here produces).
 func NumColors(colors []int32) int {

@@ -50,9 +50,10 @@ type Recovery struct {
 	// in settlement order: the version chain of the graph store. Pairing
 	// is order-insensitive (snapshots write completions before accepts),
 	// deduplicated by fingerprint with the newest pair winning, at the
-	// newest pair's position. So a delta record can come before the pair
-	// of the base it applies to (the base re-settled later), and a
-	// consumer rebuilds in dependency order, not in one pass.
+	// newest pair's position; the older pairs' distinct wire forms ride
+	// along in OlderWires. So a delta record can come before the pair of
+	// the base it applies to (the base re-settled later), and a consumer
+	// rebuilds in dependency order, not in one pass.
 	Settled []SettledVersion
 	// Stats describes the scan.
 	Stats ReplayStats
@@ -65,6 +66,13 @@ type Recovery struct {
 type SettledVersion struct {
 	Accept   AcceptRecord
 	Complete CompleteRecord
+	// OlderWires are the wire forms of earlier pairs that settled the
+	// same fingerprint, newest first, each distinct from Accept.Wire and
+	// from one another. A fingerprint names content, so any of them
+	// rebuilds the same graph. They matter when Accept's cannot: a delta
+	// that changed nothing names its own fingerprint as its base, and an
+	// undo (v0 -> v1 -> v0) names v1, whose own delta names v0.
+	OlderWires []json.RawMessage
 }
 
 // replayState folds records in order into pending/completed state.
@@ -98,14 +106,22 @@ func newReplayState() *replayState {
 	}
 }
 
-// settle records a matched resident accept + DispOK completion pair,
-// keeping only the newest pair per fingerprint.
+// settle records a matched resident accept + DispOK completion pair. The
+// newest pair per fingerprint wins, keeping the wire forms of the pairs
+// it replaces that differ from its own.
 func (st *replayState) settle(a *AcceptRecord, c *CompleteRecord) {
+	sv := &SettledVersion{Accept: *a, Complete: *c}
 	if i, ok := st.settledByFp[c.Fingerprint]; ok {
+		prev := st.settled[i]
 		st.settled[i] = nil
+		for _, w := range append([]json.RawMessage{prev.Accept.Wire}, prev.OlderWires...) {
+			if !bytes.Equal(w, a.Wire) {
+				sv.OlderWires = append(sv.OlderWires, w)
+			}
+		}
 	}
 	st.settledByFp[c.Fingerprint] = len(st.settled)
-	st.settled = append(st.settled, &SettledVersion{Accept: *a, Complete: *c})
+	st.settled = append(st.settled, sv)
 }
 
 // compDedupeKey is the newest-wins identity of a DispOK completion.

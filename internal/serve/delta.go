@@ -191,6 +191,16 @@ func (c *versionStore) export() []*versionEntry {
 	return out
 }
 
+// storable reports whether a served answer for g may be pinned as a
+// version. The store holds proper colorings only, which the incremental
+// path's local proof relies on. A cache hit is the one answer that was not
+// proved in this process: a journal-warmed entry was never checked against
+// a graph, so a hit is verified here; the result of any other path was
+// verified when it was made.
+func storable(g *graph.Graph, res *Response) bool {
+	return !res.Cached || color.Verify(g, res.Colors) == nil
+}
+
 // deltaScratch pools the frontier-recolor buffers: a warm steady-state
 // delta stream recolors with zero scratch allocations.
 var deltaScratch = sync.Pool{New: func() any { return new(color.Scratch) }}
@@ -235,7 +245,9 @@ func (s *Server) submitDelta(ctx context.Context, req *Request) (*Response, erro
 	shards := s.effectiveShards(req)
 	key := keyOf(req, fp, shards)
 	if hit, ok := s.front.hit(req, key); ok {
-		s.versions.put(fp, ng, hit.Colors, req.BaseFingerprint, d) // re-pin: the chain continues
+		if storable(ng, hit) {
+			s.versions.put(fp, ng, hit.Colors, req.BaseFingerprint, d) // re-pin: the chain continues
+		}
 		hit.Delta = true
 		hit.FrontierSize = len(frontier)
 		hit.Vertices = ng.NumVertices()
@@ -261,7 +273,11 @@ func (s *Server) submitDelta(ctx context.Context, req *Request) (*Response, erro
 	sc := deltaScratch.Get().(*color.Scratch)
 	recolored := color.RecolorFrontier(ng, colors, frontier, sc)
 	deltaScratch.Put(sc)
-	if verr := color.Verify(ng, colors); verr != nil {
+	// The proof checks only where the step changed something. The store
+	// holds proper colorings only (warm start and cache hits are verified
+	// in full before they are pinned, every other put was verified when it
+	// was made), so this equals a full Verify of the successor.
+	if verr := color.VerifyChanged(ng, colors, base.colors, frontier); verr != nil {
 		// Unreachable while the base coloring is proper (the frontier
 		// covers every changed neighbourhood); if a bug ever breaks the
 		// contract, degrade to a full recolor rather than serve a bad

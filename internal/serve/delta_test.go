@@ -1143,3 +1143,310 @@ func BenchmarkCompactVersions(b *testing.B) {
 	}
 	b.ReportMetric(float64(st.Size())/(1<<20), "snapshot-MB")
 }
+
+// startJournaled starts one generation of a journaled server on dir
+// behind an HTTP test server; stop closes all three, in order.
+func startJournaled(t *testing.T, dir string) (s *Server, ts *httptest.Server, stop func()) {
+	t.Helper()
+	j, rec := openTestJournal(t, dir)
+	s = NewServer(Config{Devices: 2, Journal: j, Recovery: rec})
+	ts = httptest.NewServer(Handler(s))
+	return s, ts, func() {
+		ts.Close()
+		s.Stop()
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// postReply posts cr and returns the decoded reply (zero unless 200), the
+// status and the error kind.
+func postReply(t *testing.T, ts *httptest.Server, cr ColorRequest) (ColorResponse, int, string) {
+	t.Helper()
+	resp, body := postColorHeaders(t, ts, cr, nil)
+	var out ColorResponse
+	if resp.StatusCode != http.StatusOK {
+		var e errorResponse
+		_ = json.Unmarshal(body, &e)
+		return out, resp.StatusCode, e.Kind
+	}
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out, resp.StatusCode, ""
+}
+
+func mustPost(t *testing.T, ts *httptest.Server, cr ColorRequest) ColorResponse {
+	t.Helper()
+	out, code, kind := postReply(t, ts, cr)
+	if code != http.StatusOK {
+		t.Fatalf("%+v: http %d %s", cr, code, kind)
+	}
+	return out
+}
+
+// TestVersionNoOpDeltaSurvivesRestart: a delta that changes nothing names
+// its own version as its base, so its settled pair alone cannot rebuild
+// that version, and it is the newest pair for the fingerprint. The
+// upload's pair must still rebuild it after a restart.
+func TestVersionNoOpDeltaSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	_, ts1, stop1 := startJournaled(t, dir)
+	v0 := mustPost(t, ts1, ColorRequest{Gen: "grid:6:6", Resident: true, NoCache: true})
+	if noop := mustPost(t, ts1, ColorRequest{BaseFingerprint: v0.Fingerprint}); !noop.Delta || noop.Fingerprint != v0.Fingerprint {
+		t.Fatalf("no-op delta: %+v, want a delta answer for %s", noop, v0.Fingerprint)
+	}
+	stop1()
+
+	s2, ts2, stop2 := startJournaled(t, dir)
+	defer stop2()
+	if got := s2.RecoveryInfo().WarmedVersions; got != 1 {
+		t.Fatalf("warmed %d versions, want 1", got)
+	}
+	after, code, kind := postReply(t, ts2, ColorRequest{BaseFingerprint: v0.Fingerprint, AddEdges: [][2]int32{{0, 35}}})
+	if code != http.StatusOK || !after.Delta {
+		t.Fatalf("delta on the restarted version: http %d %s %+v", code, kind, after)
+	}
+}
+
+// TestVersionUndoChainSurvivesRestart: v0 -> v1 (add an edge) -> v0
+// (remove it). The undo's pair is v0's newest and names v1 as its base,
+// whose own pair names v0, so the newest pairs alone form a cycle. Both
+// versions must rebuild after a restart, v0 from its upload.
+func TestVersionUndoChainSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	_, ts1, stop1 := startJournaled(t, dir)
+	v0 := mustPost(t, ts1, ColorRequest{Gen: "grid:6:6", Resident: true, NoCache: true})
+	v1 := mustPost(t, ts1, ColorRequest{BaseFingerprint: v0.Fingerprint, AddEdges: [][2]int32{{0, 35}}})
+	undo := mustPost(t, ts1, ColorRequest{BaseFingerprint: v1.Fingerprint, RemoveEdges: [][2]int32{{0, 35}}})
+	if undo.Fingerprint != v0.Fingerprint || undo.Cached {
+		t.Fatalf("undo: %+v, want a journaled answer for %s", undo, v0.Fingerprint)
+	}
+	stop1()
+
+	s2, ts2, stop2 := startJournaled(t, dir)
+	defer stop2()
+	if got := s2.RecoveryInfo().WarmedVersions; got != 2 {
+		t.Fatalf("warmed %d versions, want 2", got)
+	}
+	for _, v := range []ColorResponse{v0, v1} {
+		after, code, kind := postReply(t, ts2, ColorRequest{BaseFingerprint: v.Fingerprint, AddEdges: [][2]int32{{1, 34}}})
+		if code != http.StatusOK || !after.Delta {
+			t.Fatalf("delta on restarted version %s: http %d %s %+v", v.Fingerprint, code, kind, after)
+		}
+	}
+}
+
+// TestDeltaWarmStartRejectsImproperColoring: the incremental path proves
+// a step only where it changed, which is a full proof only over a proper
+// base. A journal record is CRC-checked, not checked against its graph, so
+// a resident completion whose coloring is improper must not be rebuilt
+// into the store, and a delta on it must be told to re-upload, never
+// answered from it — also after a resident re-upload that the result
+// cache, warmed from the same record, answers.
+func TestDeltaWarmStartRejectsImproperColoring(t *testing.T) {
+	dir := t.TempDir()
+	up := ColorRequest{Gen: "grid:6:6", Resident: true}
+	wire, err := json.Marshal(&up)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, g, err := buildRequest(&up, newSpecCache(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := g.Fingerprint()
+	key := keyOf(req, fp, 1)
+	now := time.Now().UnixMilli()
+	j, _ := openTestJournal(t, dir)
+	if err := j.AppendAccept(journal.AcceptRecord{ID: "improper", Fingerprint: fp, PolicyKey: key.policy,
+		AcceptedUnixMS: now, Resident: true, Wire: wire}); err != nil {
+		t.Fatal(err)
+	}
+	// Every vertex color 0: every edge of the grid is monochromatic.
+	if err := j.AppendComplete(journal.CompleteRecord{ID: "improper", Fingerprint: fp, PolicyKey: key.policy,
+		Disposition: journal.DispOK, NumColors: 1, ColorsB64: journal.EncodeColors(make([]int32, g.NumVertices())),
+		CompletedUnixMS: now}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts, stop := startJournaled(t, dir)
+	defer stop()
+	if info := s.RecoveryInfo(); info.WarmedVersions != 0 || info.WarmedCache != 1 {
+		t.Fatalf("warmed %d versions and %d cache entries, want 0 and 1", info.WarmedVersions, info.WarmedCache)
+	}
+	d := &graph.Delta{AddEdges: [][2]int32{{0, 35}}}
+	delta := ColorRequest{BaseFingerprint: graph.FingerprintString(fp), AddEdges: d.AddEdges, IncludeColors: true}
+	if out, code, kind := postReply(t, ts, delta); code != http.StatusNotFound || kind != "unknown_base" {
+		t.Fatalf("delta on an improperly colored version: http %d %s %+v, want 404 unknown_base", code, kind, out)
+	}
+	if again := mustPost(t, ts, up); !again.Cached {
+		t.Fatalf("re-upload not answered from the warmed cache entry: %+v", again)
+	}
+	out, code, kind := postReply(t, ts, delta)
+	switch {
+	case code == http.StatusNotFound && kind == "unknown_base":
+	case code == http.StatusOK:
+		ng, _, _, err := graph.ApplyDelta(g, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := color.Verify(ng, out.Colors); err != nil {
+			t.Fatalf("delta after a cached re-upload answered an improper coloring: %v", err)
+		}
+	default:
+		t.Fatalf("delta after a cached re-upload: http %d %s", code, kind)
+	}
+}
+
+// TestDeltaVerifyChangedMatchesVerify: over a proper base, the local
+// proof agrees with the full Verify on every recolored successor of
+// random deltas, and rejects, with Verify's own error, a coloring broken
+// at one vertex inside the frontier, outside it, or left uncolored.
+func TestDeltaVerifyChangedMatchesVerify(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	graphs := []*graph.Graph{gen.GNM(300, 1200, 1), gen.RMAT(9, 8, gen.Graph500, 2), gen.Grid2D(12, 12), gen.BarabasiAlbert(400, 3, 3)}
+	var sc color.Scratch
+	for gi, g := range graphs {
+		base := color.Greedy(g, color.Natural, 0)
+		for step := 0; step < 40; step++ {
+			d := editScript(rng, g, step%5 == 0)
+			ng, _, frontier, err := graph.ApplyDelta(g, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			colors := slices.Grow(slices.Clone(base), ng.NumVertices()-len(base))
+			for len(colors) < ng.NumVertices() {
+				colors = append(colors, color.Uncolored)
+			}
+			color.RecolorFrontier(ng, colors, frontier, &sc)
+			if local, full := color.VerifyChanged(ng, colors, base, frontier), color.Verify(ng, colors); local != nil || full != nil {
+				t.Fatalf("graph %d step %d: recolored successor: local %v, full %v, want both nil", gi, step, local, full)
+			}
+			inFrontier := make(map[int32]bool, len(frontier))
+			for _, v := range frontier {
+				inFrontier[v] = true
+			}
+			pick := func(inside bool) int32 {
+				for tries := 0; tries < 1000; tries++ {
+					v := rng.Int31n(int32(ng.NumVertices()))
+					if inFrontier[v] == inside && ng.Degree(v) > 0 {
+						return v
+					}
+				}
+				return -1
+			}
+			for _, inside := range []bool{true, false} {
+				v := pick(inside)
+				if v < 0 {
+					continue
+				}
+				broken := slices.Clone(colors)
+				nb := ng.Neighbors(v)
+				broken[v] = broken[nb[rng.Intn(len(nb))]]
+				checkBrokenAgrees(t, ng, broken, base, frontier)
+			}
+			broken := slices.Clone(colors)
+			broken[rng.Intn(len(broken))] = color.Uncolored
+			checkBrokenAgrees(t, ng, broken, base, frontier)
+		}
+	}
+
+	// Violations where no color moved, which the diff alone cannot see: an
+	// added edge whose endpoints keep one base color (the frontier check
+	// finds it), and an appended vertex left uncolored, with a frontier
+	// holding only the added edges' endpoints, here none (the check of
+	// every vertex past the base finds it).
+	path := gen.Path(4)
+	base := []int32{0, 1, 0, 1}
+	for _, d := range []*graph.Delta{{AddEdges: [][2]int32{{0, 2}}}, {AddVertices: 1}} {
+		ng, _, _, err := graph.ApplyDelta(path, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var added []int32
+		for _, e := range d.AddEdges {
+			added = append(added, e[0], e[1])
+		}
+		colors := slices.Clone(base)
+		for len(colors) < ng.NumVertices() {
+			colors = append(colors, color.Uncolored)
+		}
+		checkBrokenAgrees(t, ng, colors, base, added)
+	}
+
+	// The precondition is real: a conflict already in the base, away from
+	// the frontier, goes unseen. Warm start's full Verify keeps such a base
+	// out of the store.
+	g := gen.Path(6)
+	base = []int32{0, 0, 1, 0, 1, 0} // edge 0-1 monochromatic
+	d := &graph.Delta{AddEdges: [][2]int32{{3, 5}}}
+	ng, _, frontier, err := graph.ApplyDelta(g, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	colors := slices.Clone(base)
+	color.RecolorFrontier(ng, colors, frontier, &sc)
+	if color.VerifyChanged(ng, colors, base, frontier) != nil || color.Verify(ng, colors) == nil {
+		t.Fatal("an improper base outside the frontier should pass the local proof and fail the full one")
+	}
+}
+
+// checkBrokenAgrees asserts that the local proof rejects a broken coloring
+// exactly as Verify does.
+func checkBrokenAgrees(t *testing.T, g *graph.Graph, colors, base, frontier []int32) {
+	t.Helper()
+	full := color.Verify(g, colors)
+	if full == nil {
+		t.Fatal("test bug: the broken coloring verifies")
+	}
+	local := color.VerifyChanged(g, colors, base, frontier)
+	if local == nil || local.Error() != full.Error() {
+		t.Fatalf("local proof %v, want Verify's %v", local, full)
+	}
+}
+
+// BenchmarkVerifyDeltaStep compares the delta path's local proof with a
+// full Verify of the successor, on rmat:12:16 and a 32-edit delta (16
+// removals, 16 additions — the shape of the serving benchmark's steps).
+func BenchmarkVerifyDeltaStep(b *testing.B) {
+	g := gen.RMAT(12, 16, gen.Graph500, 1)
+	base := color.Greedy(g, color.Natural, 0)
+	rng := rand.New(rand.NewSource(1))
+	n := int32(g.NumVertices())
+	d := &graph.Delta{}
+	for len(d.RemoveEdges) < 16 {
+		if u := rng.Int31n(n); g.Degree(u) > 0 {
+			d.RemoveEdges = append(d.RemoveEdges, [2]int32{u, g.Neighbors(u)[0]})
+		}
+	}
+	for len(d.AddEdges) < 16 {
+		if u, v := rng.Int31n(n), rng.Int31n(n); u != v && !g.HasEdge(u, v) {
+			d.AddEdges = append(d.AddEdges, [2]int32{u, v})
+		}
+	}
+	ng, _, frontier, err := graph.ApplyDelta(g, d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	colors := slices.Clone(base)
+	color.RecolorFrontier(ng, colors, frontier, new(color.Scratch))
+	b.Run("local", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := color.VerifyChanged(ng, colors, base, frontier); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("full", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := color.Verify(ng, colors); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -70,7 +70,10 @@ type ColorRequest struct {
 	RemoveEdges     [][2]int32 `json:"remove_edges,omitempty"`
 }
 
-// ColorResponse is the JSON body of a successful POST /color.
+// ColorResponse is the JSON body of a successful POST /color. Replies are
+// written by WriteColorResponse, not by encoding/json: a field added here
+// must be added there too (TestWriteColorResponseEveryField fails until it
+// is).
 type ColorResponse struct {
 	Fingerprint string  `json:"fingerprint"`
 	NumColors   int     `json:"num_colors"`
@@ -428,10 +431,8 @@ func handleColor(s *Server, hc HandlerConfig, w http.ResponseWriter, r *http.Req
 		out.Colors = nil
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(out); err != nil {
-		// Headers are gone; nothing to do but drop the connection.
-		return
-	}
+	// A failed write leaves nothing to do: the headers are gone.
+	_ = WriteColorResponse(w, out)
 }
 
 // WireResponse renders a served request's response as the POST /color

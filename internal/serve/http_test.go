@@ -27,6 +27,9 @@ func postColor(t *testing.T, ts *httptest.Server, body ColorRequest) (*http.Resp
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		t.Fatalf("read body: %v", err)
 	}
+	if resp.StatusCode == http.StatusOK {
+		checkReplyIsEncodingJSON(t, buf.Bytes())
+	}
 	return resp, buf.Bytes()
 }
 

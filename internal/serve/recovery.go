@@ -212,78 +212,104 @@ func (a *Admission) Recover(rec *journal.Recovery, resubmit func(ctx context.Con
 // delta record once its base has: at its place in journal order when the
 // base came earlier, else right after the base rebuilds. The base's newest
 // pair can settle after the delta (the base re-uploaded later, or re-pinned
-// in a segment after the snapshot that holds the delta). A delta whose
-// base never rebuilds is dropped.
+// in a segment after the snapshot that holds the delta). A version whose
+// newest wire form cannot rebuild (yet) tries its older ones, and waits on
+// the base of each delta among them. A version none of whose bases ever
+// rebuilds is dropped.
 func (s *Server) applyVersions(rec *journal.Recovery) {
 	if rec == nil {
 		return
 	}
-	waiting := make(map[uint64][]*journal.SettledVersion) // base fp -> its unbuilt deltas
+	waiting := make(map[uint64][]*journal.SettledVersion) // base fp -> versions waiting on it
+	pinned := make(map[uint64]bool)
 	for i := range rec.Settled {
 		queue := []*journal.SettledVersion{&rec.Settled[i]}
 		for k := 0; k < len(queue); k++ {
 			sv := queue[k]
-			pinned, base, wait := s.warmVersion(sv)
-			switch {
-			case pinned:
-				s.warmVersions++
-				fp := sv.Complete.Fingerprint
-				queue = append(queue, waiting[fp]...)
-				delete(waiting, fp)
-			case wait:
-				waiting[base] = append(waiting[base], sv)
+			fp := sv.Complete.Fingerprint
+			if pinned[fp] {
+				continue // rebuilt already, through another base it waited on
 			}
+			ok, bases := s.warmVersion(sv)
+			if !ok {
+				for _, b := range bases {
+					waiting[b] = append(waiting[b], sv)
+				}
+				continue
+			}
+			pinned[fp] = true
+			s.warmVersions++
+			queue = append(queue, waiting[fp]...)
+			delete(waiting, fp)
 		}
 	}
 }
 
 // warmVersion rebuilds one resident graph version from its settled
 // accept+completion pair: the coloring comes from the completion, the
-// graph from the accept's wire form — a full graph spec for resident
-// uploads and a snapshot's full-graph records, or a delta applied to its
-// rebuilt base for live and snapshot delta records; the rebuilt version
-// remembers which. It reports whether it pinned the version, and for a
-// delta whose base is not in the store, that base with wait set. Other
-// failures (undecodable wire, a fingerprint or length mismatch) skip the
-// version; a later delta against it will report unknown base and the
-// client re-uploads.
-func (s *Server) warmVersion(sv *journal.SettledVersion) (pinned bool, base uint64, wait bool) {
+// graph from the first of the accept's and the older pairs' wire forms
+// that rebuilds it — a full graph spec for resident uploads and a
+// snapshot's full-graph records, or a delta applied to its rebuilt base
+// for live and snapshot delta records; the rebuilt version remembers
+// which. The coloring must pass a full Verify against that graph before it
+// is pinned: the incremental path proves a delta step only where it
+// changed, which is a full proof only over a proper base, and a journal
+// record is CRC-checked, not checked against its graph. It reports whether
+// it pinned the version, and otherwise the bases of the deltas that wait
+// for one. Other failures (undecodable wire, a fingerprint or length
+// mismatch, an improper coloring) skip the version; a later delta against
+// it will report unknown base and the client re-uploads.
+func (s *Server) warmVersion(sv *journal.SettledVersion) (pinned bool, waits []uint64) {
 	colors, err := journal.DecodeColors(sv.Complete.ColorsB64)
 	if err != nil || len(colors) == 0 {
-		return false, 0, false
+		return false, nil
 	}
+	fp := sv.Complete.Fingerprint
+	for _, wire := range append([]json.RawMessage{sv.Accept.Wire}, sv.OlderWires...) {
+		g, base, d, wait := s.rebuildGraph(wire, fp)
+		if wait {
+			waits = append(waits, base)
+		}
+		if g == nil {
+			continue
+		}
+		if g.NumVertices() != len(colors) || color.Verify(g, colors) != nil {
+			return false, nil
+		}
+		s.versions.put(fp, g, colors, base, d)
+		return true, nil
+	}
+	return false, waits
+}
+
+// rebuildGraph decodes one journaled wire form of the version fp into its
+// graph: a full graph spec, or a delta applied to its base version (the
+// delta and base are returned too). A delta whose base is not in the
+// store returns no graph and that base with wait set; any other failure
+// returns no graph.
+func (s *Server) rebuildGraph(wire []byte, fp uint64) (g *graph.Graph, base uint64, d *graph.Delta, wait bool) {
 	var cr ColorRequest
-	if len(sv.Accept.Wire) == 0 || json.Unmarshal(sv.Accept.Wire, &cr) != nil {
-		return false, 0, false
+	if len(wire) == 0 || json.Unmarshal(wire, &cr) != nil {
+		return nil, 0, nil, false
 	}
-	var g *graph.Graph
-	var d *graph.Delta
-	if cr.BaseFingerprint != "" {
-		if base, err = ParseFingerprint(cr.BaseFingerprint); err != nil {
-			return false, 0, false
-		}
-		bv, ok := s.versions.get(base)
-		if !ok {
-			return false, base, true
-		}
-		d = &graph.Delta{AddVertices: cr.AddVertices, AddEdges: cr.AddEdges, RemoveEdges: cr.RemoveEdges}
-		ng, fp, _, err := graph.ApplyDelta(bv.g, d)
-		if err != nil || fp != sv.Complete.Fingerprint {
-			return false, 0, false
-		}
-		g = ng
-	} else {
-		_, rg, err := buildRequest(&cr, s.front.specs)
-		if err != nil || rg == nil {
-			return false, 0, false
-		}
-		g = rg
+	if cr.BaseFingerprint == "" {
+		_, g, _ = buildRequest(&cr, s.front.specs)
+		return g, 0, nil, false
 	}
-	if g.NumVertices() != len(colors) {
-		return false, 0, false
+	base, err := ParseFingerprint(cr.BaseFingerprint)
+	if err != nil {
+		return nil, 0, nil, false
 	}
-	s.versions.put(sv.Complete.Fingerprint, g, colors, base, d)
-	return true, 0, false
+	bv, ok := s.versions.get(base)
+	if !ok {
+		return nil, base, nil, true
+	}
+	d = &graph.Delta{AddVertices: cr.AddVertices, AddEdges: cr.AddEdges, RemoveEdges: cr.RemoveEdges}
+	ng, nfp, _, err := graph.ApplyDelta(bv.g, d)
+	if err != nil || nfp != fp {
+		return nil, 0, nil, false
+	}
+	return ng, base, d, false
 }
 
 // replayOne re-executes one crash-interrupted accepted job and settles

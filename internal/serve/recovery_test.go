@@ -52,6 +52,9 @@ func postColorHeaders(t *testing.T, ts *httptest.Server, body ColorRequest, hdr 
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		t.Fatal(err)
 	}
+	if resp.StatusCode == http.StatusOK {
+		checkReplyIsEncodingJSON(t, buf.Bytes())
+	}
 	return resp, buf.Bytes()
 }
 

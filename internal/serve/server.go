@@ -465,7 +465,7 @@ func (s *Server) Submit(ctx context.Context, req *Request) (*Response, error) {
 	}
 	shards := s.effectiveShards(req)
 	res, err := s.front.serve(ctx, req, keyOf(req, fp, shards), s.enqueuer(ctx, fp, shards))
-	if err == nil && req.Resident {
+	if err == nil && req.Resident && storable(req.Graph, res) {
 		s.versions.put(fp, req.Graph, res.Colors, 0, nil)
 	}
 	return res, err
