@@ -478,6 +478,69 @@ func TestCoordinatorRoutesCSRFrames(t *testing.T) {
 	}
 }
 
+// Every envelope a coordinator writes to a worker (a routed edge-list
+// upload as graph_csr_b64, a routed binary frame, a generator spec, the
+// shard sub-jobs of a scatter, a delta routed to its version's owner) is
+// read by the worker's one-pass JSON decoder, none by encoding/json.
+func TestCoordinatorEnvelopesTakeFastPath(t *testing.T) {
+	w1 := newTestWorker(t, serve.Config{})
+	w2 := newTestWorker(t, serve.Config{})
+	_, ts := newTestCoordinator(t, cluster.Config{}, w1, w2)
+
+	body, _ := edgeListBody(t, "gnm:180:700:8", serve.ColorRequest{Alg: "hybrid", Seed: 3, Policy: "stealing", Priority: "high", TimeoutMS: 30_000})
+	postOK(t, "edge list", ts.URL, ctJSON, "", body, "env-0", "")
+	postOK(t, "frame", ts.URL, serve.ContentTypeBinaryCSR, "alg=hybrid&seed=4&include_colors=true", graph.EncodeWireCSR(mustGraph(t, "grid:9:7")), "env-1", "")
+	postOK(t, "gen", ts.URL, ctJSON, "", mustJSON(t, &serve.ColorRequest{Gen: "rmat:7:4:2"}), "env-2", "")
+	scatter := mustJSON(t, &serve.ColorRequest{Gen: "grid:16:16", Alg: "hybrid", Seed: 5, Threshold: 9, Fused: true, Shards: 2, CycleBudget: 1 << 40, MaxRetries: 2})
+	if out := postOK(t, "scatter", ts.URL, ctJSON, "", scatter, "env-3", ""); !out.Scattered {
+		t.Fatalf("pinned two-shard request not scattered: %+v", out)
+	}
+	base := postOK(t, "resident", ts.URL, ctJSON, "", mustJSON(t, &serve.ColorRequest{Gen: "grid:8:8", Resident: true}), "env-4", "")
+	delta := mustJSON(t, &serve.ColorRequest{BaseFingerprint: base.Fingerprint, AddVertices: 1, AddEdges: [][2]int32{{0, 64}}, RemoveEdges: [][2]int32{{0, 1}}})
+	if out := postOK(t, "delta", ts.URL, ctJSON, "", delta, "env-5", ""); !out.Delta {
+		t.Fatalf("delta not served by the incremental engine: %+v", out)
+	}
+	if calls := w1.colorCalls() + w2.colorCalls(); calls != 7 {
+		t.Fatalf("workers got %d calls, want 7 (3 routed, 2 shards, resident, delta)", calls)
+	}
+	fallbacks := func(w *testWorker) int64 { return w.srv.Metrics().Counter("wire_json_fallback_total").Value() }
+	for i, w := range []*testWorker{w1, w2} {
+		if n := fallbacks(w); n != 0 {
+			t.Fatalf("worker %d decoded %d coordinator envelopes with encoding/json", i, n)
+		}
+	}
+	// The counter does count: a case-variant key is left to encoding/json.
+	postOK(t, "case-variant key", w1.ts.URL, ctJSON, "", []byte(`{"Gen":"grid:3:3"}`), "env-6", "")
+	if n := fallbacks(w1); n != 1 {
+		t.Fatalf("wire_json_fallback_total %d after a non-canonical body, want 1", n)
+	}
+}
+
+// A binary upload whose query does not parse is refused with 400
+// bad_request naming the query error, before any worker sees it, rather
+// than run with the options after the fault dropped.
+func TestCoordinatorRejectsMalformedQuery(t *testing.T) {
+	w := newTestWorker(t, serve.Config{})
+	_, ts := newTestCoordinator(t, cluster.Config{}, w)
+	frame := graph.EncodeWireCSR(mustGraph(t, "grid:9:7"))
+	for query, msg := range map[string]string{
+		"alg=hybrid&seed=%zz&include_colors=true": `query: invalid URL escape "%zz"`,
+		"alg=hybrid;seed=5":                       "query: invalid semicolon separator in query",
+	} {
+		code, body := postRaw(t, ts.URL, serve.ContentTypeBinaryCSR, query, frame, "", "")
+		var er struct {
+			Error string `json:"error"`
+			Kind  string `json:"kind"`
+		}
+		if err := json.Unmarshal(body, &er); err != nil || code != http.StatusBadRequest || er.Kind != "bad_request" || !strings.Contains(er.Error, msg) {
+			t.Errorf("query %q: status %d, body %s; want 400 bad_request naming %q", query, code, body, msg)
+		}
+	}
+	if n := w.colorCalls(); n != 0 {
+		t.Fatalf("worker got %d calls for refused uploads", n)
+	}
+}
+
 // The coordinator takes binary CSR bodies: a frame and the same graph as
 // JSON edge-list text, under the same options, get the same fingerprint
 // and colors; a repeated frame is a memo hit; and the frame's accept is

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gcolor/internal/color"
 	"gcolor/internal/journal"
 	"gcolor/internal/metrics"
 )
@@ -144,17 +145,32 @@ func (a *Admission) replay(req *Request) (*Response, bool) {
 	return hit, true
 }
 
-// hit answers req from the result cache unless it bypasses the cache.
+// hit answers req from the result cache unless it bypasses the cache. A
+// journal-warmed entry was never checked against a graph, so its first
+// hit proves it against req.Graph first: an improper coloring leaves the
+// cache, is counted, and req runs as a miss. A request with no graph (a
+// memo recall) is never answered from an entry not yet proved. Every
+// other entry was proved when its coloring was made in this process.
 func (a *Admission) hit(req *Request, key cacheKey) (*Response, bool) {
 	if req.NoCache {
 		return nil, false
 	}
-	res, ok := a.cache.get(key)
-	if !ok {
+	res, warm, ok := a.cache.get(key)
+	if !ok || warm && req.Graph == nil {
 		return nil, false
 	}
+	hit := answered(res, req)
+	if warm {
+		proper := color.Verify(req.Graph, hit.Colors) == nil
+		if a.cache.settle(key, res, proper) {
+			a.reg.Counter("warm_cache_rejected_total").Inc()
+		}
+		if !proper {
+			return nil, false
+		}
+	}
 	a.reg.Counter("cache_hits").Inc()
-	return answered(res, req), true
+	return hit, true
 }
 
 // answered is a stored response as one caller's private copy, marked as
@@ -256,7 +272,7 @@ func (a *Admission) publish(fl *flight, res *Response, err error) {
 		key := cacheKey{fp: res.Fingerprint, policy: fl.key.policy}
 		stored := packResponse(res)
 		if !fl.req.NoCache {
-			a.cache.put(key, stored)
+			a.cache.put(key, stored, false)
 		}
 		a.idem.put(fl.req.IdemKey, stored, fl.req.NoCache, key.policy)
 	}

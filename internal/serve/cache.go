@@ -38,6 +38,9 @@ type resultCache struct {
 type cacheEntry struct {
 	key cacheKey
 	res *Response
+	// warm marks an entry loaded from the journal at startup and not yet
+	// checked against its graph; Admission.hit proves it on first use.
+	warm bool
 }
 
 func newResultCache(capacity int) *resultCache {
@@ -51,41 +54,63 @@ func newResultCache(capacity int) *resultCache {
 	}
 }
 
-// get returns the cached response for key, refreshing its recency.
-func (c *resultCache) get(key cacheKey) (*Response, bool) {
+// get returns the cached response for key, refreshing its recency, and
+// whether it is a warm entry not yet proved.
+func (c *resultCache) get(key cacheKey) (res *Response, warm, ok bool) {
 	if c.cap == 0 {
-		return nil, false
+		return nil, false, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
-		return nil, false
+		return nil, false, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	e := el.Value.(*cacheEntry)
+	return e.res, e.warm, true
 }
 
 // put inserts or refreshes key, evicting the least recently used entry
-// beyond capacity.
-func (c *resultCache) put(key cacheKey, res *Response) {
+// beyond capacity; warm marks an entry loaded from the journal.
+func (c *resultCache) put(key cacheKey, res *Response, warm bool) {
 	if c.cap == 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
-		el.Value.(*cacheEntry).res = res
+		e := el.Value.(*cacheEntry)
+		e.res, e.warm = res, warm
 		c.order.MoveToFront(el)
 		return
 	}
-	c.byKey[key] = c.order.PushFront(&cacheEntry{key: key, res: res})
+	c.byKey[key] = c.order.PushFront(&cacheEntry{key: key, res: res, warm: warm})
 	for c.order.Len() > c.cap {
 		el := c.order.Back()
 		c.order.Remove(el)
 		delete(c.byKey, el.Value.(*cacheEntry).key)
 		c.evicts++
 	}
+}
+
+// settle records the proof of the warm entry under key, if it still holds
+// res: a proper coloring stays as an ordinary entry, an improper one is
+// removed. It reports whether it removed the entry.
+func (c *resultCache) settle(key cacheKey, res *Response, proper bool) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.byKey[key]
+	if !ok || el.Value.(*cacheEntry).res != res {
+		return false
+	}
+	if proper {
+		el.Value.(*cacheEntry).warm = false
+		return false
+	}
+	c.order.Remove(el)
+	delete(c.byKey, key)
+	return true
 }
 
 // len returns the number of cached entries.

@@ -191,16 +191,6 @@ func (c *versionStore) export() []*versionEntry {
 	return out
 }
 
-// storable reports whether a served answer for g may be pinned as a
-// version. The store holds proper colorings only, which the incremental
-// path's local proof relies on. A cache hit is the one answer that was not
-// proved in this process: a journal-warmed entry was never checked against
-// a graph, so a hit is verified here; the result of any other path was
-// verified when it was made.
-func storable(g *graph.Graph, res *Response) bool {
-	return !res.Cached || color.Verify(g, res.Colors) == nil
-}
-
 // deltaScratch pools the frontier-recolor buffers: a warm steady-state
 // delta stream recolors with zero scratch allocations.
 var deltaScratch = sync.Pool{New: func() any { return new(color.Scratch) }}
@@ -245,9 +235,7 @@ func (s *Server) submitDelta(ctx context.Context, req *Request) (*Response, erro
 	shards := s.effectiveShards(req)
 	key := keyOf(req, fp, shards)
 	if hit, ok := s.front.hit(req, key); ok {
-		if storable(ng, hit) {
-			s.versions.put(fp, ng, hit.Colors, req.BaseFingerprint, d) // re-pin: the chain continues
-		}
+		s.versions.put(fp, ng, hit.Colors, req.BaseFingerprint, d) // re-pin: the chain continues
 		hit.Delta = true
 		hit.FrontierSize = len(frontier)
 		hit.Vertices = ng.NumVertices()
@@ -274,9 +262,10 @@ func (s *Server) submitDelta(ctx context.Context, req *Request) (*Response, erro
 	recolored := color.RecolorFrontier(ng, colors, frontier, sc)
 	deltaScratch.Put(sc)
 	// The proof checks only where the step changed something. The store
-	// holds proper colorings only (warm start and cache hits are verified
-	// in full before they are pinned, every other put was verified when it
-	// was made), so this equals a full Verify of the successor.
+	// holds proper colorings only (warm start verifies in full before it
+	// pins, and every other put stores a coloring proved in this process:
+	// a cache hit's included, since Admission.hit proves a journal-warmed
+	// entry on first use), so this equals a full Verify of the successor.
 	if verr := color.VerifyChanged(ng, colors, base.colors, frontier); verr != nil {
 		// Unreachable while the base coloring is proper (the frontier
 		// covers every changed neighbourhood); if a bug ever breaks the

@@ -1243,8 +1243,9 @@ func TestVersionUndoChainSurvivesRestart(t *testing.T) {
 // base. A journal record is CRC-checked, not checked against its graph, so
 // a resident completion whose coloring is improper must not be rebuilt
 // into the store, and a delta on it must be told to re-upload, never
-// answered from it — also after a resident re-upload that the result
-// cache, warmed from the same record, answers.
+// answered from it. The result cache, warmed from the same record, proves
+// the entry on the re-upload's hit and drops it, so the re-upload runs and
+// pins a proper version, which the delta then extends.
 func TestDeltaWarmStartRejectsImproperColoring(t *testing.T) {
 	dir := t.TempDir()
 	up := ColorRequest{Gen: "grid:6:6", Resident: true}
@@ -1284,22 +1285,19 @@ func TestDeltaWarmStartRejectsImproperColoring(t *testing.T) {
 	if out, code, kind := postReply(t, ts, delta); code != http.StatusNotFound || kind != "unknown_base" {
 		t.Fatalf("delta on an improperly colored version: http %d %s %+v, want 404 unknown_base", code, kind, out)
 	}
-	if again := mustPost(t, ts, up); !again.Cached {
-		t.Fatalf("re-upload not answered from the warmed cache entry: %+v", again)
+	if again := mustPost(t, ts, up); again.Cached {
+		t.Fatalf("re-upload answered from the improper warmed cache entry: %+v", again)
 	}
 	out, code, kind := postReply(t, ts, delta)
-	switch {
-	case code == http.StatusNotFound && kind == "unknown_base":
-	case code == http.StatusOK:
-		ng, _, _, err := graph.ApplyDelta(g, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := color.Verify(ng, out.Colors); err != nil {
-			t.Fatalf("delta after a cached re-upload answered an improper coloring: %v", err)
-		}
-	default:
-		t.Fatalf("delta after a cached re-upload: http %d %s", code, kind)
+	if code != http.StatusOK {
+		t.Fatalf("delta after the re-upload: http %d %s", code, kind)
+	}
+	ng, _, _, err := graph.ApplyDelta(g, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := color.Verify(ng, out.Colors); err != nil {
+		t.Fatalf("delta after the re-upload answered an improper coloring: %v", err)
 	}
 }
 

@@ -620,8 +620,9 @@ func colorRequestFromQuery(cr *ColorRequest, q url.Values) error {
 }
 
 // Decode turns an upload into the wire options it carries and the Request
-// they describe. The body is a JSON ColorRequest, or — under
-// ContentTypeBinaryCSR, with the options in the query — a binary CSR graph
+// they describe. The body is a JSON ColorRequest (decodeColorRequest), or
+// — under ContentTypeBinaryCSR, with the options in a query that must
+// parse — a binary CSR graph
 // frame (decoded straight into CSR arrays, its fingerprint computed in the
 // same pass) or a GCSD delta frame (sniffed by magic), whose base
 // fingerprint and edit lists are copied into the returned options as a
@@ -635,7 +636,10 @@ func (a *Admission) Decode(u *Upload) (*ColorRequest, *Request, error) {
 	var req *Request
 	if isBinaryCSR(u.ContentType) {
 		a.reg.Counter("wire_binary_requests_total").Inc()
-		q, _ := url.ParseQuery(u.RawQuery)
+		q, err := url.ParseQuery(u.RawQuery)
+		if err != nil {
+			return nil, nil, fmt.Errorf("query: %v", err)
+		}
 		if err := colorRequestFromQuery(cr, q); err != nil {
 			return nil, nil, err
 		}
@@ -662,10 +666,13 @@ func (a *Admission) Decode(u *Upload) (*ColorRequest, *Request, error) {
 		}
 		req.csrOpts = cr
 	} else {
-		if err := json.Unmarshal(u.Body, cr); err != nil {
+		fellBack, err := decodeColorRequest(u.Body, cr)
+		if fellBack {
+			a.reg.Counter("wire_json_fallback_total").Inc()
+		}
+		if err != nil {
 			return nil, nil, fmt.Errorf("decode: %v", err)
 		}
-		var err error
 		if req, err = a.Request(cr); err != nil {
 			return nil, nil, err
 		}

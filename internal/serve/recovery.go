@@ -140,7 +140,8 @@ func versionRecordID(fp uint64) string { return "ver-" + graph.FingerprintString
 
 // Recover warm-starts the result cache and idempotency map from replayed
 // completions — synchronously, so the executor is warm from the moment
-// it is built — and re-submits rec's pending accepts through resubmit in
+// it is built; cache entries are marked warm, to be proved on first hit —
+// and re-submits rec's pending accepts through resubmit in
 // the background, at most ReplayParallelism at a time, each bounded by its
 // accept's own deadline. Every pending accept is in pendAccepts until its
 // replay settles, so a compaction meanwhile carries the ones not yet
@@ -171,7 +172,7 @@ func (a *Admission) Recover(rec *journal.Recovery, resubmit func(ctx context.Con
 			Device:      -1,
 		})
 		if !c.NoCache {
-			a.cache.put(cacheKey{fp: c.Fingerprint, policy: c.PolicyKey}, res)
+			a.cache.put(cacheKey{fp: c.Fingerprint, policy: c.PolicyKey}, res, true)
 			a.warmCache++
 		}
 		if c.IdemKey != "" {
@@ -289,7 +290,7 @@ func (s *Server) warmVersion(sv *journal.SettledVersion) (pinned bool, waits []u
 // returns no graph.
 func (s *Server) rebuildGraph(wire []byte, fp uint64) (g *graph.Graph, base uint64, d *graph.Delta, wait bool) {
 	var cr ColorRequest
-	if len(wire) == 0 || json.Unmarshal(wire, &cr) != nil {
+	if _, err := decodeColorRequest(wire, &cr); err != nil {
 		return nil, 0, nil, false
 	}
 	if cr.BaseFingerprint == "" {
@@ -335,7 +336,7 @@ func (a *Admission) replayOne(p *journal.AcceptRecord, resubmit func(context.Con
 		return
 	}
 	var cr ColorRequest
-	if len(p.Wire) == 0 || json.Unmarshal(p.Wire, &cr) != nil {
+	if _, err := decodeColorRequest(p.Wire, &cr); err != nil {
 		a.reg.Counter("replay_failed_total").Inc()
 		settle(completionRecord(p.ID, p.IdemKey, key, nil, errors.New("serve: replay: unreplayable accept record"), true))
 		return

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"gcolor/internal/color"
 	"gcolor/internal/journal"
 )
 
@@ -131,6 +132,141 @@ func TestWarmStartAcrossRestart(t *testing.T) {
 	}
 	if !idem.IdempotentReplay {
 		t.Fatalf("retry with pre-crash Idempotency-Key not replayed: %+v", idem)
+	}
+}
+
+// TestWarmCacheHitVerifiesColoring: a journal record is CRC-checked, not
+// checked against its graph, so a cache entry warmed from an improper
+// completion must not answer. Its first hit proves it against the
+// request's graph, drops it and runs the request; the repeat after that is
+// answered from the proper coloring the run cached.
+func TestWarmCacheHitVerifiesColoring(t *testing.T) {
+	dir := t.TempDir()
+	up := ColorRequest{Gen: "grid:6:6", IncludeColors: true}
+	req, g, err := buildRequest(&up, newSpecCache(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := g.Fingerprint()
+	j, _ := openTestJournal(t, dir)
+	// Every vertex color 0: every edge of the grid is monochromatic.
+	if err := j.AppendComplete(journal.CompleteRecord{ID: "improper", Fingerprint: fp, PolicyKey: keyOf(req, fp, 1).policy,
+		Disposition: journal.DispOK, NumColors: 1, ColorsB64: journal.EncodeColors(make([]int32, g.NumVertices())),
+		CompletedUnixMS: time.Now().UnixMilli()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts, stop := startJournaled(t, dir)
+	defer stop()
+	if warmed := s.RecoveryInfo().WarmedCache; warmed != 1 {
+		t.Fatalf("warmed %d cache entries, want 1", warmed)
+	}
+	first := mustPost(t, ts, up)
+	if first.Cached {
+		t.Fatalf("re-upload answered from the improper warmed cache entry: %+v", first)
+	}
+	if err := color.Verify(g, first.Colors); err != nil {
+		t.Fatalf("re-upload answered an improper coloring: %v", err)
+	}
+	if n := s.reg.Counter("warm_cache_rejected_total").Value(); n != 1 {
+		t.Fatalf("warm_cache_rejected_total %d, want 1", n)
+	}
+	again := mustPost(t, ts, up)
+	if !again.Cached || !slices.Equal(again.Colors, first.Colors) {
+		t.Fatalf("repeat not answered from the run's coloring: %+v", again)
+	}
+}
+
+// TestWarmCacheConcurrentFirstHits: concurrent first hits on warmed
+// entries each get a proper coloring, a proper entry answers all of them
+// from the cache, and an improper entry is dropped and counted once.
+func TestWarmCacheConcurrentFirstHits(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openTestJournal(t, dir)
+	specs := []string{"grid:6:6", "grid:5:5"} // journaled improper, proper
+	for i, spec := range specs {
+		req, g, err := buildRequest(&ColorRequest{Gen: spec}, newSpecCache(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		colors := make([]int32, g.NumVertices())
+		if i == 1 {
+			colors = color.Greedy(g, color.Natural, 0)
+		}
+		fp := g.Fingerprint()
+		if err := j.AppendComplete(journal.CompleteRecord{ID: spec, Fingerprint: fp, PolicyKey: keyOf(req, fp, 1).policy,
+			Disposition: journal.DispOK, NumColors: color.NumColors(colors), ColorsB64: journal.EncodeColors(colors),
+			CompletedUnixMS: time.Now().UnixMilli()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, _, stop := startJournaled(t, dir)
+	defer stop()
+
+	const callers = 8
+	errs := make(chan error, 2*callers)
+	for c := 0; c < callers; c++ {
+		for i, spec := range specs {
+			go func() {
+				req, g, err := buildRequest(&ColorRequest{Gen: spec}, s.front.specs)
+				if err == nil {
+					var res *Response
+					if res, err = s.Submit(context.Background(), req); err == nil {
+						err = color.Verify(g, res.Colors)
+						if err == nil && i == 1 && !res.Cached {
+							err = fmt.Errorf("%s: proper warmed entry not answered from the cache", spec)
+						}
+					}
+				}
+				errs <- err
+			}()
+		}
+	}
+	for k := 0; k < 2*callers; k++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if n := s.reg.Counter("warm_cache_rejected_total").Value(); n != 1 {
+		t.Fatalf("warm_cache_rejected_total %d, want 1", n)
+	}
+}
+
+// TestRecallSkipsUnprovedWarmEntry: a memo recall carries no graph, so it
+// must not answer from a warmed entry that no full-path hit has proved
+// yet, even when a digest already names the entry's key; the full path
+// proves the entry, and a recall answers after that.
+func TestRecallSkipsUnprovedWarmEntry(t *testing.T) {
+	a := NewAdmission(Config{CacheEntries: 8})
+	up := &Upload{ContentType: "application/json", Body: []byte(`{"gen":"grid:6:6"}`)}
+	_, req, err := a.Decode(up)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := req.Graph
+	req.Fingerprint = g.Fingerprint()
+	key := keyOf(req, req.Fingerprint, 1)
+	colors := color.Greedy(g, color.Natural, 0)
+	a.Recover(&journal.Recovery{Completions: []journal.CompleteRecord{{Fingerprint: req.Fingerprint, PolicyKey: key.policy,
+		Disposition: journal.DispOK, NumColors: color.NumColors(colors), ColorsB64: journal.EncodeColors(colors)}}}, nil)
+	a.memo.put(memoEntry{sum: up.digest(), key: key, vertices: g.NumVertices(), edges: g.NumEdges()})
+	if out, ok := a.Recall(up, "r1", ""); ok {
+		t.Fatalf("recall answered from a warmed entry not yet proved: %+v", out)
+	}
+	res, err := a.Serve(context.Background(), req, 1, func() (*Response, error) {
+		return nil, errors.New("a proper warmed entry missed the cache")
+	})
+	if err != nil || !res.Cached {
+		t.Fatalf("full path: %+v, %v; want the warmed entry", res, err)
+	}
+	if _, ok := a.Recall(up, "r2", ""); !ok {
+		t.Fatal("recall missed the entry the full path proved")
 	}
 }
 

@@ -111,21 +111,26 @@ func TestBinaryCSRIngest(t *testing.T) {
 		t.Fatalf("parameterized content type: status %d: %s", resp.StatusCode, body)
 	}
 
-	// Failure modes: truncated frame, garbage magic, unparsable option.
+	// Failure modes: truncated frame, garbage magic, unparsable option, and
+	// a query that does not parse (which would otherwise lose the options
+	// after the fault and run under defaults).
 	for name, tc := range map[string]struct {
 		frame []byte
 		query string
+		msg   string
 	}{
-		"truncated":  {frame[:len(frame)-4], ""},
-		"bad magic":  {[]byte("nope, not a frame"), ""},
-		"bad option": {frame, "seed=banana"},
+		"truncated":  {frame[:len(frame)-4], "", ""},
+		"bad magic":  {[]byte("nope, not a frame"), "", ""},
+		"bad option": {frame, "seed=banana", ""},
+		"bad escape": {frame, "alg=hybrid&seed=%zz&include_colors=true", `query: invalid URL escape "%zz"`},
+		"semicolon":  {frame, "alg=hybrid;seed=5", "query: invalid semicolon separator in query"},
 	} {
 		resp, body := postBinaryCSR(t, ts, tc.frame, tc.query, ContentTypeBinaryCSR)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", name, resp.StatusCode, body)
 		}
 		var er errorResponse
-		if err := json.Unmarshal(body, &er); err != nil || er.Kind != "bad_request" {
+		if err := json.Unmarshal(body, &er); err != nil || er.Kind != "bad_request" || !strings.Contains(er.Error, tc.msg) {
 			t.Errorf("%s: error body %s", name, body)
 		}
 	}
