@@ -295,13 +295,13 @@ func (c *Coordinator) Submit(ctx context.Context, cr *serve.ColorRequest, rid, i
 		return nil, &BadRequestError{Err: err}
 	}
 	req.Wire = wire
-	return c.answer(ctx, cr, req, rid, idemKey)
+	req.RequestID, req.IdemKey = rid, idemKey
+	return c.answer(ctx, cr, req)
 }
 
-// answer serves a decoded request as rid under idemKey and renders its
-// reply, colors included.
-func (c *Coordinator) answer(ctx context.Context, cr *serve.ColorRequest, req *serve.Request, rid, idemKey string) (*serve.ColorResponse, error) {
-	req.RequestID, req.IdemKey = rid, idemKey
+// answer serves a decoded request and renders its reply, colors included:
+// the coordinator's serve.ColorExec.
+func (c *Coordinator) answer(ctx context.Context, cr *serve.ColorRequest, req *serve.Request) (*serve.ColorResponse, error) {
 	res, err := c.submit(ctx, cr, req)
 	if err != nil {
 		return nil, err

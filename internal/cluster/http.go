@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"gcolor/internal/serve"
 )
@@ -21,8 +20,9 @@ import (
 //	                    ColorResponse); the coordinator routes or
 //	                    scatter-gathers it
 //	GET  /healthz       liveness + live worker count
-//	GET  /metricsz      flat text metrics (cluster_* counters plus
-//	                    per-worker health and breaker state)
+//	GET  /metricsz      flat text metrics (the admission core's counters,
+//	                    cluster_* figures and per-worker health and
+//	                    breaker state)
 //	GET  /clusterz      JSON membership snapshot (per-worker health,
 //	                    breaker, job counts, liveness)
 //	POST /cluster/join  worker registration: {"addr":"http://host:port"}
@@ -30,8 +30,14 @@ import (
 //	POST /drainz        request a graceful drain
 func Handler(c *Coordinator) http.Handler {
 	mux := http.NewServeMux()
+	exec, fail := c.answer, c.failColor
 	mux.HandleFunc("POST /color", func(w http.ResponseWriter, r *http.Request) {
-		handleColor(c, w, r)
+		// The wire contract of a worker's /color (a coordinator is a
+		// drop-in endpoint for gcload), JSON and binary bodies alike: a
+		// repeat is answered from the request memo before any decode.
+		rid := serve.RequestIDFor(r)
+		w.Header().Set("X-Request-ID", rid)
+		c.front.ServeColor(w, r, rid, serve.DefaultMaxBodyBytes, exec, fail)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		st := c.Stats()
@@ -42,6 +48,7 @@ func Handler(c *Coordinator) http.Handler {
 	mux.HandleFunc("GET /metricsz", func(w http.ResponseWriter, r *http.Request) {
 		st := c.Stats()
 		var sb strings.Builder
+		c.front.Metrics().WriteText(&sb)
 		fmt.Fprintf(&sb, "cluster_workers %d\n", st.Workers)
 		fmt.Fprintf(&sb, "cluster_alive_workers %d\n", st.AliveWorkers)
 		fmt.Fprintf(&sb, "cluster_jobs_total %d\n", st.Jobs)
@@ -161,72 +168,25 @@ func breakerCode(s string) int {
 	}
 }
 
-// handleColor is the coordinator's /color: the wire contract of a
-// worker's /color (a coordinator is a drop-in endpoint for gcload), JSON
-// and binary bodies alike, with the colors filtered per-request — the
-// coordinator holds full colorings internally for caching and merge
-// verification. A repeat of an upload it has decoded before is answered
-// from the request memo before any decode.
-func handleColor(c *Coordinator, w http.ResponseWriter, r *http.Request) {
-	rid := serve.RequestIDFor(r)
-	w.Header().Set("X-Request-ID", rid)
-	raw, err := serve.ReadBody(w, r, serve.DefaultMaxBodyBytes)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeClusterErr(w, http.StatusRequestEntityTooLarge, "too_large",
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), rid)
-			return
+// failColor writes the coordinator's reply to a failed /color: its own
+// error classification, and a Retry-After on overload and drain.
+func (c *Coordinator) failColor(w http.ResponseWriter, err error, rid string) {
+	status, kind := classifyClusterErr(err)
+	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+		// End-to-end backpressure: prefer the failing worker's own hint,
+		// else compute one from the fleet's reported queue depths, so the
+		// client's backoff reflects actual fleet load either way.
+		secs := 0
+		var we *WorkerError
+		if errors.As(err, &we) {
+			secs = we.RetryAfter
 		}
-		writeClusterErr(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("read: %v", err), rid)
-		return
-	}
-	idemKey := serve.SanitizeRequestID(r.Header.Get("Idempotency-Key"))
-	up := &serve.Upload{ContentType: r.Header.Get("Content-Type"), RawQuery: r.URL.RawQuery, Body: raw}
-	if out, ok := c.front.Recall(up, rid, idemKey); ok {
-		writeColor(w, out)
-		return
-	}
-	cr, req, err := c.front.Decode(up)
-	if err != nil {
-		writeClusterErr(w, http.StatusBadRequest, "bad_request", err.Error(), rid)
-		return
-	}
-	ctx := r.Context()
-	if cr.TimeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(cr.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
-	out, err := c.answer(ctx, cr, req, rid, idemKey)
-	if err != nil {
-		status, kind := classifyClusterErr(err)
-		if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-			// End-to-end backpressure: prefer the failing worker's own hint,
-			// else compute one from the fleet's reported queue depths, so the
-			// client's backoff reflects actual fleet load either way.
-			secs := 0
-			var we *WorkerError
-			if errors.As(err, &we) {
-				secs = we.RetryAfter
-			}
-			if secs <= 0 {
-				secs = c.RetryAfterHint(kind)
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
+		if secs <= 0 {
+			secs = c.RetryAfterHint(kind)
 		}
-		writeClusterErr(w, status, kind, err.Error(), rid)
-		return
+		w.Header().Set("Retry-After", strconv.Itoa(secs))
 	}
-	if !cr.IncludeColors {
-		out.Colors = nil
-	}
-	writeColor(w, out)
-}
-
-func writeColor(w http.ResponseWriter, out *serve.ColorResponse) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = serve.WriteColorResponse(w, out)
+	writeClusterErr(w, status, kind, err.Error(), rid)
 }
 
 // classifyClusterErr maps coordinator failures to HTTP status + kind. A

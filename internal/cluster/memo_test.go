@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gcolor/internal/cluster"
 	"gcolor/internal/graph"
@@ -396,6 +397,77 @@ func TestCoordinatorMemoMetrics(t *testing.T) {
 	for _, want := range []string{"cluster_memo_hits_total 3\n", "cluster_memo_entries 2\n"} {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("/metricsz lacks %q:\n%s", strings.TrimSpace(want), text)
+		}
+	}
+}
+
+// /metricsz prints the admission core's counters, each once, beside the
+// cluster_* figures: a binary frame, a case-variant JSON body, two
+// concurrent misses of one upload, a repeat and an idempotent retry each
+// show up where a worker's /metricsz would show them.
+func TestCoordinatorMetricszAdmissionCounters(t *testing.T) {
+	w := newTestWorker(t, serve.Config{})
+	gate, arrived, open := gatedWorker(t, w)
+	defer open()
+	coord := cluster.NewCoordinator(cluster.Config{Peers: []string{gate}, HeartbeatInterval: -1})
+	ts := httptest.NewServer(cluster.Handler(coord))
+	t.Cleanup(func() { ts.Close(); coord.Close() })
+	metricsz := func() string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metricsz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		text, _ := io.ReadAll(resp.Body)
+		return "\n" + string(text)
+	}
+
+	// Two concurrent misses of one upload: the second coalesces onto the
+	// first, which the gate holds at the worker until then.
+	body, _ := edgeListBody(t, "gnm:150:600:4", serve.ColorRequest{})
+	done := make(chan int, 2)
+	for i := 0; i < 2; i++ {
+		go func(i int) {
+			code, _ := postRaw(t, ts.URL, ctJSON, "", body, fmt.Sprintf("mz-c%d", i), "mz-key")
+			done <- code
+		}(i)
+		if i == 0 {
+			nextArrival(t, arrived)
+		}
+	}
+	for deadline := time.Now().Add(20 * time.Second); !strings.Contains(metricsz(), "\ncoalesced_total 1\n"); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the second miss never coalesced onto the first")
+		}
+	}
+	open()
+	for i := 0; i < 2; i++ {
+		if code := <-done; code != http.StatusOK {
+			t.Fatalf("concurrent miss: status %d", code)
+		}
+	}
+
+	frame := graph.EncodeWireCSR(mustGraph(t, "grid:9:7"))
+	postOK(t, "frame", ts.URL, serve.ContentTypeBinaryCSR, "alg=hybrid", frame, "mz-0", "")
+	postOK(t, "case-variant key", ts.URL, ctJSON, "", []byte(`{"Gen":"grid:3:3"}`), "mz-1", "")
+	postOK(t, "repeated frame", ts.URL, serve.ContentTypeBinaryCSR, "alg=hybrid", frame, "mz-2", "")
+	if r := postOK(t, "idempotent retry", ts.URL, ctJSON, "", body, "mz-3", "mz-key"); !r.IdempotentReplay {
+		t.Fatalf("retry not a replay: %+v", r)
+	}
+
+	text := metricsz()
+	for name, want := range map[string]int{
+		"memo_hits": 2, "wire_binary_requests_total": 2, "wire_json_fallback_total": 1,
+		"coalesced_total": 1, "idem_hits_total": 1, "cache_hits": 1,
+		"warm_cache_rejected_total": 0, "warm_idem_rejected_total": 0,
+		"cluster_memo_hits_total": 2,
+	} {
+		if n := strings.Count(text, "\n"+name+" "); n != 1 {
+			t.Errorf("/metricsz lists %s %d times, want once", name, n)
+		}
+		if line := fmt.Sprintf("\n%s %d\n", name, want); !strings.Contains(text, line) {
+			t.Errorf("/metricsz lacks %q:\n%s", strings.TrimSpace(line), text)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gcolor/internal/color"
+	"gcolor/internal/graph"
 	"gcolor/internal/journal"
 	"gcolor/internal/metrics"
 )
@@ -24,7 +25,11 @@ import (
 // supplies is how an admitted miss runs. All methods are safe for
 // concurrent use.
 type Admission struct {
-	reg      *metrics.Registry
+	reg *metrics.Registry
+	// requests is the executor's own request counter, which a memo hit
+	// counts as the executor counts each request it serves (a Server's
+	// requests_total); nil for an executor that counts none.
+	requests *metrics.Counter
 	cache    *resultCache
 	idem     *idemCache
 	memo     *requestMemo // nil when the cache is off (memo.go)
@@ -78,6 +83,18 @@ func newAdmission(cfg Config, reg *metrics.Registry, base context.Context, extra
 		pendAccepts:   make(map[string]journal.AcceptRecord),
 		recDone:       make(chan struct{}),
 	}
+	// Pre-register every counter the front door keeps, so that /metricsz
+	// reports zeros rather than omitting counters that have not fired yet.
+	for _, name := range []string{
+		"cache_hits", "cache_misses", "coalesced_total", "idem_hits_total", "memo_hits",
+		"warm_cache_rejected_total", "warm_idem_rejected_total",
+		"wire_binary_requests_total", "wire_json_fallback_total",
+		"journal_append_errors_total",
+		"replay_enqueued_total", "replay_completed_total",
+		"replay_expired_total", "replay_failed_total",
+	} {
+		reg.Counter(name)
+	}
 	if cfg.CacheEntries > 0 {
 		a.memo = newRequestMemo(cfg.CacheEntries)
 	}
@@ -103,7 +120,7 @@ func (a *Admission) Request(cr *ColorRequest) (*Request, error) {
 // and coalescing, and its result is stored under the successor fingerprint
 // exec returns.
 func (a *Admission) Serve(ctx context.Context, req *Request, shards int, exec func() (*Response, error)) (*Response, error) {
-	if res, ok := a.replay(req); ok {
+	if res, ok, _ := a.replay(req, req.Graph); ok {
 		return res, nil
 	}
 	run := func(fl *flight) error {
@@ -131,18 +148,41 @@ func (a *Admission) CacheStats() (hits, misses, evictions int64, entries, idemEn
 		a.cache.evictions(), a.cache.len(), a.idem.len()
 }
 
+// Metrics returns the front door's registry (shared, live): a Server's
+// own, or a standalone front door's.
+func (a *Admission) Metrics() *metrics.Registry { return a.reg }
+
 // replay answers an Idempotency-Key retry with the answer its key
 // produced. It comes before everything — even NoCache — because such a
-// retry explicitly asks for that answer, wherever it now lives.
-func (a *Admission) replay(req *Request) (*Response, bool) {
-	res, ok := a.idem.get(req.IdemKey)
+// retry explicitly asks for that answer, wherever it now lives. g is the
+// graph that answer colors: the upload's, or a delta's successor. A
+// journal-warmed entry was never checked against a graph, so its first
+// replay proves it against g first: a proper entry is then replayed as
+// any other, an improper one leaves the map, is counted, and req runs as
+// a miss. With no graph in hand (a memo recall, a delta before its
+// successor is built) an unproved entry is not answered, and held reports
+// it, so that the caller takes the path that builds the graph.
+func (a *Admission) replay(req *Request, g *graph.Graph) (res *Response, ok, held bool) {
+	stored, warm, ok := a.idem.get(req.IdemKey)
 	if !ok {
-		return nil, false
+		return nil, false, false
+	}
+	if warm && g == nil {
+		return nil, false, true
+	}
+	hit := answered(stored, req)
+	if warm {
+		proper := color.Verify(g, hit.Colors) == nil
+		if a.idem.settle(req.IdemKey, stored, proper) {
+			a.reg.Counter("warm_idem_rejected_total").Inc()
+		}
+		if !proper {
+			return nil, false, false
+		}
 	}
 	a.reg.Counter("idem_hits_total").Inc()
-	hit := answered(res, req)
 	hit.IdempotentReplay = true
-	return hit, true
+	return hit, true, false
 }
 
 // hit answers req from the result cache unless it bypasses the cache. A
@@ -274,7 +314,7 @@ func (a *Admission) publish(fl *flight, res *Response, err error) {
 		if !fl.req.NoCache {
 			a.cache.put(key, stored, false)
 		}
-		a.idem.put(fl.req.IdemKey, stored, fl.req.NoCache, key.policy)
+		a.idem.put(fl.req.IdemKey, stored, fl.req.NoCache, key.policy, false)
 	}
 	a.mu.Lock()
 	if a.inflight[fl.key] == fl {

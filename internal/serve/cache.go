@@ -164,6 +164,9 @@ type idemEntry struct {
 	res     *Response
 	noCache bool   // the producing request bypassed the result cache
 	pk      uint64 // the producing request's policy key (journal snapshots)
+	// warm marks an entry loaded from the journal at startup and not yet
+	// checked against its graph; Admission.replay proves it on first use.
+	warm bool
 }
 
 func newIdemCache(capacity int) *idemCache {
@@ -173,21 +176,26 @@ func newIdemCache(capacity int) *idemCache {
 	return &idemCache{cap: capacity, order: list.New(), byKey: make(map[string]*list.Element)}
 }
 
-func (c *idemCache) get(key string) (*Response, bool) {
+// get returns the response stored under key, refreshing its recency, and
+// whether it is a warm entry not yet proved.
+func (c *idemCache) get(key string) (res *Response, warm, ok bool) {
 	if c.cap == 0 || key == "" {
-		return nil, false
+		return nil, false, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
-		return nil, false
+		return nil, false, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*idemEntry).res, true
+	e := el.Value.(*idemEntry)
+	return e.res, e.warm, true
 }
 
-func (c *idemCache) put(key string, res *Response, noCache bool, pk uint64) {
+// put inserts or refreshes key; warm marks an entry loaded from the
+// journal.
+func (c *idemCache) put(key string, res *Response, noCache bool, pk uint64, warm bool) {
 	if c.cap == 0 || key == "" {
 		return
 	}
@@ -195,16 +203,35 @@ func (c *idemCache) put(key string, res *Response, noCache bool, pk uint64) {
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
 		e := el.Value.(*idemEntry)
-		e.res, e.noCache, e.pk = res, noCache, pk
+		e.res, e.noCache, e.pk, e.warm = res, noCache, pk, warm
 		c.order.MoveToFront(el)
 		return
 	}
-	c.byKey[key] = c.order.PushFront(&idemEntry{key: key, res: res, noCache: noCache, pk: pk})
+	c.byKey[key] = c.order.PushFront(&idemEntry{key: key, res: res, noCache: noCache, pk: pk, warm: warm})
 	for c.order.Len() > c.cap {
 		el := c.order.Back()
 		c.order.Remove(el)
 		delete(c.byKey, el.Value.(*idemEntry).key)
 	}
+}
+
+// settle records the proof of the warm entry under key, if it still holds
+// res, as resultCache.settle does. It reports whether it removed the
+// entry.
+func (c *idemCache) settle(key string, res *Response, proper bool) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.byKey[key]
+	if !ok || el.Value.(*idemEntry).res != res {
+		return false
+	}
+	if proper {
+		el.Value.(*idemEntry).warm = false
+		return false
+	}
+	c.order.Remove(el)
+	delete(c.byKey, key)
+	return true
 }
 
 func (c *idemCache) len() int {

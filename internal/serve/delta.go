@@ -211,9 +211,12 @@ func (s *Server) submitDelta(ctx context.Context, req *Request) (*Response, erro
 	}
 	d := req.Delta
 
-	// Idempotent replay first, exactly as in Submit — and through drain.
-	if res, ok := s.front.replay(req); ok {
-		return res, nil
+	// Idempotent replay first, exactly as in Submit — and through drain. A
+	// journal-warmed entry is held until the successor it must color is
+	// built.
+	replayed, ok, held := s.front.replay(req, nil)
+	if ok {
+		return replayed, nil
 	}
 
 	base, ok := s.versions.get(req.BaseFingerprint)
@@ -224,6 +227,11 @@ func (s *Server) submitDelta(ctx context.Context, req *Request) (*Response, erro
 	ng, fp, frontier, err := graph.ApplyDelta(base.g, d)
 	if err != nil {
 		return nil, &BadDeltaError{Err: err}
+	}
+	if held {
+		if res, ok, _ := s.front.replay(req, ng); ok {
+			return res, nil
+		}
 	}
 
 	// From here on the request is for the successor graph: it shares

@@ -266,8 +266,27 @@ func HandlerWith(s *Server, hc HandlerConfig) http.Handler {
 		hc.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	mux := http.NewServeMux()
+	exec := func(ctx context.Context, _ *ColorRequest, req *Request) (*ColorResponse, error) {
+		res, err := s.Submit(ctx, req)
+		if err != nil {
+			return nil, err
+		}
+		return WireResponse(res, req), nil
+	}
+	fail := func(w http.ResponseWriter, err error, rid string) {
+		status, kind := classifyErr(err)
+		if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+			w.Header().Set("Retry-After", fmt.Sprintf("%d", s.RetryAfterHint(kind)))
+		}
+		writeErr(w, status, kind, err.Error(), rid)
+	}
 	mux.HandleFunc("POST /color", func(w http.ResponseWriter, r *http.Request) {
-		handleColor(s, hc, w, r)
+		rid := requestID(r)
+		w.Header().Set("X-Request-ID", rid)
+		if hc.Epoch != nil && !admitEpoch(hc.Epoch, w, r, rid) {
+			return
+		}
+		s.front.ServeColor(w, r, rid, hc.MaxBodyBytes, exec, fail)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		// queue_depth and exec_p50_us ride on the health probe so a
@@ -304,11 +323,12 @@ func HandlerWith(s *Server, hc HandlerConfig) http.Handler {
 		fmt.Fprintf(&sb, "probe_failures_total %d\n", st.ProbeFailures)
 		fmt.Fprintf(&sb, "quarantined %d\n", st.Quarantined)
 		fmt.Fprintf(&sb, "draining %d\n", boolToInt(st.Draining))
-		// Result cache and idempotency map residency (the hit/miss/evict
-		// counters live in the registry lines above).
+		// Result cache, idempotency map and request memo residency (the
+		// hit/miss counters live in the registry lines above).
 		fmt.Fprintf(&sb, "cache_entries %d\n", st.CacheEntries)
 		fmt.Fprintf(&sb, "cache_evictions_total %d\n", st.CacheEvictions)
 		fmt.Fprintf(&sb, "idem_entries %d\n", st.IdemEntries)
+		fmt.Fprintf(&sb, "memo_entries %d\n", st.MemoEntries)
 		// Incremental engine residency (the delta_* counters and the
 		// delta_frontier_size histogram live in the registry lines above).
 		fmt.Fprintf(&sb, "versions_resident %d\n", st.VersionsResident)
@@ -373,27 +393,44 @@ func boolToInt(b bool) int {
 	return 0
 }
 
-func handleColor(s *Server, hc HandlerConfig, w http.ResponseWriter, r *http.Request) {
-	rid := requestID(r)
-	w.Header().Set("X-Request-ID", rid)
-	if hc.Epoch != nil {
-		epoch, err := ParseEpoch(r.Header.Get(EpochHeader))
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "bad_request", err.Error(), rid)
-			return
-		}
-		if !hc.Epoch.Observe(epoch) {
-			// 409, not 5xx: retrying the same call from the same stale
-			// coordinator can never succeed, and the coordinator-side error
-			// judge must treat this as "stop", not "fail over".
-			writeErr(w, http.StatusConflict, "stale_epoch",
-				fmt.Sprintf("epoch %d is stale (worker has seen %d)", epoch, hc.Epoch.Current()), rid)
-			return
-		}
+// admitEpoch is a worker's coordinator fence: it refuses a request whose
+// X-GC-Epoch is malformed or below the guard's high-water mark, writing
+// the reply, and reports whether the request may go on.
+func admitEpoch(g *EpochGuard, w http.ResponseWriter, r *http.Request, rid string) bool {
+	epoch, err := ParseEpoch(r.Header.Get(EpochHeader))
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "bad_request", err.Error(), rid)
+		return false
 	}
+	if !g.Observe(epoch) {
+		// 409, not 5xx: retrying the same call from the same stale
+		// coordinator can never succeed, and the coordinator-side error
+		// judge must treat this as "stop", not "fail over".
+		writeErr(w, http.StatusConflict, "stale_epoch",
+			fmt.Sprintf("epoch %d is stale (worker has seen %d)", epoch, g.Current()), rid)
+		return false
+	}
+	return true
+}
+
+// ColorExec is an executor's half of POST /color: it serves a decoded
+// request, whose RequestID and IdemKey are set and whose deadline is in
+// ctx, and returns the reply, colors included.
+type ColorExec func(ctx context.Context, cr *ColorRequest, req *Request) (*ColorResponse, error)
+
+// ServeColor answers one POST /color for the executor behind this front
+// door, once the executor's own checks have passed and rid, the request's
+// ID, is in X-Request-ID. It reads the body under limit bytes (<= 0: no
+// cap) and answers a repeat from the request memo; otherwise it decodes
+// the body, applies its timeout_ms and runs exec. A body too large or one
+// that does not decode is the client's error (413 too_large, 400
+// bad_request); an error exec returns goes to fail, which writes the
+// executor's own status, kind and Retry-After. Workers and coordinators
+// both serve /color through it.
+func (a *Admission) ServeColor(w http.ResponseWriter, r *http.Request, rid string, limit int64, exec ColorExec, fail func(w http.ResponseWriter, err error, rid string)) {
 	// The body is kept in its wire form: it becomes the journal accept
 	// record's replay payload.
-	raw, err := ReadBody(w, r, hc.MaxBodyBytes)
+	raw, err := ReadBody(w, r, limit)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -404,32 +441,36 @@ func handleColor(s *Server, hc HandlerConfig, w http.ResponseWriter, r *http.Req
 		writeErr(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("read: %v", err), rid)
 		return
 	}
-	cr, req, err := s.front.Decode(&Upload{ContentType: r.Header.Get("Content-Type"), RawQuery: r.URL.RawQuery, Body: raw})
+	idemKey := sanitizeRequestID(r.Header.Get("Idempotency-Key"))
+	up := &Upload{ContentType: r.Header.Get("Content-Type"), RawQuery: r.URL.RawQuery, Body: raw}
+	if out, ok := a.Recall(up, rid, idemKey); ok {
+		writeColor(w, out)
+		return
+	}
+	cr, req, err := a.Decode(up)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad_request", err.Error(), rid)
 		return
 	}
-	req.RequestID = rid
-	req.IdemKey = sanitizeRequestID(r.Header.Get("Idempotency-Key"))
+	req.RequestID, req.IdemKey = rid, idemKey
 	ctx := r.Context()
 	if cr.TimeoutMS > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(cr.TimeoutMS)*time.Millisecond)
 		defer cancel()
 	}
-	res, err := s.Submit(ctx, req)
+	out, err := exec(ctx, cr, req)
 	if err != nil {
-		status, kind := classifyErr(err)
-		if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", s.RetryAfterHint(kind)))
-		}
-		writeErr(w, status, kind, err.Error(), rid)
+		fail(w, err, rid)
 		return
 	}
-	out := WireResponse(res, req)
 	if !cr.IncludeColors {
 		out.Colors = nil
 	}
+	writeColor(w, out)
+}
+
+func writeColor(w http.ResponseWriter, out *ColorResponse) {
 	w.Header().Set("Content-Type", "application/json")
 	// A failed write leaves nothing to do: the headers are gone.
 	_ = WriteColorResponse(w, out)

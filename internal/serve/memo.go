@@ -122,10 +122,13 @@ func (m *requestMemo) len() int {
 // without decoding it again: the upload's digest names the request's
 // cache key, and the answer — the reply to request rid — comes from the
 // idempotency entry under idemKey or from the result cache, in that order,
-// the order Serve uses. Like Serve's, these answers count as idempotent or
-// cache hits and are given while draining. It reports false on a memo
-// miss or when neither holds the answer any more; the caller then decodes
-// in full, and Decode carries the digest on so that Serve records it.
+// the order Serve uses. Like Serve's, these answers are given while
+// draining and are counted as the full path counts them: as idempotent or
+// cache hits, as binary uploads, and in the executor's request count. It
+// reports false on a memo miss, when neither holds the answer any more,
+// or when the answer is a journal-warmed entry not yet proved (Recall has
+// no graph to prove it with); the caller then decodes in full, and Decode
+// carries the digest on so that Serve records it.
 func (a *Admission) Recall(u *Upload, rid, idemKey string) (*ColorResponse, bool) {
 	if a.memo == nil {
 		return nil, false
@@ -136,13 +139,22 @@ func (a *Admission) Recall(u *Upload, rid, idemKey string) (*ColorResponse, bool
 		return nil, false
 	}
 	req := &Request{RequestID: rid, IdemKey: idemKey}
-	res, ok := a.replay(req)
+	res, ok, held := a.replay(req, nil)
+	if held {
+		return nil, false
+	}
 	if !ok {
 		if res, ok = a.hit(req, m.key); !ok {
 			return nil, false
 		}
 	}
 	a.reg.Counter("memo_hits").Inc()
+	if isBinaryCSR(u.ContentType) {
+		a.reg.Counter("wire_binary_requests_total").Inc()
+	}
+	if a.requests != nil {
+		a.requests.Inc()
+	}
 	out := WireResponse(res, req)
 	out.Vertices, out.Edges = m.vertices, m.edges
 	if !m.includeColors {

@@ -44,7 +44,7 @@ func TestStoredColorsRoundTrip(t *testing.T) {
 			t.Fatalf("%s: %d colors does not exercise this case", tc.name, first.NumColors)
 		}
 		want := slices.Clone(first.Colors)
-		stored, ok := s.front.idem.get(idem)
+		stored, _, ok := s.front.idem.get(idem)
 		if !ok {
 			t.Fatalf("%s: no idempotent entry", tc.name)
 		}

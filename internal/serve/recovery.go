@@ -140,7 +140,7 @@ func versionRecordID(fp uint64) string { return "ver-" + graph.FingerprintString
 
 // Recover warm-starts the result cache and idempotency map from replayed
 // completions — synchronously, so the executor is warm from the moment
-// it is built; cache entries are marked warm, to be proved on first hit —
+// it is built; entries of both are marked warm, to be proved on first use —
 // and re-submits rec's pending accepts through resubmit in
 // the background, at most ReplayParallelism at a time, each bounded by its
 // accept's own deadline. Every pending accept is in pendAccepts until its
@@ -176,7 +176,7 @@ func (a *Admission) Recover(rec *journal.Recovery, resubmit func(ctx context.Con
 			a.warmCache++
 		}
 		if c.IdemKey != "" {
-			a.idem.put(c.IdemKey, res, c.NoCache, c.PolicyKey)
+			a.idem.put(c.IdemKey, res, c.NoCache, c.PolicyKey, true)
 			a.warmIdem++
 		}
 	}

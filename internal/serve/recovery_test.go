@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"gcolor/internal/color"
+	"gcolor/internal/graph"
 	"gcolor/internal/journal"
 )
 
@@ -267,6 +268,192 @@ func TestRecallSkipsUnprovedWarmEntry(t *testing.T) {
 	}
 	if _, ok := a.Recall(up, "r2", ""); !ok {
 		t.Fatal("recall missed the entry the full path proved")
+	}
+}
+
+// TestWarmIdemReplayVerifiesColoring: an Idempotency-Key retry after a
+// restart carries its graph, so a journaled answer that is not a proper
+// coloring of it is not replayed. The first retry proves the warmed entry
+// against the upload, drops it and runs the request; the second replays
+// what that run answered.
+func TestWarmIdemReplayVerifiesColoring(t *testing.T) {
+	dir := t.TempDir()
+	up := ColorRequest{Gen: "grid:6:6", IncludeColors: true}
+	wire, err := json.Marshal(&up)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, g, err := buildRequest(&up, newSpecCache(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := g.Fingerprint()
+	policy := keyOf(req, fp, 1).policy
+	now := time.Now().UnixMilli()
+	j, _ := openTestJournal(t, dir)
+	if err := j.AppendAccept(journal.AcceptRecord{ID: "improper", IdemKey: "k1", Fingerprint: fp, PolicyKey: policy,
+		AcceptedUnixMS: now, Wire: wire}); err != nil {
+		t.Fatal(err)
+	}
+	// Every vertex color 0: every edge of the grid is monochromatic.
+	if err := j.AppendComplete(journal.CompleteRecord{ID: "improper", IdemKey: "k1", Fingerprint: fp, PolicyKey: policy,
+		Disposition: journal.DispOK, NumColors: 1, ColorsB64: journal.EncodeColors(make([]int32, g.NumVertices())),
+		CompletedUnixMS: now}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts, stop := startJournaled(t, dir)
+	defer stop()
+	if warmed := s.RecoveryInfo().WarmedIdem; warmed != 1 {
+		t.Fatalf("warmed %d idempotency entries, want 1", warmed)
+	}
+	retry := func() ColorResponse {
+		t.Helper()
+		resp, body := postColorHeaders(t, ts, up, map[string]string{"Idempotency-Key": "k1"})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("retry: status %d: %s", resp.StatusCode, body)
+		}
+		var out ColorResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	first := retry()
+	if first.IdempotentReplay {
+		t.Fatalf("retry replayed the improper warmed entry: %+v", first)
+	}
+	if err := color.Verify(g, first.Colors); err != nil {
+		t.Fatalf("retry answered an improper coloring: %v", err)
+	}
+	if n := s.reg.Counter("warm_idem_rejected_total").Value(); n != 1 {
+		t.Fatalf("warm_idem_rejected_total %d, want 1", n)
+	}
+	again := retry()
+	if !again.IdempotentReplay || !slices.Equal(again.Colors, first.Colors) {
+		t.Fatalf("second retry: replay=%v, colors equal %v; want the first retry's answer replayed",
+			again.IdempotentReplay, slices.Equal(again.Colors, first.Colors))
+	}
+}
+
+// TestWarmIdemDeltaReplayVerifiesColoring: a delta retry's graph is the
+// successor the delta builds, so a warmed entry is proved once the base
+// has been found and the delta applied. A proper entry is replayed; an
+// improper one is dropped and the delta runs again.
+func TestWarmIdemDeltaReplayVerifiesColoring(t *testing.T) {
+	dir := t.TempDir()
+	_, ts1, stop1 := startJournaled(t, dir)
+	base := mustPost(t, ts1, ColorRequest{Gen: "grid:8:8", Resident: true})
+	g, err := ParseGraphSpec("grid:8:8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltas := map[string]*graph.Delta{
+		"d1": {AddEdges: [][2]int32{{0, 63}}},
+		"d2": {AddEdges: [][2]int32{{1, 62}}, RemoveEdges: [][2]int32{{0, 1}}},
+	}
+	post := func(ts *httptest.Server, key string) ColorResponse {
+		t.Helper()
+		d := deltas[key]
+		cr := ColorRequest{BaseFingerprint: base.Fingerprint, AddEdges: d.AddEdges, RemoveEdges: d.RemoveEdges, IncludeColors: true}
+		resp, body := postColorHeaders(t, ts, cr, map[string]string{"Idempotency-Key": key})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("delta %s: status %d: %s", key, resp.StatusCode, body)
+		}
+		var out ColorResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		ng, _, _, err := graph.ApplyDelta(g, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := color.Verify(ng, out.Colors); err != nil {
+			t.Fatalf("delta %s answered an improper coloring: %v", key, err)
+		}
+		return out
+	}
+	orig := map[string]ColorResponse{"d1": post(ts1, "d1"), "d2": post(ts1, "d2")}
+	stop1()
+
+	// A later completion under d1's key, all zeros, warms over its answer.
+	j, rec := openTestJournal(t, dir)
+	var d1 journal.CompleteRecord
+	for _, c := range rec.Completions {
+		if c.IdemKey == "d1" {
+			d1 = c
+		}
+	}
+	if d1.ID == "" {
+		t.Fatal("no journaled completion for d1")
+	}
+	d1.ID = "improper"
+	d1.ColorsB64 = journal.EncodeColors(make([]int32, len(orig["d1"].Colors)))
+	d1.NumColors = 1
+	if err := j.AppendComplete(d1); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts, stop := startJournaled(t, dir)
+	defer stop()
+	if r := post(ts, "d2"); !r.IdempotentReplay || !slices.Equal(r.Colors, orig["d2"].Colors) {
+		t.Fatalf("proper warmed delta answer: replay=%v, colors equal %v; want it replayed",
+			r.IdempotentReplay, slices.Equal(r.Colors, orig["d2"].Colors))
+	}
+	first := post(ts, "d1")
+	if first.IdempotentReplay || !first.Delta {
+		t.Fatalf("improper warmed delta answer: replay=%v delta=%v; want the delta run again", first.IdempotentReplay, first.Delta)
+	}
+	if n := s.reg.Counter("warm_idem_rejected_total").Value(); n != 1 {
+		t.Fatalf("warm_idem_rejected_total %d, want 1", n)
+	}
+	if again := post(ts, "d1"); !again.IdempotentReplay || !slices.Equal(again.Colors, first.Colors) {
+		t.Fatalf("second d1 retry: replay=%v; want the first retry's answer replayed", again.IdempotentReplay)
+	}
+}
+
+// TestRecallSkipsUnprovedWarmIdemEntry: a memo recall has no graph, so an
+// Idempotency-Key retry whose warmed entry no full-path replay has proved
+// yet falls through to the full path, which proves it; a recall replays it
+// after that.
+func TestRecallSkipsUnprovedWarmIdemEntry(t *testing.T) {
+	a := NewAdmission(Config{CacheEntries: 8})
+	up := &Upload{ContentType: "application/json", Body: []byte(`{"gen":"grid:6:6"}`)}
+	_, req, err := a.Decode(up)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := req.Graph
+	req.Fingerprint = g.Fingerprint()
+	key := keyOf(req, req.Fingerprint, 1)
+	colors := color.Greedy(g, color.Natural, 0)
+	// NoCache: the answer is warmed into the idempotency map alone.
+	a.Recover(&journal.Recovery{Completions: []journal.CompleteRecord{{IdemKey: "k1", NoCache: true,
+		Fingerprint: req.Fingerprint, PolicyKey: key.policy, Disposition: journal.DispOK,
+		NumColors: color.NumColors(colors), ColorsB64: journal.EncodeColors(colors)}}}, nil)
+	a.memo.put(memoEntry{sum: up.digest(), key: key, vertices: g.NumVertices(), edges: g.NumEdges(), includeColors: true})
+	if out, ok := a.Recall(up, "r1", "k1"); ok {
+		t.Fatalf("recall answered from a warmed idempotency entry not yet proved: %+v", out)
+	}
+	req.RequestID, req.IdemKey = "r1", "k1"
+	res, err := a.Serve(context.Background(), req, 1, func() (*Response, error) {
+		return nil, errors.New("a proper warmed idempotency entry was not replayed")
+	})
+	if err != nil || !res.IdempotentReplay || !slices.Equal(res.Colors, colors) {
+		t.Fatalf("full path: %+v, %v; want the warmed entry replayed", res, err)
+	}
+	out, ok := a.Recall(up, "r2", "k1")
+	if !ok || !out.IdempotentReplay || !slices.Equal(out.Colors, colors) {
+		t.Fatalf("recall after the proof: %+v, %v; want the entry replayed", out, ok)
+	}
+	if n := a.reg.Counter("idem_hits_total").Value(); n != 2 {
+		t.Fatalf("idem_hits_total %d, want 2", n)
 	}
 }
 

@@ -287,20 +287,17 @@ func NewServer(cfg Config) *Server {
 		drainReq:  make(chan struct{}),
 	}
 	s.front = newAdmission(cfg, s.reg, ctx, s.writeVersions)
+	s.front.requests = s.reg.Counter("requests_total")
 	// Pre-register every metric so /metricsz reports zeros rather than
-	// omitting counters that have not fired yet.
+	// omitting counters that have not fired yet (the front door registers
+	// its own).
 	for _, name := range []string{
-		"requests_total", "completed_total", "failed_total", "recovered_total",
-		"cache_hits", "cache_misses", "coalesced_total",
+		"completed_total", "failed_total", "recovered_total",
 		"shed_total", "queue_full_total", "deadline_expired_total", "shed_expired",
 		"hedges_total", "hedge_wins_total", "hedge_losses_total", "hedge_skipped_total",
 		"attempts_canceled_total", "drain_handoff_total",
 		"shard_jobs_total", "shard_retries_total", "shard_conflicts_total",
 		"shard_repair_rounds_total", "shard_recolored_total", "shard_fallback_total",
-		"idem_hits_total", "journal_append_errors_total",
-		"replay_enqueued_total", "replay_completed_total",
-		"replay_expired_total", "replay_failed_total",
-		"wire_binary_requests_total",
 		"delta_requests_total", "delta_hits", "delta_fallbacks_total",
 		"delta_unknown_base_total",
 	} {
@@ -456,7 +453,7 @@ func (s *Server) Submit(ctx context.Context, req *Request) (*Response, error) {
 		return nil, errors.New("serve: request has no graph")
 	}
 	s.reg.Counter("requests_total").Inc()
-	if res, ok := s.front.replay(req); ok {
+	if res, ok, _ := s.front.replay(req, req.Graph); ok {
 		return res, nil
 	}
 	fp := req.Fingerprint
@@ -931,6 +928,8 @@ type Stats struct {
 	CacheEvictions  int64   // entries pushed out by capacity since start
 	IdemHits        int64   // requests answered from the idempotency map
 	IdemEntries     int     // idempotency keys currently resident
+	MemoHits        int64   // requests answered from the request memo, before any decode
+	MemoEntries     int     // uploads the request memo currently names
 	Coalesced       int64
 	Shed            int64 // ErrShedding rejections
 	QueueFull       int64 // ErrQueueFull rejections
@@ -980,6 +979,7 @@ type Stats struct {
 // Stats snapshots the serving counters.
 func (s *Server) Stats() Stats {
 	snap := s.reg.Snapshot()
+	memoHits, memoEntries := s.front.MemoStats()
 	st := Stats{
 		Uptime:          s.Uptime(),
 		Requests:        snap["requests_total"],
@@ -991,6 +991,8 @@ func (s *Server) Stats() Stats {
 		CacheEvictions:  s.front.cache.evictions(),
 		IdemHits:        snap["idem_hits_total"],
 		IdemEntries:     s.front.idem.len(),
+		MemoHits:        memoHits,
+		MemoEntries:     memoEntries,
 		Coalesced:       snap["coalesced_total"],
 		Shed:            snap["shed_total"],
 		QueueFull:       snap["queue_full_total"],

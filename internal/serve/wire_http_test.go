@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -322,11 +323,16 @@ func TestBinaryJournalEnvelopeOnlyWhenJournaled(t *testing.T) {
 
 // TestBinaryIngestAllocBudget is the ingest allocation gate: steady-state,
 // each wire format may allocate at most maxIngestAllocs objects per
-// request for gnm:2000:8000. Both requests answer from cache, so the
-// measurement isolates ingest (body read, decode, request build, response
-// encode) from coloring. The JSON path parses its edge list in place with
-// no allocation per line, so the cap holds for both formats; a ratio
-// between the two would no longer say anything about either.
+// request for gnm:2000:8000. Every measured request answers from cache, so
+// the measurement isolates ingest (body read, memo digest, decode, request
+// build, response encode) from coloring. Each carries bytes the request
+// memo has not seen that decode to the same graph and cache key — the JSON
+// body behind leading whitespace, the frame under a Content-Type parameter
+// — so each is decoded, not recalled: memo_hits must not move. The JSON
+// path parses its edge list in place with no allocation per line, so the
+// cap holds for both formats; a ratio between the two would no longer say
+// anything about either. A second measurement repeats one upload per
+// format, which the memo answers, under maxMemoHitAllocs.
 func TestBinaryIngestAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates; budget only holds without it")
@@ -357,36 +363,80 @@ func TestBinaryIngestAllocBudget(t *testing.T) {
 		}
 	}
 
-	// Warm both paths (and the result cache) so the measured runs are pure
-	// ingest + cache hit.
+	// Warm both paths (and the result cache and memo) so the measured runs
+	// are pure ingest + cache hit, or pure memo hit.
 	do(jsonBody, "application/json")
 	do(frame, ContentTypeBinaryCSR)
 
 	const runs = 8
-	measure := func(body []byte, contentType string) uint64 {
+	type upload struct {
+		body        []byte
+		contentType string
+	}
+	fresh := func(i int, contentType string, body []byte) upload {
+		if contentType == ContentTypeBinaryCSR {
+			return upload{body, contentType + "; run=" + strconv.Itoa(i)}
+		}
+		return upload{append(bytes.Repeat([]byte(" "), i+1), body...), contentType}
+	}
+	measure := func(ups []upload) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			do(body, contentType)
+		for _, up := range ups {
+			do(up.body, up.contentType)
 		}
 		runtime.ReadMemStats(&after)
 		return (after.Mallocs - before.Mallocs) / runs
 	}
+	memoHits := s.reg.Counter("memo_hits")
+	fallbacks := s.reg.Counter("wire_json_fallback_total")
 
-	jsonAllocs := measure(jsonBody, "application/json")
-	binAllocs := measure(frame, ContentTypeBinaryCSR)
-	t.Logf("per-request ingest allocations: json=%d binary=%d", jsonAllocs, binAllocs)
+	var jsonUps, binUps, jsonRepeats, binRepeats []upload
+	for i := 0; i < runs; i++ {
+		jsonUps = append(jsonUps, fresh(i, "application/json", jsonBody))
+		binUps = append(binUps, fresh(i, ContentTypeBinaryCSR, frame))
+		jsonRepeats = append(jsonRepeats, upload{jsonBody, "application/json"})
+		binRepeats = append(binRepeats, upload{frame, ContentTypeBinaryCSR})
+	}
+	hits0, cacheHits0 := memoHits.Value(), s.reg.Counter("cache_hits").Value()
+	jsonAllocs := measure(jsonUps)
+	binAllocs := measure(binUps)
+	if n := memoHits.Value() - hits0; n != 0 {
+		t.Fatalf("%d of the ingest measurement's requests were memo hits, want none", n)
+	}
+	if n := s.reg.Counter("cache_hits").Value() - cacheHits0; n != 2*runs {
+		t.Fatalf("%d of the ingest measurement's %d requests were cache hits", n, 2*runs)
+	}
+	if n := fallbacks.Value(); n != 0 {
+		t.Fatalf("%d JSON bodies left the one-pass decoder", n)
+	}
+	jsonMemoAllocs := measure(jsonRepeats)
+	binMemoAllocs := measure(binRepeats)
+	if n := memoHits.Value() - hits0; n != 2*runs {
+		t.Fatalf("%d of the repeats' %d requests were memo hits", n, 2*runs)
+	}
+	t.Logf("per-request ingest allocations: json=%d binary=%d; memo hit: json=%d binary=%d",
+		jsonAllocs, binAllocs, jsonMemoAllocs, binMemoAllocs)
 	for _, c := range []struct {
-		path   string
-		allocs uint64
-	}{{"json", jsonAllocs}, {"binary", binAllocs}} {
-		if c.allocs > maxIngestAllocs {
-			t.Errorf("%s ingest allocates %d objects/request, cap %d", c.path, c.allocs, maxIngestAllocs)
+		path        string
+		allocs, cap uint64
+	}{
+		{"json ingest", jsonAllocs, maxIngestAllocs},
+		{"binary ingest", binAllocs, maxIngestAllocs},
+		{"json memo hit", jsonMemoAllocs, maxMemoHitAllocs},
+		{"binary memo hit", binMemoAllocs, maxMemoHitAllocs},
+	} {
+		if c.allocs > c.cap {
+			t.Errorf("%s allocates %d objects/request, cap %d", c.path, c.allocs, c.cap)
 		}
 	}
 }
 
 // maxIngestAllocs caps one cached upload's allocations on either wire
-// format. This test is the only place the cap is checked; it skips under
-// the race detector, so CI's bench-smoke job runs it without one.
-const maxIngestAllocs = 64
+// format, and maxMemoHitAllocs one repeated upload's. This test is the
+// only place the caps are checked; it skips under the race detector, so
+// CI's bench-smoke job runs it without one.
+const (
+	maxIngestAllocs  = 64
+	maxMemoHitAllocs = 44
+)
