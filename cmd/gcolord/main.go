@@ -60,6 +60,12 @@
 // split with the edge-balanced partitioner, scattered across workers, and
 // merge-repaired at the coordinator. With -journal-dir, accepted fleet
 // jobs survive coordinator crashes and are re-dispatched on restart.
+//
+// The shard flags (-no-shard, -shard-k, -shard-auto-vertices,
+// -shard-auto-edges) set one policy for every role: a server splits a
+// large job across its pooled devices, a coordinator or a promoted standby
+// across its live workers, and -no-shard runs every job whole on either.
+// Journaling is off exactly when -journal-dir is empty.
 package main
 
 import (
@@ -80,6 +86,7 @@ import (
 	"gcolor/internal/cluster"
 	"gcolor/internal/journal"
 	"gcolor/internal/serve"
+	"gcolor/internal/shard"
 )
 
 func main() {
@@ -107,26 +114,27 @@ func main() {
 		journalDir   = flag.String("journal-dir", "", "write-ahead journal directory; accepted jobs and results survive crashes and are replayed on restart (empty = journaling off)")
 		journalFsync = flag.String("journal-fsync", "batch", "journal durability mode: always (fsync per append), batch (group commit), none (OS-paced)")
 		journalSeg   = flag.Int64("journal-segment-bytes", 0, "journal segment rotation size in bytes (0 = default 4MiB)")
-		noJournal    = flag.Bool("no-journal", false, "disable journaling even when -journal-dir is set")
 
 		maxBody   = flag.Int64("max-body", serve.DefaultMaxBodyBytes, "maximum POST /color body bytes; oversized requests get 413 (negative disables the limit)")
-		shardK    = flag.Int("shard-k", 0, "shard count for auto-sharded jobs (0 = pool size, capped at 16)")
+		shardK    = flag.Int("shard-k", 0, "shard count for auto-sharded jobs (0 = one per pooled device, or per live worker on a coordinator; capped at 16)")
 		shardAutV = flag.Int("shard-auto-vertices", 0, "auto-shard jobs at or above this many vertices (0 = default 8192, negative disables)")
 		shardAutE = flag.Int("shard-auto-edges", 0, "auto-shard jobs at or above this many edges (0 = default 262144, negative disables)")
-		noShard   = flag.Bool("no-shard", false, "disable sharded execution entirely; every job runs on one device")
+		noShard   = flag.Bool("no-shard", false, "disable sharding entirely: a server runs every job on one device, a coordinator routes every job whole")
 
 		role      = flag.String("role", "server", "daemon role: server (standalone), coordinator (fleet front door, no devices), worker (server that joins a coordinator)")
 		peers     = flag.String("peers", "", "coordinator: comma-separated static worker base URLs")
 		joinURL   = flag.String("join", "", "worker: coordinator base URL to announce to")
 		advertise = flag.String("advertise", "", "worker: base URL workers advertise to the coordinator (default http://<addr host>:<addr port>, with 127.0.0.1 for an empty or unspecified host)")
 		heartbeat = flag.Duration("heartbeat", 500*time.Millisecond, "cluster heartbeat/probe interval")
-		noScatter = flag.Bool("no-scatter", false, "coordinator: route every job whole, never scatter-gather")
 
 		standbyURL    = flag.String("standby", "", "coordinator standby mode: primary coordinator base URL to watch; tails -journal-dir and takes over on -addr when the primary stops answering")
 		standbyMisses = flag.Int("standby-misses", 3, "standby: consecutive missed primary probes before takeover")
 		leaseOwner    = flag.String("lease-owner", "", "coordinator/standby: name recorded in the epoch lease file (default the hostname)")
 	)
 	flag.Parse()
+	// Every role shards by the same policy: a server over its pooled
+	// devices, a coordinator (or a promoted standby) over its live workers.
+	policy := shard.Policy{Disabled: *noShard, K: *shardK, AutoVertices: *shardAutV, AutoEdges: *shardAutE}
 
 	if *role == "worker" && *advertise == "" {
 		adv, err := defaultAdvertise(*addr)
@@ -143,7 +151,7 @@ func main() {
 			log.Fatal("gcolord: -standby requires -journal-dir (the primary's journal directory)")
 		}
 		runStandby(*addr, *standbyURL, *journalDir, *journalFsync, *journalSeg,
-			*heartbeat, *standbyMisses, *leaseOwner, *peers, *noScatter, *drainTimeout)
+			*heartbeat, *standbyMisses, *leaseOwner, *peers, policy, *drainTimeout)
 		return
 	}
 
@@ -166,7 +174,7 @@ func main() {
 		jrnl *journal.Journal
 		rec  *journal.Recovery
 	)
-	if *journalDir != "" && !*noJournal {
+	if *journalDir != "" {
 		mode, err := journal.ParseFsyncMode(*journalFsync)
 		if err != nil {
 			log.Fatalf("gcolord: -journal-fsync: %v", err)
@@ -189,7 +197,7 @@ func main() {
 		// the epoch, so workers fence dispatches from any older incarnation
 		// (a deposed primary that a standby already replaced).
 		var epoch uint64
-		if *journalDir != "" && !*noJournal {
+		if *journalDir != "" {
 			lease, err := cluster.AcquireLease(*journalDir, ownerName(*leaseOwner))
 			if err != nil {
 				log.Fatalf("gcolord: lease: %v", err)
@@ -197,7 +205,7 @@ func main() {
 			epoch = lease.Epoch
 			log.Printf("gcolord: coordinator holds epoch %d (lease owner %s)", lease.Epoch, lease.Owner)
 		}
-		runCoordinator(*addr, *peers, *heartbeat, *noScatter, *drainTimeout, epoch, jrnl, rec)
+		runCoordinator(*addr, *peers, *heartbeat, policy, *drainTimeout, epoch, jrnl, rec)
 		return
 	case "server", "worker":
 	default:
@@ -214,12 +222,7 @@ func main() {
 		SelfHeal:      serve.SelfHealConfig{Disabled: *noSelfHeal},
 		Journal:       jrnl,
 		Recovery:      rec,
-		Shard: serve.ShardConfig{
-			Disabled:     *noShard,
-			K:            *shardK,
-			AutoVertices: *shardAutV,
-			AutoEdges:    *shardAutE,
-		},
+		Shard:         policy,
 	})
 
 	// Every worker carries an epoch guard even standalone: it is inert until
@@ -317,7 +320,7 @@ func main() {
 // runCoordinator is the -role coordinator daemon body: no device pool,
 // just the cluster front door with the same signal/drain lifecycle as the
 // serving roles.
-func runCoordinator(addr, peers string, heartbeat time.Duration, noScatter bool, drainTimeout time.Duration, epoch uint64, jrnl *journal.Journal, rec *journal.Recovery) {
+func runCoordinator(addr, peers string, heartbeat time.Duration, policy shard.Policy, drainTimeout time.Duration, epoch uint64, jrnl *journal.Journal, rec *journal.Recovery) {
 	var peerList []string
 	if peers != "" {
 		peerList = strings.Split(peers, ",")
@@ -329,7 +332,7 @@ func runCoordinator(addr, peers string, heartbeat time.Duration, noScatter bool,
 	coord := cluster.NewCoordinator(cluster.Config{
 		Peers:             peerList,
 		HeartbeatInterval: heartbeat,
-		NoScatter:         noScatter,
+		Shard:             policy,
 		Epoch:             epoch,
 		Journal:           jrnl,
 		Recovery:          rec,
@@ -395,7 +398,7 @@ func serveCoordinator(coord *cluster.Coordinator, jrnl *journal.Journal, ln net.
 // cleanly; after takeover the promoted coordinator drains like any other.
 func runStandby(addr, primaryURL, dir, fsync string, segBytes int64,
 	heartbeat time.Duration, misses int, owner, peers string,
-	noScatter bool, drainTimeout time.Duration) {
+	policy shard.Policy, drainTimeout time.Duration) {
 	mode, err := journal.ParseFsyncMode(fsync)
 	if err != nil {
 		log.Fatalf("gcolord: -journal-fsync: %v", err)
@@ -415,7 +418,7 @@ func runStandby(addr, primaryURL, dir, fsync string, segBytes int64,
 		Cluster: cluster.Config{
 			Peers:             peerList,
 			HeartbeatInterval: heartbeat,
-			NoScatter:         noScatter,
+			Shard:             policy,
 		},
 		Logf: log.Printf,
 	})

@@ -142,8 +142,9 @@ func ColorGPUContext(ctx context.Context, dev *Device, g *Graph, a Algorithm, op
 // through the resilient ladder, and reconciled with a bounded boundary
 // repair loop. The result is always a verified proper coloring.
 
-// ShardOptions configures a sharded coloring run (shard count, seed,
-// repair budget, fallback policy).
+// ShardOptions configures a sharded coloring run: shard count, seed and
+// fallback policy. Cuts are always refined, and boundary repair always
+// gets 16 rounds before the fallback.
 type ShardOptions = shard.Options
 
 // ShardResult is a sharded run's verified global coloring plus the
@@ -166,9 +167,11 @@ func ColorShardedDevices(ctx context.Context, devs []*Device, g *Graph, a Algori
 	return shard.ColorDevices(ctx, devs, g, a, opt, ropt)
 }
 
-// ShardConfig tunes a Server's sharded scatter-gather execution: forced
-// or automatic shard counts and the size thresholds that trigger
-// auto-sharding. The zero value enables sharding with defaults.
+// ShardConfig is the shard policy a Server shards by over its pooled
+// devices, and a ClusterConfig's Shard field the one a coordinator
+// scatters by over its live workers: sharding on or off, the auto-sharded
+// count, and the size thresholds that trigger auto-sharding. Every count
+// is capped at 16. The zero value enables sharding with defaults.
 type ShardConfig = serve.ShardConfig
 
 // HandlerConfig tunes the HTTP surface (request body size limit).

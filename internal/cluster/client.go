@@ -19,7 +19,7 @@ import (
 // coordinator scattering K shards to the same worker needs K warm
 // connections to that host, and the default transport's per-host idle
 // cap (2) would close and re-dial the rest on every job. conc sizes the
-// per-host idle pool (0 means a generous default covering MaxShards
+// per-host idle pool (0 means a generous default covering shard.MaxShards
 // parallel sub-jobs).
 func NewWorkerClient(timeout time.Duration, conc int) *http.Client {
 	if conc <= 0 {

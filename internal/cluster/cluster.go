@@ -49,6 +49,7 @@ import (
 
 	"gcolor/internal/journal"
 	"gcolor/internal/serve"
+	"gcolor/internal/shard"
 )
 
 // ErrNoWorkers reports a coordinator with no live worker to route to:
@@ -166,31 +167,14 @@ type Config struct {
 	// disables idempotent replay at the coordinator).
 	IdemEntries int
 
-	// ScatterVertices and ScatterEdges are the graph-size thresholds at
-	// or above which a job is scatter-gathered instead of routed whole
-	// (defaults 8192 vertices / 262144 edges, the serve.ShardConfig auto
-	// thresholds; negative disables that trigger).
-	ScatterVertices int
-	ScatterEdges    int
-	// ShardK is the shard count for scattered jobs (0 = the live worker
-	// count, capped at MaxShards).
-	ShardK int
-	// MaxShards caps the per-job shard count (default 16).
-	MaxShards int
-	// NoScatter disables scatter-gather entirely; every job is routed
-	// whole.
-	NoScatter bool
-	// MaxRepairRounds bounds the coordinator's boundary repair loop
-	// (default shard.DefaultRepairRounds).
-	MaxRepairRounds int
+	// Shard is the shard policy a graph upload is scattered by, one shard
+	// per live worker (the zero value takes its defaults; Disabled routes
+	// every job whole). A resident upload always runs whole.
+	Shard shard.Policy
 
 	// RouteAttempts bounds the workers tried for one whole-graph job
 	// (default 3: initial + 2 failovers).
 	RouteAttempts int
-	// ShardAttempts bounds the workers tried for one shard sub-job
-	// (default 2: initial + exactly one re-dispatch to a different
-	// worker).
-	ShardAttempts int
 	// WorkerTimeout bounds one worker call (default 60s). A request's own
 	// deadline still applies when shorter.
 	WorkerTimeout time.Duration
@@ -235,23 +219,8 @@ func (c Config) withDefaults() Config {
 		}
 		c.ExpireAfter = 6 * iv
 	}
-	if c.ScatterVertices == 0 {
-		c.ScatterVertices = 8192
-	}
-	if c.ScatterEdges == 0 {
-		c.ScatterEdges = 1 << 18
-	}
-	if c.MaxShards < 1 {
-		c.MaxShards = 16
-	}
-	if c.ShardK > c.MaxShards {
-		c.ShardK = c.MaxShards
-	}
 	if c.RouteAttempts < 1 {
 		c.RouteAttempts = 3
-	}
-	if c.ShardAttempts < 1 {
-		c.ShardAttempts = 2
 	}
 	if c.WorkerTimeout <= 0 {
 		c.WorkerTimeout = 60 * time.Second

@@ -19,6 +19,7 @@ import (
 	"gcolor/internal/cluster"
 	"gcolor/internal/journal"
 	"gcolor/internal/serve"
+	"gcolor/internal/shard"
 )
 
 // testWorker is one in-process fleet node: a real serving stack behind a
@@ -805,7 +806,7 @@ func TestDrainMidReplayKeepsPending(t *testing.T) {
 func TestAutoScatterHitSurvivesJoin(t *testing.T) {
 	w1 := newTestWorker(t, serve.Config{})
 	w2 := newTestWorker(t, serve.Config{})
-	coord, ts := newTestCoordinator(t, cluster.Config{ScatterVertices: 100}, w1, w2)
+	coord, ts := newTestCoordinator(t, cluster.Config{Shard: shard.Policy{AutoVertices: 100}}, w1, w2)
 
 	cr := &serve.ColorRequest{Gen: "grid:16:16", Alg: "baseline"}
 	if got, code, kind := postColor(t, ts.URL, cr, "auto-1", ""); got == nil || !got.Scattered {
@@ -825,12 +826,35 @@ func TestAutoScatterHitSurvivesJoin(t *testing.T) {
 	}
 }
 
+// A negative shard count runs whole, as one does: the coordinator routes
+// it instead of scattering it, and caches it under the whole-graph key, so
+// a later auto request for the graph is scattered, not handed that answer.
+func TestShardPinNegativeRunsWhole(t *testing.T) {
+	w1 := newTestWorker(t, serve.Config{})
+	w2 := newTestWorker(t, serve.Config{})
+	_, ts := newTestCoordinator(t, cluster.Config{Shard: shard.Policy{AutoVertices: 100}}, w1, w2)
+
+	neg := &serve.ColorRequest{Gen: "grid:16:16", Alg: "baseline", Shards: -1}
+	got, code, kind := postColor(t, ts.URL, neg, "neg-1", "")
+	if got == nil || got.Scattered || got.Shards > 1 || got.Worker == "" {
+		t.Fatalf("shards -1 answered %+v (code=%d kind=%s), want a whole-graph route", got, code, kind)
+	}
+	one := &serve.ColorRequest{Gen: "grid:16:16", Alg: "baseline", Shards: 1}
+	if got, _, _ := postColor(t, ts.URL, one, "neg-one", ""); got == nil || !got.Cached || got.Scattered {
+		t.Fatalf("shards 1 after shards -1 answered %+v, want the cached whole-graph answer", got)
+	}
+	auto := &serve.ColorRequest{Gen: "grid:16:16", Alg: "baseline"}
+	if got, code, kind := postColor(t, ts.URL, auto, "neg-auto", ""); got == nil || got.Cached || !got.Scattered {
+		t.Fatalf("auto request after shards -1 answered %+v (code=%d kind=%s), want a fresh scatter", got, code, kind)
+	}
+}
+
 // With scatter off, an auto request may still come back sharded by the
 // worker it was routed to; a request pinned to one shard is not handed
 // that answer.
 func TestShardPinNotAnsweredByWorkerShardedAuto(t *testing.T) {
 	w := newTestWorker(t, serve.Config{Devices: 2, Shard: serve.ShardConfig{AutoVertices: 100}})
-	_, ts := newTestCoordinator(t, cluster.Config{NoScatter: true}, w)
+	_, ts := newTestCoordinator(t, cluster.Config{Shard: shard.Policy{Disabled: true}}, w)
 
 	auto := &serve.ColorRequest{Gen: "grid:16:16", Alg: "baseline"}
 	if got, code, kind := postColor(t, ts.URL, auto, "wauto-1", ""); got == nil || got.Scattered || got.Shards != 2 {

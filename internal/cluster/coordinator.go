@@ -325,12 +325,17 @@ func (c *Coordinator) submit(ctx context.Context, cr *serve.ColorRequest, req *s
 }
 
 // shardKey is the shard count a request's answer is cached and coalesced
-// under: the count it pins (1 = whole), or 0 for auto. An auto request's
-// count is chosen at execution — by the coordinator from the live fleet,
-// or by the worker it is routed to — so the key must not depend on it:
-// a worker joining or leaving would otherwise strand every cached
-// scatter.
-func shardKey(cr *serve.ColorRequest) int { return max(cr.Shards, 0) }
+// under: the count it pins (1 = whole, as is any negative count), or 0
+// for auto. An auto request's count is chosen at execution — by the
+// coordinator from the live fleet, or by the worker it is routed to — so
+// the key must not depend on it: a worker joining or leaving would
+// otherwise strand every cached scatter.
+func shardKey(cr *serve.ColorRequest) int {
+	if cr.Shards < 0 {
+		return 1
+	}
+	return cr.Shards
+}
 
 // execute runs one admitted miss: shed it when more than MaxInflight
 // requests are in flight (journaled like a worker's queue-full rejection,
@@ -364,34 +369,16 @@ func (c *Coordinator) execute(ctx context.Context, cr *serve.ColorRequest, req *
 }
 
 // shardsFor is the shard count the coordinator runs a graph as: 1 (routed
-// whole) for a delta (nil graph), when scatter is off, the request pins one
-// shard, the upload is resident (a resident graph must land whole on one
-// worker — shards spread across the fleet leave no single version store
-// holding it, so every later delta would 404), fewer than two workers are
-// live, or the graph is below the size thresholds and not pinned to K >= 2
-// shards. Otherwise it is the pinned K, or ShardK, or the live worker
-// count, capped at MaxShards.
+// whole) for a delta (nil graph) or a resident upload (a resident graph
+// must land whole on one worker — shards spread across the fleet leave no
+// single version store holding it, so every later delta would 404), else
+// the shard policy's count over the live workers, which are listed only
+// once the request and the graph's size call for a split.
 func (c *Coordinator) shardsFor(g *graph.Graph, cr *serve.ColorRequest) int {
-	if g == nil {
+	if g == nil || cr.Resident {
 		return 1
 	}
-	big := (c.cfg.ScatterVertices > 0 && g.NumVertices() >= c.cfg.ScatterVertices) ||
-		(c.cfg.ScatterEdges > 0 && g.NumEdges() >= c.cfg.ScatterEdges)
-	if c.cfg.NoScatter || cr.Shards == 1 || cr.Resident || (cr.Shards < 2 && !big) {
-		return 1
-	}
-	live := len(c.reg.alive())
-	if live < 2 {
-		return 1
-	}
-	k := c.cfg.ShardK
-	if cr.Shards >= 2 {
-		k = cr.Shards
-	}
-	if k <= 0 {
-		k = live
-	}
-	return max(1, min(k, c.cfg.MaxShards, g.NumVertices()))
+	return c.cfg.Shard.Count(g, cr.Shards, func() int { return len(c.reg.alive()) })
 }
 
 // route forwards the whole job to rendezvous-ranked workers, failing over

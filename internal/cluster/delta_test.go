@@ -6,6 +6,7 @@ import (
 
 	"gcolor/internal/cluster"
 	"gcolor/internal/serve"
+	"gcolor/internal/shard"
 )
 
 // A resident upload routes whole (never scattered) and binds the version
@@ -18,7 +19,7 @@ func TestDeltaRoutesToVersionOwner(t *testing.T) {
 	coord, ts := newTestCoordinator(t, cluster.Config{
 		// Low thresholds so the resident upload WOULD scatter if the
 		// resident pin did not force whole-graph routing.
-		ScatterVertices: 10,
+		Shard: shard.Policy{AutoVertices: 10},
 	}, w1, w2, w3)
 
 	base, code, kind := postColor(t, ts.URL, &serve.ColorRequest{Gen: "grid:8:8", Resident: true}, "rid-base", "")

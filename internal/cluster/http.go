@@ -109,22 +109,22 @@ func Handler(c *Coordinator) http.Handler {
 	mux.HandleFunc("POST /cluster/join", func(w http.ResponseWriter, r *http.Request) {
 		raw, err := io.ReadAll(io.LimitReader(r.Body, 1<<16))
 		if err != nil {
-			writeClusterErr(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("read: %v", err), "")
+			serve.WriteError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("read: %v", err), "")
 			return
 		}
 		jr, err := ParseJoinRequest(raw)
 		if err != nil {
-			writeClusterErr(w, http.StatusBadRequest, "bad_request", err.Error(), "")
+			serve.WriteError(w, http.StatusBadRequest, "bad_request", err.Error(), "")
 			return
 		}
 		res, err := c.Join(jr)
 		if err != nil {
 			var stale *StaleEpochError
 			if errors.As(err, &stale) {
-				writeClusterErr(w, http.StatusConflict, "stale_epoch", err.Error(), "")
+				serve.WriteError(w, http.StatusConflict, "stale_epoch", err.Error(), "")
 				return
 			}
-			writeClusterErr(w, http.StatusBadRequest, "bad_request", err.Error(), "")
+			serve.WriteError(w, http.StatusBadRequest, "bad_request", err.Error(), "")
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -186,7 +186,7 @@ func (c *Coordinator) failColor(w http.ResponseWriter, err error, rid string) {
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 	}
-	writeClusterErr(w, status, kind, err.Error(), rid)
+	serve.WriteError(w, status, kind, err.Error(), rid)
 }
 
 // classifyClusterErr maps coordinator failures to HTTP status + kind. A
@@ -213,10 +213,4 @@ func classifyClusterErr(err error) (int, string) {
 	default:
 		return http.StatusBadGateway, "fleet_failed"
 	}
-}
-
-func writeClusterErr(w http.ResponseWriter, status int, kind, msg, rid string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg, "kind": kind, "request_id": rid})
 }

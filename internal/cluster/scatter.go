@@ -3,10 +3,10 @@ package cluster
 import (
 	"context"
 	"encoding/base64"
-	"errors"
 	"fmt"
+	"slices"
 	"strconv"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"gcolor/internal/graph"
@@ -14,109 +14,64 @@ import (
 	"gcolor/internal/shard"
 )
 
-// scatter runs one job as k-shard cross-worker scatter-gather: partition with
-// the edge-balanced splitter, POST one sub-job per shard to rendezvous-
-// chosen workers in parallel, barrier on the gather, and reconcile the
-// per-shard colorings with the bounded boundary repair loop — at the
-// coordinator, because only the coordinator holds the whole graph.
-//
-// Failover: a shard whose worker fails retryably is re-dispatched to a
-// different worker (exclude-failed), bounded by ShardAttempts — with the
-// default 2, exactly one re-dispatch. Sub-jobs are sent no-cache so
-// workers do not stash shard fragments under the subgraph's fingerprint;
-// the merged result lives only in the coordinator's cache.
+// shardAttempts bounds the workers tried for one shard sub-job: the
+// initial dispatch plus exactly one re-dispatch to a different worker.
+const shardAttempts = 2
+
+// scatter runs one job as k-shard cross-worker scatter-gather through
+// shard.ColorSharded: dispatchShard POSTs each shard's sub-job to a
+// rendezvous-chosen worker, and the merge barrier and the bounded boundary
+// repair loop run at the coordinator, because only the coordinator holds
+// the whole graph. Sub-jobs are sent no-cache so workers do not stash
+// shard fragments under the subgraph's fingerprint; the merged result
+// lives only in the coordinator's cache.
 func (c *Coordinator) scatter(ctx context.Context, cr *serve.ColorRequest, req *serve.Request, k int) (*serve.Response, error) {
 	g := req.Graph
-	plan, err := shard.Partition(g, k, true)
-	if err != nil {
-		return nil, err
-	}
-
-	type shardOut struct {
-		colors     []int32
-		cycles     int64
-		iterations int
-		attempts   int
-		err        error
-	}
-	outs := make([]shardOut, plan.K)
 	// Every shard dispatch is deadline-bounded even when the caller's
 	// context is not: a single hung worker must never hang the merge
-	// barrier below.
-	ctx, wcancel := c.workerCtx(ctx)
-	defer wcancel()
-	sctx, cancel := context.WithCancel(ctx)
+	// barrier.
+	ctx, cancel := c.workerCtx(ctx)
 	defer cancel()
-	var wg sync.WaitGroup
-	for i := range plan.Subs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			colors, cycles, iters, attempts, err := c.dispatchShard(sctx, plan.Subs[i], cr, req, i, plan.K)
-			outs[i] = shardOut{colors: colors, cycles: cycles, iterations: iters, attempts: attempts, err: err}
+	iterations := make([]int, k)
+	var redispatched atomic.Int64
+	sr, err := shard.ColorSharded(ctx, g, shard.Options{K: k, Seed: cr.Seed, NoFallback: cr.NoCPUFallback},
+		func(ctx context.Context, i, k int, sub *graph.Graph) ([]int32, int64, error) {
+			resp, attempts, err := c.dispatchShard(ctx, sub, cr, req, i, k)
 			if err != nil {
-				cancel() // a lost shard fails the merge; reel the siblings in
+				return nil, 0, err
 			}
-		}(i)
-	}
-	wg.Wait() // merge barrier: every shard decided
-
-	// Prefer the error of the shard that actually failed over siblings
-	// that merely observed the cancellation.
-	var firstErr error
-	redispatched := 0
-	for i := range outs {
-		if outs[i].attempts > 1 {
-			redispatched += outs[i].attempts - 1
-		}
-		e := outs[i].err
-		if e == nil {
-			continue
-		}
-		if firstErr == nil || (errors.Is(firstErr, context.Canceled) && !errors.Is(e, context.Canceled)) {
-			firstErr = e
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	parts := make([][]int32, plan.K)
-	for i := range outs {
-		parts[i] = outs[i].colors
-	}
-	colors, st, err := shard.MergeRepair(g, plan, parts, cr.Seed, c.cfg.MaxRepairRounds, cr.NoCPUFallback)
+			iterations[i] = resp.Iterations
+			redispatched.Add(int64(attempts - 1))
+			return resp.Colors, resp.Cycles, nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	res := &serve.Response{
+	return &serve.Response{
 		Fingerprint:       req.Fingerprint,
-		Colors:            colors,
-		NumColors:         st.NumColors,
+		Colors:            sr.Colors,
+		NumColors:         sr.NumColors,
+		Cycles:            sr.CyclesTotal, // serial-equivalent fleet work
+		Iterations:        slices.Max(iterations),
 		Vertices:          g.NumVertices(),
 		Edges:             g.NumEdges(),
-		Shards:            plan.K,
-		ShardConflicts:    st.Conflicts,
-		ShardRepairRounds: st.Rounds,
-		ShardRecolored:    st.Recolored,
+		Shards:            sr.K,
+		ShardConflicts:    sr.Repair.Conflicts,
+		ShardRepairRounds: sr.Repair.Rounds,
+		ShardRecolored:    sr.Repair.Recolored,
 		Device:            -1, // the job spanned several workers
 		Scattered:         true,
-		Redispatched:      redispatched,
-	}
-	for i := range outs {
-		res.Cycles += outs[i].cycles // serial-equivalent fleet work
-		if outs[i].iterations > res.Iterations {
-			res.Iterations = outs[i].iterations
-		}
-	}
-	return res, nil
+		Redispatched:      int(redispatched.Load()),
+	}, nil
 }
 
-// dispatchShard sends one shard sub-job, failing over across workers up
-// to ShardAttempts times. The shard's rendezvous key decorrelates from
-// the whole graph's (and from sibling shards') so the K sub-jobs of one
-// scatter spread across the fleet instead of piling onto fp's owner.
-func (c *Coordinator) dispatchShard(ctx context.Context, sub *graph.Graph, cr *serve.ColorRequest, req *serve.Request, i, k int) (colors []int32, cycles int64, iterations, attempts int, err error) {
+// dispatchShard sends shard i of k's sub-job and returns the worker's
+// reply and the attempts made. A shard whose worker fails retryably is
+// re-dispatched to a different worker (exclude-failed), up to
+// shardAttempts workers in all. The shard's rendezvous key decorrelates
+// from the whole graph's (and from sibling shards') so the k sub-jobs of
+// one scatter spread across the fleet instead of piling onto fp's owner.
+func (c *Coordinator) dispatchShard(ctx context.Context, sub *graph.Graph, cr *serve.ColorRequest, req *serve.Request, i, k int) (*serve.Response, int, error) {
 	// Shards travel as binary CSR frames (base64 in the JSON envelope),
 	// not edge-list text: the worker decodes the frame straight into its
 	// CSR arrays instead of re-parsing and re-sorting an edge list whose
@@ -141,8 +96,9 @@ func (c *Coordinator) dispatchShard(ctx context.Context, sub *graph.Graph, cr *s
 	}
 	key := mix64(req.Fingerprint ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
 	exclude := make(map[int]bool)
+	attempts := 0
 	var lastErr error
-	for attempt := 0; attempt < c.cfg.ShardAttempts; attempt++ {
+	for attempts < shardAttempts {
 		m, probe, err := c.reg.pick(key, exclude)
 		if err != nil {
 			break // no worker left to try; report the shard's last failure
@@ -161,7 +117,7 @@ func (c *Coordinator) dispatchShard(ctx context.Context, sub *graph.Graph, cr *s
 			} else {
 				m.seen(time.Now())
 				c.reg.observe(m, probe, true, 1, exec)
-				return resp.Colors, resp.Cycles, resp.Iterations, attempts, nil
+				return resp, attempts, nil
 			}
 		}
 		lastErr = err
@@ -175,7 +131,7 @@ func (c *Coordinator) dispatchShard(ctx context.Context, sub *graph.Graph, cr *s
 		good, reward := judgeWorkerError(we)
 		c.reg.observe(m, probe, good, reward, exec)
 		if ctx.Err() != nil {
-			return nil, 0, 0, attempts, ctx.Err()
+			return nil, attempts, ctx.Err()
 		}
 		if we == nil || !we.Retryable() {
 			break
@@ -186,5 +142,5 @@ func (c *Coordinator) dispatchShard(ctx context.Context, sub *graph.Graph, cr *s
 	if lastErr == nil {
 		lastErr = ErrNoWorkers
 	}
-	return nil, 0, 0, attempts, &ShardError{Shard: i, Shards: k, Attempts: attempts, Err: lastErr}
+	return nil, attempts, &ShardError{Shard: i, Shards: k, Attempts: attempts, Err: lastErr}
 }

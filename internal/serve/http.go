@@ -127,10 +127,11 @@ type ColorResponse struct {
 	Redispatched int    `json:"redispatched,omitempty"`
 }
 
-// errorResponse is the JSON body of any non-2xx /color reply.
+// errorResponse is the JSON body of any non-2xx reply, a worker's or a
+// coordinator's (WriteError).
 type errorResponse struct {
 	Error string `json:"error"`
-	Kind  string `json:"kind"` // bad_request | bad_delta | unknown_base | too_large | queue_full | shedding | deadline | draining | closed | failed
+	Kind  string `json:"kind"` // bad_request | bad_delta | unknown_base | too_large | queue_full | shedding | deadline | draining | closed | failed, and a coordinator's own kinds
 	// RequestID correlates the failure with server logs, journal records,
 	// and crash-drill traces.
 	RequestID string `json:"request_id,omitempty"`
@@ -278,7 +279,7 @@ func HandlerWith(s *Server, hc HandlerConfig) http.Handler {
 		if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 			w.Header().Set("Retry-After", fmt.Sprintf("%d", s.RetryAfterHint(kind)))
 		}
-		writeErr(w, status, kind, err.Error(), rid)
+		WriteError(w, status, kind, err.Error(), rid)
 	}
 	mux.HandleFunc("POST /color", func(w http.ResponseWriter, r *http.Request) {
 		rid := requestID(r)
@@ -399,14 +400,14 @@ func boolToInt(b bool) int {
 func admitEpoch(g *EpochGuard, w http.ResponseWriter, r *http.Request, rid string) bool {
 	epoch, err := ParseEpoch(r.Header.Get(EpochHeader))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_request", err.Error(), rid)
+		WriteError(w, http.StatusBadRequest, "bad_request", err.Error(), rid)
 		return false
 	}
 	if !g.Observe(epoch) {
 		// 409, not 5xx: retrying the same call from the same stale
 		// coordinator can never succeed, and the coordinator-side error
 		// judge must treat this as "stop", not "fail over".
-		writeErr(w, http.StatusConflict, "stale_epoch",
+		WriteError(w, http.StatusConflict, "stale_epoch",
 			fmt.Sprintf("epoch %d is stale (worker has seen %d)", epoch, g.Current()), rid)
 		return false
 	}
@@ -434,11 +435,11 @@ func (a *Admission) ServeColor(w http.ResponseWriter, r *http.Request, rid strin
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge, "too_large",
+			WriteError(w, http.StatusRequestEntityTooLarge, "too_large",
 				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), rid)
 			return
 		}
-		writeErr(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("read: %v", err), rid)
+		WriteError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("read: %v", err), rid)
 		return
 	}
 	idemKey := sanitizeRequestID(r.Header.Get("Idempotency-Key"))
@@ -449,7 +450,7 @@ func (a *Admission) ServeColor(w http.ResponseWriter, r *http.Request, rid strin
 	}
 	cr, req, err := a.Decode(up)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_request", err.Error(), rid)
+		WriteError(w, http.StatusBadRequest, "bad_request", err.Error(), rid)
 		return
 	}
 	req.RequestID, req.IdemKey = rid, idemKey
@@ -861,7 +862,10 @@ func isDeadline(err error) bool {
 	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 }
 
-func writeErr(w http.ResponseWriter, status int, kind, msg, rid string) {
+// WriteError writes a non-2xx reply of either role: status, and an
+// errorResponse body of msg, kind and the request ID rid (omitted when
+// empty).
+func WriteError(w http.ResponseWriter, status int, kind, msg, rid string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(errorResponse{Error: msg, Kind: kind, RequestID: rid})

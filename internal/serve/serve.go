@@ -111,8 +111,8 @@ type Request struct {
 	// devices, then reconciled with the bounded boundary repair loop.
 	// 0 means auto (shard when the graph crosses the server's configured
 	// size thresholds), 1 forces single-device execution, and K >= 2
-	// forces K shards (clamped to the server's MaxShards). Negative values
-	// behave like 1.
+	// forces K shards (clamped to shard.MaxShards and the vertex count).
+	// Negative values behave like 1, on a coordinator too.
 	Shards int
 
 	// CycleBudget, MaxRetries, NoCPUFallback configure the resilient

@@ -103,47 +103,11 @@ func (c SelfHealConfig) withDefaults() SelfHealConfig {
 	return c
 }
 
-// ShardConfig tunes sharded scatter-gather execution: one request split
-// into K edge-balanced shards colored in parallel on separate pool
-// devices, reconciled by the bounded boundary repair loop
-// (internal/shard). Zero values take the documented defaults.
-type ShardConfig struct {
-	// Disabled turns sharding off entirely; Request.Shards is ignored.
-	Disabled bool
-	// K is the shard count used when a request auto-shards (default: pool
-	// size, clamped to MaxShards).
-	K int
-	// AutoVertices and AutoEdges are the graph-size thresholds at or above
-	// which a Shards=0 request auto-shards (defaults 8192 vertices /
-	// 262144 edges; negative disables that trigger).
-	AutoVertices int
-	AutoEdges    int
-	// MaxRepairRounds bounds the boundary repair loop (default
-	// shard.DefaultRepairRounds); on exhaustion the job degrades to the
-	// CPU greedy fallback unless the request set NoCPUFallback.
-	MaxRepairRounds int
-	// MaxShards caps the per-request shard count (default 16).
-	MaxShards int
-}
-
-func (c ShardConfig) withDefaults(devices int) ShardConfig {
-	if c.MaxShards < 1 {
-		c.MaxShards = 16
-	}
-	if c.K < 1 {
-		c.K = devices
-	}
-	if c.K > c.MaxShards {
-		c.K = c.MaxShards
-	}
-	if c.AutoVertices == 0 {
-		c.AutoVertices = 8192
-	}
-	if c.AutoEdges == 0 {
-		c.AutoEdges = 1 << 18
-	}
-	return c
-}
+// ShardConfig is the shard policy (internal/shard): when a request is
+// split into edge-balanced shards colored in parallel on separate pool
+// devices and reconciled by the bounded boundary repair loop. Its zero
+// value takes the documented defaults.
+type ShardConfig = shard.Policy
 
 // Config sizes a Server. Zero values take the documented defaults.
 type Config struct {
@@ -227,7 +191,6 @@ func (c Config) withDefaults() Config {
 		c.ReplayParallelism = 4
 	}
 	c.SelfHeal = c.SelfHeal.withDefaults()
-	c.Shard = c.Shard.withDefaults(c.Devices)
 	c.Delta = c.Delta.withDefaults()
 	return c
 }
@@ -469,33 +432,9 @@ func (s *Server) Submit(ctx context.Context, req *Request) (*Response, error) {
 }
 
 // effectiveShards resolves a request's Shards knob against the server's
-// shard policy: 1 when sharding is off, the pool is a single device, or
-// the request pinned single-device; the request's K (clamped) when
-// pinned; the configured K when the graph crosses an auto threshold.
+// shard policy, one shard per pooled device.
 func (s *Server) effectiveShards(req *Request) int {
-	c := s.cfg.Shard
-	if c.Disabled || s.pool.Size() < 2 || req.Shards == 1 || req.Shards < 0 {
-		return 1
-	}
-	k := req.Shards
-	if k == 0 {
-		auto := c.AutoVertices > 0 && req.Graph.NumVertices() >= c.AutoVertices ||
-			c.AutoEdges > 0 && req.Graph.NumEdges() >= c.AutoEdges
-		if !auto {
-			return 1
-		}
-		k = c.K
-	}
-	if k > c.MaxShards {
-		k = c.MaxShards
-	}
-	if n := req.Graph.NumVertices(); k > n {
-		k = n
-	}
-	if k < 2 {
-		return 1
-	}
-	return k
+	return s.cfg.Shard.Count(req.Graph, req.Shards, s.pool.Size)
 }
 
 // enqueuer returns how a Server runs an admitted miss: push it onto the
@@ -749,69 +688,27 @@ func (s *Server) dispatchShard(ctx context.Context, j *job, i int, sub *graph.Gr
 	return nil, err
 }
 
-// runSharded executes one job as a scatter-gather: partition, fan out one
-// dispatch per shard (each with its own lease, hedging, and health
-// accounting), barrier on the merge, reconcile cross-shard conflicts with
-// the bounded boundary repair loop, and publish one aggregated response.
+// runSharded executes one job as a scatter-gather through
+// shard.ColorSharded: one dispatchShard per shard (each with its own
+// lease, hedging, and health accounting), then one aggregated response.
 func (s *Server) runSharded(ctx context.Context, j *job, wait time.Duration) {
-	plan, err := shard.Partition(j.req.Graph, j.shards, true)
-	if err != nil {
-		s.reg.Counter("failed_total").Inc()
-		s.front.finish(j.fl, nil, err)
-		return
-	}
 	s.reg.Counter("shard_jobs_total").Inc()
-
-	type shardOut struct {
-		d   *dispatchResult
-		err error
-	}
-	outs := make([]shardOut, plan.K)
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	for i := range plan.Subs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			d, err := s.dispatchShard(sctx, j, i, plan.Subs[i])
+	outs := make([]*dispatchResult, j.shards)
+	sr, err := shard.ColorSharded(ctx, j.req.Graph,
+		shard.Options{K: j.shards, Seed: j.req.Seed, NoFallback: j.req.NoCPUFallback},
+		func(ctx context.Context, i, k int, sub *graph.Graph) ([]int32, int64, error) {
+			d, err := s.dispatchShard(ctx, j, i, sub)
 			if err != nil {
-				outs[i].err = fmt.Errorf("serve: shard %d/%d: %w", i, plan.K, err)
-				cancel() // a lost shard fails the merge; reel the siblings in
-				return
+				return nil, 0, fmt.Errorf("serve: shard %d/%d: %w", i, k, err)
 			}
-			outs[i].d = d
-		}(i)
-	}
-	wg.Wait() // merge barrier: every shard decided, every lease released
-
-	// Prefer the error of the shard that actually failed over siblings
-	// that merely observed the cancellation.
-	var firstErr error
-	for _, o := range outs {
-		if o.err == nil {
-			continue
-		}
-		if firstErr == nil || (errors.Is(firstErr, context.Canceled) && !errors.Is(o.err, context.Canceled)) {
-			firstErr = o.err
-		}
-	}
-	if firstErr != nil {
-		s.failJob(j, firstErr)
-		return
-	}
-
-	parts := make([][]int32, plan.K)
-	for i, o := range outs {
-		parts[i] = o.d.out.Colors
-	}
-	colors, st, err := shard.MergeRepair(j.req.Graph, plan, parts, j.req.Seed,
-		s.cfg.Shard.MaxRepairRounds, j.req.NoCPUFallback)
+			outs[i] = d
+			return d.out.Colors, d.out.Cycles, nil
+		})
 	if err != nil {
-		s.reg.Counter("failed_total").Inc()
-		s.front.finish(j.fl, nil, err)
+		s.failJob(j, err)
 		return
 	}
+	st := sr.Repair
 	s.reg.Counter("shard_conflicts_total").Add(int64(st.Conflicts))
 	s.reg.Counter("shard_repair_rounds_total").Add(int64(st.Rounds))
 	s.reg.Counter("shard_recolored_total").Add(int64(st.Recolored))
@@ -821,18 +718,18 @@ func (s *Server) runSharded(ctx context.Context, j *job, wait time.Duration) {
 
 	res := &Response{
 		Fingerprint:       j.fp,
-		Colors:            colors,
-		NumColors:         st.NumColors,
-		Shards:            plan.K,
+		Colors:            sr.Colors,
+		NumColors:         sr.NumColors,
+		Cycles:            sr.CyclesTotal, // serial-equivalent device work
+		Shards:            sr.K,
 		ShardConflicts:    st.Conflicts,
 		ShardRepairRounds: st.Rounds,
 		ShardRecolored:    st.Recolored,
 		Device:            -1, // the job spanned several devices
 		Wait:              wait,
 	}
-	for _, o := range outs {
-		out := o.d.out
-		res.Cycles += out.Cycles // serial-equivalent device work
+	for _, d := range outs {
+		out := d.out
 		if out.Iterations > res.Iterations {
 			res.Iterations = out.Iterations
 		}
@@ -841,11 +738,11 @@ func (s *Server) runSharded(ctx context.Context, j *job, wait time.Duration) {
 		if out.Recovery > res.Recovery {
 			res.Recovery = out.Recovery // worst rung any shard needed
 		}
-		if o.d.hedged {
+		if d.hedged {
 			res.Hedged = true
 		}
-		if o.d.exec > res.Exec {
-			res.Exec = o.d.exec // parallel makespan
+		if d.exec > res.Exec {
+			res.Exec = d.exec // parallel makespan
 		}
 	}
 	if st.Fallback {

@@ -3,11 +3,14 @@ package serve
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"gcolor/internal/color"
 	"gcolor/internal/gen"
 	"gcolor/internal/gpucolor"
+	"gcolor/internal/shard"
+	"gcolor/internal/simt"
 )
 
 // TestShardedSubmit pins the scatter-gather path end to end: a pinned
@@ -39,6 +42,40 @@ func TestShardedSubmit(t *testing.T) {
 	}
 	if st := s.Stats(); st.ShardJobs != 1 {
 		t.Fatalf("ShardJobs = %d, want 1", st.ShardJobs)
+	}
+}
+
+// TestShardedSubmitMatchesColorDevices pins that serving a graph sharded
+// is the library's sharded coloring: the same colors and total cycles as
+// shard.ColorDevices for the same graph, shard count and seed.
+func TestShardedSubmitMatchesColorDevices(t *testing.T) {
+	s := NewServer(Config{Devices: 3, Device: DeviceConfig{Workers: 1}})
+	defer s.Stop()
+	g := gen.RMAT(11, 8, gen.Graph500, 4)
+	for _, k := range []int{2, 3, 5} {
+		res, err := s.Submit(context.Background(), &Request{Graph: g, Algorithm: gpucolor.AlgBaseline, Shards: k, Seed: 7})
+		if err != nil {
+			t.Fatalf("k=%d: Submit: %v", k, err)
+		}
+		devs := make([]*simt.Device, 3)
+		for i := range devs {
+			devs[i] = simt.NewDevice()
+			devs[i].Workers = 1
+		}
+		want, err := shard.ColorDevices(context.Background(), devs, g, gpucolor.AlgBaseline,
+			shard.Options{K: k, Seed: 7}, gpucolor.ResilientOptions{})
+		if err != nil {
+			t.Fatalf("k=%d: ColorDevices: %v", k, err)
+		}
+		if res.Shards != want.K || !slices.Equal(res.Colors, want.Colors) || res.Cycles != want.CyclesTotal {
+			t.Fatalf("k=%d: served %d shards, %d cycles; ColorDevices %d shards, %d cycles; colors equal %v",
+				k, res.Shards, res.Cycles, want.K, want.CyclesTotal, slices.Equal(res.Colors, want.Colors))
+		}
+		if res.ShardConflicts != want.Repair.Conflicts || res.ShardRepairRounds != want.Repair.Rounds ||
+			res.ShardRecolored != want.Repair.Recolored {
+			t.Fatalf("k=%d: served repair %d/%d/%d, ColorDevices %+v", k,
+				res.ShardConflicts, res.ShardRepairRounds, res.ShardRecolored, want.Repair)
+		}
 	}
 }
 

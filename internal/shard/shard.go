@@ -11,6 +11,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -19,20 +20,15 @@ import (
 	"gcolor/internal/simt"
 )
 
-// Options configures a sharded coloring run.
+// Options configures a sharded coloring run. Cut refinement is always on
+// and the boundary repair loop always gets DefaultRepairRounds rounds.
 type Options struct {
 	// K is the number of shards; Partition clamps it to the vertex count.
 	// K <= 0 is an error.
 	K int
-	// NoRefine disables the boundary-sweep cut refinement, leaving the
-	// purely weight-balanced cuts.
-	NoRefine bool
 	// Seed feeds the per-shard coloring seeds (shard i runs with
 	// Seed + i so shards do not correlate) and the repair priority hash.
 	Seed uint32
-	// MaxRepairRounds bounds the boundary repair loop; <= 0 means
-	// DefaultRepairRounds.
-	MaxRepairRounds int
 	// NoFallback disables the CPU greedy fallback when the repair budget
 	// blows; the typed ErrRepairBudget surfaces instead.
 	NoFallback bool
@@ -58,17 +54,20 @@ type Result struct {
 	ShardCycles []int64
 }
 
-// ColorFunc colors one shard's subgraph (local vertex ids) and returns
-// the coloring plus the simulated cycles spent. ColorSharded calls it
-// once per shard, concurrently.
-type ColorFunc func(ctx context.Context, shard int, sub *graph.Graph) ([]int32, int64, error)
+// ColorFunc colors shard i of k, whose subgraph sub has local vertex
+// ids, and returns the coloring plus the simulated cycles spent.
+// ColorSharded calls it once per shard, concurrently. An error it returns
+// reaches the caller as is, so it should name its shard.
+type ColorFunc func(ctx context.Context, i, k int, sub *graph.Graph) ([]int32, int64, error)
 
 // ColorSharded partitions g into opt.K shards, colors every shard
 // concurrently through fn, and reconciles the parts with MergeRepair.
-// The first shard error cancels the remaining shards and is returned
-// wrapped with its shard index. The returned coloring always verifies.
+// The first shard error cancels the remaining shards. The error returned
+// is that of the shard that failed, not of a sibling that only saw the
+// cancellation: the first in shard order that is not context.Canceled,
+// else the first. The returned coloring always verifies.
 func ColorSharded(ctx context.Context, g *graph.Graph, opt Options, fn ColorFunc) (*Result, error) {
-	plan, err := Partition(g, opt.K, !opt.NoRefine)
+	plan, err := Partition(g, opt.K, true)
 	if err != nil {
 		return nil, err
 	}
@@ -82,26 +81,27 @@ func ColorSharded(ctx context.Context, g *graph.Graph, opt Options, fn ColorFunc
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			colors, cyc, err := fn(sctx, i, plan.Subs[i])
-			if err != nil {
-				errs[i] = fmt.Errorf("shard %d/%d: %w", i, plan.K, err)
-				cancel()
-				return
+			parts[i], cycles[i], errs[i] = fn(sctx, i, plan.K, plan.Subs[i])
+			if errs[i] != nil {
+				cancel() // a lost shard fails the merge; reel the siblings in
 			}
-			parts[i], cycles[i] = colors, cyc
 		}(i)
 	}
-	wg.Wait()
+	wg.Wait() // merge barrier: every shard decided
+	var first error
 	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		if err != nil && (first == nil || errors.Is(first, context.Canceled) && !errors.Is(err, context.Canceled)) {
+			first = err
 		}
+	}
+	if first != nil {
+		return nil, first
 	}
 	return finish(g, plan, parts, cycles, opt)
 }
 
 func finish(g *graph.Graph, plan *Plan, parts [][]int32, cycles []int64, opt Options) (*Result, error) {
-	colors, st, err := MergeRepair(g, plan, parts, opt.Seed, opt.MaxRepairRounds, opt.NoFallback)
+	colors, st, err := MergeRepair(g, plan, parts, opt.Seed, DefaultRepairRounds, opt.NoFallback)
 	if err != nil {
 		return nil, err
 	}
@@ -133,12 +133,12 @@ func ColorDevices(ctx context.Context, devs []*simt.Device, g *graph.Graph, a gp
 	if opt.K == 0 {
 		opt.K = len(devs)
 	}
-	return ColorSharded(ctx, g, opt, func(ctx context.Context, i int, sub *graph.Graph) ([]int32, int64, error) {
+	return ColorSharded(ctx, g, opt, func(ctx context.Context, i, k int, sub *graph.Graph) ([]int32, int64, error) {
 		o := ropt
 		o.Seed = opt.Seed + uint32(i)
 		out, err := gpucolor.ColorContext(ctx, devs[i%len(devs)], sub, a, o)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, fmt.Errorf("shard %d/%d: %w", i, k, err)
 		}
 		return out.Colors, out.Cycles, nil
 	})

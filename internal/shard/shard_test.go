@@ -352,23 +352,67 @@ func TestShardedUnderFault(t *testing.T) {
 }
 
 // TestColorShardedPropagatesErrors pins that a failing shard cancels the
-// rest and surfaces a wrapped error naming the shard.
+// rest and that the error returned is the failing shard's own, not that
+// of a sibling that only saw the cancellation.
 func TestColorShardedPropagatesErrors(t *testing.T) {
 	g := gen.Grid2D(16, 16)
 	boom := fmt.Errorf("kernel exploded")
 	_, err := ColorSharded(context.Background(), g, Options{K: 4, Seed: 1},
-		func(ctx context.Context, i int, sub *graph.Graph) ([]int32, int64, error) {
+		func(ctx context.Context, i, k int, sub *graph.Graph) ([]int32, int64, error) {
 			if i == 2 {
-				return nil, 0, boom
+				return nil, 0, fmt.Errorf("shard %d/%d: %w", i, k, boom)
 			}
 			<-ctx.Done() // the failure must cancel the siblings
-			return nil, 0, ctx.Err()
+			return nil, 0, fmt.Errorf("shard %d/%d: %w", i, k, ctx.Err())
 		})
-	if !errors.Is(err, boom) && !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want shard failure or cancellation", err)
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the failing shard's error", err)
 	}
-	if err == nil {
-		t.Fatal("expected error")
+	if want := "shard 2/4: kernel exploded"; err.Error() != want {
+		t.Fatalf("err = %q, want %q (no second wrapper)", err, want)
+	}
+}
+
+// TestColorShardedRefinesCuts pins that ColorSharded partitions with cut
+// refinement on.
+func TestColorShardedRefinesCuts(t *testing.T) {
+	g := gen.RMAT(10, 8, gen.Graph500, 1)
+	refined, err := Partition(g, 4, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Partition(g, 4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if refined.CutEdges() == plain.CutEdges() {
+		t.Fatalf("refinement leaves %d cut edges either way; pick a graph that tells them apart", plain.CutEdges())
+	}
+	res, err := ColorSharded(context.Background(), g, Options{K: 4, Seed: 1},
+		func(ctx context.Context, i, k int, sub *graph.Graph) ([]int32, int64, error) {
+			return color.Greedy(sub, color.Natural, 0), 0, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CutEdges != refined.CutEdges() {
+		t.Fatalf("ColorSharded cut %d edges, refined partition %d, unrefined %d",
+			res.CutEdges, refined.CutEdges(), plain.CutEdges())
+	}
+}
+
+// TestColorDevicesReportsBudget pins the typed error of a sharded run whose
+// shards overrun a tiny cycle budget with no fallback: the budget error of
+// the shard that failed, not the cancellation its siblings saw.
+func TestColorDevicesReportsBudget(t *testing.T) {
+	g := gen.RMAT(12, 8, gen.Graph500, 1)
+	for run := 0; run < 3; run++ {
+		_, err := ColorDevices(context.Background(), testDevices(4), g, gpucolor.AlgBaseline,
+			Options{K: 4, Seed: 1, NoFallback: true},
+			gpucolor.ResilientOptions{CycleBudget: 2000, NoCPUFallback: true})
+		if !errors.Is(err, gpucolor.ErrBudgetExceeded) {
+			t.Fatalf("run %d: err = %v, want ErrBudgetExceeded", run, err)
+		}
 	}
 }
 
@@ -376,5 +420,78 @@ func TestColorDevicesNeedsDevices(t *testing.T) {
 	g := gen.Grid2D(4, 4)
 	if _, err := ColorDevices(context.Background(), nil, g, gpucolor.AlgBaseline, Options{K: 2}, gpucolor.ResilientOptions{}); err == nil {
 		t.Fatal("nil device list accepted")
+	}
+}
+
+// TestPolicyCount covers every branch of the shard policy that servers
+// and coordinators share, and that the executor count is taken only once
+// the request and the graph's size call for a split.
+func TestPolicyCount(t *testing.T) {
+	// edges builds a 1000-vertex graph with exactly m edges.
+	edges := func(m int) *graph.Graph {
+		b := graph.NewBuilder(1000)
+		for u := int32(0); m > 0; u++ {
+			for v := u + 1; v < 1000 && m > 0; v++ {
+				b.AddEdge(u, v)
+				m--
+			}
+		}
+		return b.Build()
+	}
+	var (
+		atV, belowV = gen.Path(DefaultAutoVertices), gen.Path(DefaultAutoVertices - 1)
+		atE, belowE = edges(DefaultAutoEdges), edges(DefaultAutoEdges - 1)
+		small       = gen.Path(100) // 100 vertices, 99 edges
+		tiny        = gen.Path(3)
+		huge        = gen.Path(40000)
+	)
+	for _, c := range []struct {
+		name      string
+		p         Policy
+		g         *graph.Graph
+		shards    int
+		executors int
+		want      int
+		asks      bool // whether Count may take the executor count
+	}{
+		{"pinned 1", Policy{}, huge, 1, 4, 1, false},
+		{"negative", Policy{}, huge, -1, 4, 1, false},
+		{"negative below threshold", Policy{}, small, -3, 4, 1, false},
+		{"pinned K", Policy{}, small, 3, 4, 3, true},
+		{"pinned K above executors", Policy{}, small, 6, 2, 6, true},
+		{"disabled pinned", Policy{Disabled: true}, small, 3, 4, 1, false},
+		{"disabled auto", Policy{Disabled: true}, huge, 0, 4, 1, false},
+		{"one executor pinned", Policy{}, small, 3, 1, 1, true},
+		{"one executor auto", Policy{}, huge, 0, 1, 1, true},
+		{"auto at vertex default", Policy{}, atV, 0, 4, 4, true},
+		{"auto below vertex default", Policy{}, belowV, 0, 4, 1, false},
+		{"auto at edge default", Policy{}, atE, 0, 4, 4, true},
+		{"auto below edge default", Policy{}, belowE, 0, 4, 1, false},
+		{"auto at vertex threshold", Policy{AutoVertices: 100}, small, 0, 3, 3, true},
+		{"auto below vertex threshold", Policy{AutoVertices: 101}, small, 0, 3, 1, false},
+		{"auto at edge threshold", Policy{AutoEdges: 99}, small, 0, 3, 3, true},
+		{"auto below edge threshold", Policy{AutoEdges: 100}, small, 0, 3, 1, false},
+		{"vertex trigger off", Policy{AutoVertices: -1}, atV, 0, 4, 1, false},
+		{"edge trigger off", Policy{AutoEdges: -1}, atE, 0, 4, 1, false},
+		{"both triggers off", Policy{AutoVertices: -1, AutoEdges: -1}, huge, 0, 4, 1, false},
+		{"auto K", Policy{K: 3}, huge, 0, 8, 3, true},
+		{"auto K 0 is one per executor", Policy{}, huge, 0, 5, 5, true},
+		{"auto negative K is one per executor", Policy{K: -2}, huge, 0, 5, 5, true},
+		{"pinned beats K", Policy{K: 3}, small, 5, 8, 5, true},
+		{"pinned capped", Policy{}, huge, 40, 4, MaxShards, true},
+		{"auto K capped", Policy{K: 40}, huge, 0, 4, MaxShards, true},
+		{"executors capped", Policy{}, huge, 0, 64, MaxShards, true},
+		{"capped at vertex count", Policy{}, tiny, 8, 4, 3, true},
+		{"auto capped at vertex count", Policy{AutoVertices: 3}, tiny, 0, 8, 3, true},
+		{"one vertex", Policy{}, gen.Path(1), 4, 4, 1, true},
+	} {
+		asked := false
+		got := c.p.Count(c.g, c.shards, func() int { asked = true; return c.executors })
+		if got != c.want {
+			t.Errorf("%s: Count = %d, want %d", c.name, got, c.want)
+		}
+		if asked && !c.asks {
+			t.Errorf("%s: took the executor count for a job that runs whole", c.name)
+		}
 	}
 }
