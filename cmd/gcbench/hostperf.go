@@ -93,9 +93,68 @@ type hostperfReport struct {
 	BudgetHeadroomPC float64       `json:"budget_headroom_pct,omitempty"`
 }
 
-// mixSection is the gcload default mix (the -serving workload) replayed
-// on the pooled server, compared against the throughputs the committed
-// BENCH_PR2.json and BENCH_PR3.json record for the identical benchmark.
+// servingMix is gcload's default mix: a regular mesh, a uniform random
+// graph, and a scale-free graph, weighted toward repeats so the cache
+// and coalescing layers see realistic duplicate traffic. A fraction of
+// requests get a rewritten seed so some misses always remain.
+var servingMix = []struct {
+	spec   string
+	weight int
+}{
+	{"grid:40:40", 4},
+	{"gnm:2000:8000:1", 3},
+	{"rmat:9:8:1", 3},
+}
+
+const servingUniqueEvery = 5 // every 5th request gets a fresh seed (20% unique)
+
+// servingRequests expands the weighted mix into n (spec, graph) pairs.
+// Every servingUniqueEvery-th request attempts a seed rewrite, matching
+// gcload's reseed semantics: seeded specs (gnm, rmat) become
+// never-before-seen graphs, seedless ones (grid) stay duplicates. The
+// weights interleave so the unique slots land on both kinds.
+func servingRequests(n int) ([]string, map[string]*graph.Graph, error) {
+	total := 0
+	for _, m := range servingMix {
+		total += m.weight
+	}
+	var ring []string
+	for i := 0; len(ring) < total; i++ {
+		for _, m := range servingMix {
+			if i < m.weight {
+				ring = append(ring, m.spec)
+			}
+		}
+	}
+	specs := make([]string, 0, n)
+	graphs := make(map[string]*graph.Graph)
+	unique := 0
+	for i := 0; i < n; i++ {
+		spec := ring[i%len(ring)]
+		if i%servingUniqueEvery == servingUniqueEvery-1 {
+			unique++
+			switch spec {
+			case "gnm:2000:8000:1":
+				spec = fmt.Sprintf("gnm:2000:8000:%d", 1000+unique)
+			case "rmat:9:8:1":
+				spec = fmt.Sprintf("rmat:9:8:%d", 1000+unique)
+			}
+		}
+		if _, ok := graphs[spec]; !ok {
+			g, err := serve.ParseGraphSpec(spec)
+			if err != nil {
+				return nil, nil, fmt.Errorf("mix spec %q: %w", spec, err)
+			}
+			graphs[spec] = g
+		}
+		specs = append(specs, spec)
+	}
+	return specs, graphs, nil
+}
+
+// mixSection is the gcload default mix (servingMix) replayed on the pooled
+// server, compared against the throughputs the committed BENCH_PR2.json
+// and BENCH_PR3.json record for the identical benchmark.
 type mixSection struct {
 	Requests         int     `json:"requests"`
 	Devices          int     `json:"devices"`
@@ -110,7 +169,7 @@ type mixSection struct {
 }
 
 // pr2MixThroughputRPS is the pooled-server throughput the PR 2 commit's
-// `gcbench -serving` recorded on this exact mix (BENCH_PR2.json,
+// serving benchmark recorded on this exact mix (BENCH_PR2.json,
 // serving.throughput_rps: 60 requests, 4 devices, concurrency 8).
 const pr2MixThroughputRPS = 172.83
 
@@ -125,11 +184,12 @@ const (
 	mixPasses           = 5
 )
 
-// defaultMixThroughput replays the -serving pooled workload (same mix,
-// same server shape) and reports the median wall-clock throughput of
-// mixPasses timed passes, after one untimed warm-up pass. Each pass runs on
-// a fresh server, as the baseline's single pass did: a reused server would
-// answer every repeat of the earlier passes from its result cache.
+// defaultMixThroughput replays the pooled workload BENCH_PR2.json records
+// (same mix, same server shape) and reports the median wall-clock
+// throughput of mixPasses timed passes, after one untimed warm-up pass.
+// Each pass runs on a fresh server, as the baseline's single pass did: a
+// reused server would answer every repeat of the earlier passes from its
+// result cache.
 func defaultMixThroughput() (mixSection, error) {
 	const n, devices, conc = 60, 4, 8
 	specs, graphs, err := servingRequests(n)

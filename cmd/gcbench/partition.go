@@ -192,7 +192,7 @@ func partLoad(client *http.Client, front string, window, grace time.Duration, co
 				attempts := 0
 				for {
 					attempts++
-					_, err := postColorIdem(client, front, cr, fmt.Sprintf("drill-%d", i))
+					_, err := postColor(client, front, cr, fmt.Sprintf("drill-%d", i))
 					if err == nil {
 						cDone.Add(1)
 						if attempts > 1 {
@@ -213,9 +213,10 @@ func partLoad(client *http.Client, front string, window, grace time.Duration, co
 	return int(cDone.Load()), int(cRet.Load()), int(cLost.Load())
 }
 
-// postColorIdem is postColor with an Idempotency-Key, so cross-failover
+// postColor sends one job to the front door and decodes the reply. A
+// non-empty idemKey rides as the Idempotency-Key, so cross-failover
 // retries of the same job are replays rather than recomputes.
-func postColorIdem(client *http.Client, coordURL string, cr *serve.ColorRequest, idemKey string) (*serve.ColorResponse, error) {
+func postColor(client *http.Client, coordURL string, cr *serve.ColorRequest, idemKey string) (*serve.ColorResponse, error) {
 	body, err := json.Marshal(cr)
 	if err != nil {
 		return nil, err
@@ -246,6 +247,36 @@ func postColorIdem(client *http.Client, coordURL string, cr *serve.ColorRequest,
 		return nil, err
 	}
 	return &out, nil
+}
+
+// clusterWorkerProc is one in-process worker daemon on a loopback port.
+type clusterWorkerProc struct {
+	addr string
+	srv  *serve.Server
+	hs   *http.Server
+}
+
+// startClusterWorker boots one worker daemon on a loopback port with one
+// device of workersPer simulation workers; the drills split the host's
+// parallelism evenly among their workers, each standing in for a machine.
+func startClusterWorker(workersPer int) (*clusterWorkerProc, error) {
+	srv := serve.NewServer(serve.Config{
+		Devices: 1,
+		Device:  serve.DeviceConfig{Workers: workersPer},
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		srv.Stop()
+		return nil, err
+	}
+	hs := &http.Server{Handler: serve.Handler(srv)}
+	go func() { _ = hs.Serve(ln) }()
+	return &clusterWorkerProc{addr: "http://" + ln.Addr().String(), srv: srv, hs: hs}, nil
+}
+
+func (w *clusterWorkerProc) stop() {
+	_ = w.hs.Close()
+	w.srv.Stop()
 }
 
 func runFailoverDrill(workers int) (*partFailoverOut, error) {
@@ -326,7 +357,7 @@ func runFailoverDrill(workers int) (*partFailoverOut, error) {
 	// Pin one idempotent job pre-failover, and journal one accept with no
 	// completion — the signature a crash mid-dispatch leaves behind.
 	pin := &serve.ColorRequest{Gen: "grid:12:12", Alg: "baseline", IncludeColors: true}
-	res1, err := postColorIdem(client, frontURL, pin, "idem-pin")
+	res1, err := postColor(client, frontURL, pin, "idem-pin")
 	if err != nil {
 		return nil, fmt.Errorf("pin job: %w", err)
 	}
@@ -421,7 +452,7 @@ func runFailoverDrill(workers int) (*partFailoverOut, error) {
 
 	// The idempotent retry of the pinned job must be a replay of the exact
 	// pre-failover answer.
-	res2, err := postColorIdem(client, frontURL, pin, "idem-pin")
+	res2, err := postColor(client, frontURL, pin, "idem-pin")
 	if err != nil {
 		return nil, fmt.Errorf("pin replay: %w", err)
 	}
@@ -481,7 +512,7 @@ func runGrayDrill(workers int) (*partGrayOut, error) {
 					NoCache: true,
 				}
 				t0 := time.Now()
-				if _, err := postColor(client, coordURL, cr); err != nil {
+				if _, err := postColor(client, coordURL, cr, ""); err != nil {
 					select {
 					case errCh <- err:
 					default:

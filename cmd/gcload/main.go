@@ -1,6 +1,7 @@
-// Command gcload drives a gcolord daemon with a configurable request mix
-// and reports throughput and latency — the serving-side counterpart of
-// gcbench.
+// Command gcload drives a gcolord daemon or coordinator with a
+// configurable request mix and reports throughput and latency. Two fault
+// drills ride along: -crash-drill and -chaos-soak. Chained delta streams
+// are measured by bench/'s delta workload, which checks every answer.
 //
 // Closed loop (default): -conc workers each keep one request in flight.
 // Open loop: requests fire at a fixed -rate regardless of completions,
@@ -13,6 +14,7 @@
 //	gcload -baseline -conc 8 -n 200 -json load.json
 //	gcload -wire binary -conc 8 -duration 10s  # binary CSR frames, options in query
 //	gcload -crash-drill -json BENCH_PR6.json   # kill -9 / restart / replay drill
+//	gcload -chaos-soak -json BENCH_PR4.json    # in-process self-healing soak
 //
 // The mix is spec=weight pairs (specs as in serve.ParseGraphSpec); -unique
 // rewrites the seed of that fraction of requests so they miss every cache,
@@ -111,11 +113,6 @@ func main() {
 		drillOverheadGate = flag.Float64("drill-overhead-gate", 0.05, "max tolerated journal throughput overhead fraction in the -crash-drill A/B")
 		drillDevices      = flag.Int("drill-devices", 2, "-crash-drill daemon pool size")
 
-		mutateLoad  = flag.Bool("mutate", false, "stream a resident upload plus chained delta requests against -addr and exit")
-		mutateSpec  = flag.String("mutate-spec", "rmat:11:16:1", "base graph spec for -mutate")
-		mutateSteps = flag.Int("mutate-steps", 200, "delta requests for -mutate")
-		mutateEdges = flag.Int("mutate-edges", 32, "max mutated edges per -mutate step")
-
 		chaosSoak     = flag.Bool("chaos-soak", false, "run the self-healing chaos soak against an in-process server (ignores -addr) and exit")
 		soakFaultRate = flag.Float64("soak-fault-rate", 0.02, "per-event fault probability armed on the chaos-soak victim")
 		soakPhase     = flag.Duration("soak-phase", 3*time.Second, "chaos-soak phase length (baseline / fault / recovery windows)")
@@ -136,18 +133,6 @@ func main() {
 			conc:         *conc,
 			overheadGate: *drillOverheadGate,
 			outPath:      out,
-		}))
-	}
-
-	if *mutateLoad {
-		os.Exit(runMutateLoad(newLoadClient(*timeout+5*time.Second, 2), mutateLoadConfig{
-			addr:    *addr,
-			spec:    *mutateSpec,
-			steps:   *mutateSteps,
-			edges:   *mutateEdges,
-			seed:    *seed,
-			timeout: *timeout,
-			jsonOut: *jsonOut,
 		}))
 	}
 

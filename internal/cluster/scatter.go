@@ -4,11 +4,11 @@ import (
 	"context"
 	"encoding/base64"
 	"fmt"
-	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
 
+	"gcolor/internal/gpucolor"
 	"gcolor/internal/graph"
 	"gcolor/internal/serve"
 	"gcolor/internal/shard"
@@ -24,7 +24,10 @@ const shardAttempts = 2
 // repair loop run at the coordinator, because only the coordinator holds
 // the whole graph. Sub-jobs are sent no-cache so workers do not stash
 // shard fragments under the subgraph's fingerprint; the merged result
-// lives only in the coordinator's cache.
+// lives only in the coordinator's cache. The reply folds its shards'
+// evidence as Server.runSharded does: summed attempts and repairs, the
+// worst recovery rung (cpu when the boundary repair fell back), hedged if
+// any shard was, and the slowest shard's exec time.
 func (c *Coordinator) scatter(ctx context.Context, cr *serve.ColorRequest, req *serve.Request, k int) (*serve.Response, error) {
 	g := req.Graph
 	// Every shard dispatch is deadline-bounded even when the caller's
@@ -32,7 +35,7 @@ func (c *Coordinator) scatter(ctx context.Context, cr *serve.ColorRequest, req *
 	// barrier.
 	ctx, cancel := c.workerCtx(ctx)
 	defer cancel()
-	iterations := make([]int, k)
+	replies := make([]*serve.Response, k)
 	var redispatched atomic.Int64
 	sr, err := shard.ColorSharded(ctx, g, shard.Options{K: k, Seed: cr.Seed, NoFallback: cr.NoCPUFallback},
 		func(ctx context.Context, i, k int, sub *graph.Graph) ([]int32, int64, error) {
@@ -40,19 +43,18 @@ func (c *Coordinator) scatter(ctx context.Context, cr *serve.ColorRequest, req *
 			if err != nil {
 				return nil, 0, err
 			}
-			iterations[i] = resp.Iterations
+			replies[i] = resp
 			redispatched.Add(int64(attempts - 1))
 			return resp.Colors, resp.Cycles, nil
 		})
 	if err != nil {
 		return nil, err
 	}
-	return &serve.Response{
+	res := &serve.Response{
 		Fingerprint:       req.Fingerprint,
 		Colors:            sr.Colors,
 		NumColors:         sr.NumColors,
 		Cycles:            sr.CyclesTotal, // serial-equivalent fleet work
-		Iterations:        slices.Max(iterations),
 		Vertices:          g.NumVertices(),
 		Edges:             g.NumEdges(),
 		Shards:            sr.K,
@@ -62,7 +64,19 @@ func (c *Coordinator) scatter(ctx context.Context, cr *serve.ColorRequest, req *
 		Device:            -1, // the job spanned several workers
 		Scattered:         true,
 		Redispatched:      int(redispatched.Load()),
-	}, nil
+	}
+	for _, sh := range replies {
+		res.Iterations = max(res.Iterations, sh.Iterations)
+		res.Attempts += sh.Attempts
+		res.Repaired += sh.Repaired
+		res.Recovery = max(res.Recovery, sh.Recovery) // worst rung any shard needed
+		res.Hedged = res.Hedged || sh.Hedged
+		res.Exec = max(res.Exec, sh.Exec) // parallel makespan
+	}
+	if sr.Repair.Fallback {
+		res.Recovery = gpucolor.RecoveryCPU
+	}
+	return res, nil
 }
 
 // dispatchShard sends shard i of k's sub-job and returns the worker's

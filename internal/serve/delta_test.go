@@ -372,14 +372,7 @@ func TestDeltaPropertyRandomStreams(t *testing.T) {
 					stream, step, res.NumColors, ref.NumColors)
 			}
 			g, fp = ng, res.Fingerprint
-			edges = edges[:0]
-			for v := int32(0); int(v) < g.NumVertices(); v++ {
-				for _, u := range g.Neighbors(v) {
-					if u > v {
-						edges = append(edges, [2]int32{v, u})
-					}
-				}
-			}
+			edges = upperEdges(g, edges)
 		}
 	}
 }
