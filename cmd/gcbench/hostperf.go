@@ -353,7 +353,7 @@ func runHostperfBench(jsonPath, budgetPath string, n int) error {
 	}
 
 	serveSection := func(label string, fusedReq bool) (hostSection, error) {
-		s := serve.NewServer(serve.Config{Devices: 1, Workers: 1})
+		s := serve.NewServer(serve.Config{Devices: 1})
 		defer s.Stop()
 		return measureHost(label, n, func() error {
 			_, err := s.Submit(context.Background(), &serve.Request{

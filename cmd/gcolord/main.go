@@ -13,6 +13,10 @@
 //	gcolord -shard-auto-vertices 4096 -max-body 8388608   # sharding + body cap
 //	gcolord -journal-dir /var/lib/gcolord/wal             # crash-safe serving
 //
+// Each pooled device has one executor, and the pool splits GOMAXPROCS
+// across its devices' simulation goroutines. Self-healing (per-device
+// health scores, circuit breakers and hedged re-dispatch) is always on.
+//
 // With -journal-dir set, every accepted job is journaled before it is
 // enqueued and its result journaled on completion. After a crash the
 // daemon replays the journal on startup: finished results warm the cache,
@@ -96,11 +100,9 @@ func main() {
 		cus      = flag.Int("cus", 28, "compute units per device")
 		wgSize   = flag.Int("wg", 256, "workgroup size per device")
 		wave     = flag.Int("wavefront", 64, "wavefront width per device")
-		devWkrs  = flag.Int("dev-workers", 0, "simulation goroutines per device (0 = split GOMAXPROCS across the pool)")
 		queueCap = flag.Int("queue", 256, "admission queue capacity")
 		shed     = flag.Float64("shed", 0.75, "queue occupancy fraction at which sub-high priority work is shed (>=1 disables)")
 		cacheSz  = flag.Int("cache", 512, "result cache entries (-1 disables)")
-		workers  = flag.Int("workers", 0, "executor goroutines (0 = one per device)")
 
 		chaos     = flag.Bool("chaos", false, "arm a fault injector on every pool device")
 		faultRate = flag.Float64("fault-rate", 1e-4, "per-event fault probability for -chaos")
@@ -109,7 +111,6 @@ func main() {
 		pprofOn = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (heap and CPU profiling of the serving hot path)")
 
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain deadline on shutdown (0 waits forever)")
-		noSelfHeal   = flag.Bool("no-self-heal", false, "disable health scoring, circuit breakers, and hedged re-dispatch")
 
 		journalDir   = flag.String("journal-dir", "", "write-ahead journal directory; accepted jobs and results survive crashes and are replayed on restart (empty = journaling off)")
 		journalFsync = flag.String("journal-fsync", "batch", "journal durability mode: always (fsync per append), batch (group commit), none (OS-paced)")
@@ -159,7 +160,6 @@ func main() {
 		NumCUs:         *cus,
 		WorkgroupSize:  *wgSize,
 		WavefrontWidth: *wave,
-		Workers:        *devWkrs,
 	}
 	if *chaos {
 		devCfg.FaultRate = *faultRate
@@ -218,8 +218,6 @@ func main() {
 		QueueCapacity: *queueCap,
 		ShedFraction:  *shed,
 		CacheEntries:  *cacheSz,
-		Workers:       *workers,
-		SelfHeal:      serve.SelfHealConfig{Disabled: *noSelfHeal},
 		Journal:       jrnl,
 		Recovery:      rec,
 		Shard:         policy,

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"gcolor"
 )
@@ -180,7 +179,6 @@ func TestPublicAPICluster(t *testing.T) {
 	coord := gcolor.NewCoordinator(gcolor.ClusterConfig{
 		Peers:             []string{workers[0].URL, workers[1].URL},
 		HeartbeatInterval: -1, // liveness from static registration; no background probes
-		ExpireAfter:       time.Hour,
 	})
 	defer coord.Close()
 	front := httptest.NewServer(gcolor.ClusterHandler(coord))

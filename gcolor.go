@@ -268,7 +268,7 @@ func ComponentLabels(dev *Device, g *Graph) []int32 {
 type Server = serve.Server
 
 // ServeConfig sizes a Server: pool width, device geometry, queue
-// capacity, shed threshold, cache entries, executor count.
+// capacity, shed threshold, cache entries. One executor runs per device.
 type ServeConfig = serve.Config
 
 // ServeRequest is one coloring job: the graph plus per-job policy
@@ -304,8 +304,8 @@ var (
 )
 
 // SelfHealConfig tunes per-device health scoring, circuit breakers,
-// and hedged re-dispatch. The zero value enables self-healing with
-// defaults; set Disabled to opt out.
+// and hedged re-dispatch. Self-healing is always on; the zero value
+// takes the defaults.
 type SelfHealConfig = serve.SelfHealConfig
 
 // DrainSummary reports what happened during a graceful drain.
@@ -377,7 +377,8 @@ type RecoveryInfo = serve.RecoveryInfo
 type Coordinator = cluster.Coordinator
 
 // ClusterConfig sizes a Coordinator: static peers, membership probing,
-// scatter thresholds, failover budgets, cache sizes, journaling.
+// scatter thresholds, cache size, journaling. Failover budgets, member
+// expiry and the admission cap are fixed.
 type ClusterConfig = cluster.Config
 
 // ClusterStats snapshots a Coordinator: job/routing/failover counters,

@@ -12,8 +12,9 @@
 //   - membership: workers join over HTTP (POST /cluster/join) or are
 //     pinned with -peers; a heartbeat loop probes /healthz, and every
 //     routed job's outcome feeds the worker's EWMA health score and
-//     circuit breaker — the PR 4 self-healing machinery re-exported by
-//     internal/serve, because a worker is just a bigger device.
+//     circuit breaker — internal/serve's own FleetHealth and Breaker, the
+//     device pool's self-healing machinery, because a worker is just a
+//     bigger device.
 //   - routing: small graphs are forwarded whole to the worker that wins
 //     rendezvous hashing on the graph fingerprint, so repeat traffic for
 //     one graph lands on the node whose local cache already holds it,
@@ -58,7 +59,7 @@ import (
 var ErrNoWorkers = errors.New("cluster: no live workers")
 
 // ErrFleetBusy reports a submission refused by the coordinator's
-// admission cap (Config.MaxInflight); the HTTP layer maps it to 429 with
+// admission cap (maxInflight); the HTTP layer maps it to 429 with
 // a Retry-After computed from worker-reported queue depths. It wraps
 // serve.ErrShedding, so the front door treats it as a worker's shed: a
 // rejection the caller retries.
@@ -118,6 +119,36 @@ func (e *ShardError) Error() string {
 // Unwrap exposes the last attempt's error.
 func (e *ShardError) Unwrap() error { return e.Err }
 
+// Fleet tuning, the same for every coordinator.
+const (
+	// expireProbes is how many probe intervals a member may go unseen
+	// (no probe, join or answered job) before it counts as down. With
+	// probing off a member never expires from silence, which then says
+	// nothing about it.
+	expireProbes = 6
+	// heartbeatMisses is the consecutive probe failures that demote a
+	// member, and readmitStreak the consecutive successes that re-admit
+	// it: hysteresis, so a flapping link does not oscillate membership.
+	heartbeatMisses = 3
+	readmitStreak   = 2
+	// grayScore is the health score below which a member loses its
+	// rendezvous preference while its breaker is still closed: the
+	// gray-failure demotion.
+	grayScore = 0.5
+	// maxInflight caps the requests in flight at the coordinator: a miss
+	// that would exceed it is refused with ErrFleetBusy and a Retry-After
+	// computed from worker-reported queue depths, so overload sheds at the
+	// fleet's edge instead of timing out mid-scatter. Cache hits and
+	// idempotent replays are always answered.
+	maxInflight = 1024
+	// routeAttempts bounds the workers tried for one whole-graph job or
+	// delta: the first pick and two failovers.
+	routeAttempts = 3
+	// workerTimeout bounds one worker call; a request's own deadline still
+	// applies when shorter.
+	workerTimeout = 60 * time.Second
+)
+
 // Config sizes a Coordinator. Zero values take the documented defaults.
 type Config struct {
 	// Peers are static worker base URLs registered at startup; more
@@ -125,17 +156,10 @@ type Config struct {
 	Peers []string
 
 	// HeartbeatInterval paces the membership probe loop (default 500ms;
-	// negative disables probing, leaving liveness to push joins).
+	// negative disables probing, leaving liveness to push joins). A member
+	// unseen for 6 intervals is down; with probing off, silence never
+	// expires a member.
 	HeartbeatInterval time.Duration
-	// ExpireAfter marks a member down when neither a probe nor a join
-	// has seen it for this long (default 6x HeartbeatInterval).
-	ExpireAfter time.Duration
-	// HeartbeatMisses is the consecutive probe failures that demote a
-	// member (default 3); ReadmitStreak the consecutive successes that
-	// re-admit it (default 2). Hysteresis so a flapping link does not
-	// oscillate membership.
-	HeartbeatMisses int
-	ReadmitStreak   int
 
 	// Epoch is the coordinator's fencing epoch, sent as X-GC-Epoch on
 	// every worker call and returned in join replies. Workers reject calls
@@ -144,51 +168,17 @@ type Config struct {
 	// (single-coordinator deployments; nothing is fenced).
 	Epoch uint64
 
-	// GrayScore is the health score below which a member loses its
-	// rendezvous preference while its breaker is still closed — the
-	// gray-failure demotion (default 0.5; negative disables).
-	GrayScore float64
-
-	// MaxInflight caps the requests in flight at the coordinator: a miss
-	// that would exceed it is refused with ErrFleetBusy and a Retry-After
-	// computed from worker-reported queue depths, so overload sheds at the
-	// fleet's edge instead of timing out mid-scatter; cache hits and
-	// idempotent replays are always answered (default 1024; negative
-	// disables).
-	MaxInflight int
-
 	// CacheEntries sizes the coordinator's merged-result LRU (default 512;
 	// negative disables), keyed like a worker's by fingerprint, policy and
 	// shard count — the count the request asks for, so auto requests share
 	// one key whatever the fleet's size. Shard sub-jobs are sent no-cache,
 	// so this is the only place a scattered result is stored.
 	CacheEntries int
-	// IdemEntries sizes the Idempotency-Key LRU (default 4096; negative
-	// disables idempotent replay at the coordinator).
-	IdemEntries int
 
 	// Shard is the shard policy a graph upload is scattered by, one shard
 	// per live worker (the zero value takes its defaults; Disabled routes
 	// every job whole). A resident upload always runs whole.
 	Shard shard.Policy
-
-	// RouteAttempts bounds the workers tried for one whole-graph job
-	// (default 3: initial + 2 failovers).
-	RouteAttempts int
-	// WorkerTimeout bounds one worker call (default 60s). A request's own
-	// deadline still applies when shorter.
-	WorkerTimeout time.Duration
-
-	// HealthAlpha and LatencySlack tune the per-worker EWMA health score
-	// (serve.FleetHealth defaults: 0.2 and 4).
-	HealthAlpha  float64
-	LatencySlack float64
-	// Breaker tunes the per-worker circuit breakers (serve.BreakerConfig
-	// defaults).
-	Breaker serve.BreakerConfig
-	// ProbationScore is the health score a re-admitted worker restarts at
-	// (default 0.6).
-	ProbationScore float64
 
 	// Journal, when set, makes the coordinator crash-safe: accepts are
 	// journaled before dispatch and completions after, by the same
@@ -212,42 +202,8 @@ func (c Config) withDefaults() Config {
 	if c.HeartbeatInterval == 0 {
 		c.HeartbeatInterval = 500 * time.Millisecond
 	}
-	if c.ExpireAfter <= 0 {
-		iv := c.HeartbeatInterval
-		if iv < 0 {
-			iv = 500 * time.Millisecond
-		}
-		c.ExpireAfter = 6 * iv
-	}
-	if c.RouteAttempts < 1 {
-		c.RouteAttempts = 3
-	}
-	if c.WorkerTimeout <= 0 {
-		c.WorkerTimeout = 60 * time.Second
-	}
-	if c.ProbationScore <= 0 || c.ProbationScore > 1 {
-		c.ProbationScore = 0.6
-	}
-	if c.HeartbeatMisses < 1 {
-		c.HeartbeatMisses = 3
-	}
-	if c.ReadmitStreak < 1 {
-		c.ReadmitStreak = 2
-	}
-	switch {
-	case c.GrayScore < 0:
-		c.GrayScore = 0
-	case c.GrayScore == 0:
-		c.GrayScore = 0.5
-	}
-	switch {
-	case c.MaxInflight < 0:
-		c.MaxInflight = 0
-	case c.MaxInflight == 0:
-		c.MaxInflight = 1024
-	}
 	if c.Client == nil {
-		c.Client = NewWorkerClient(c.WorkerTimeout, 0)
+		c.Client = NewWorkerClient(workerTimeout, 0)
 	}
 	return c
 }

@@ -97,9 +97,6 @@ func newTestCoordinator(t *testing.T, cfg cluster.Config, workers ...*testWorker
 	if cfg.HeartbeatInterval == 0 {
 		cfg.HeartbeatInterval = -1
 	}
-	if cfg.ExpireAfter == 0 {
-		cfg.ExpireAfter = time.Hour
-	}
 	coord := cluster.NewCoordinator(cfg)
 	ts := httptest.NewServer(cluster.Handler(coord))
 	t.Cleanup(func() {
@@ -864,5 +861,55 @@ func TestShardPinNotAnsweredByWorkerShardedAuto(t *testing.T) {
 	got, code, kind := postColor(t, ts.URL, one, "wpin-1", "")
 	if got == nil || got.Cached || got.Shards > 1 {
 		t.Fatalf("1-shard request answered %+v (code=%d kind=%s), want a whole-graph run", got, code, kind)
+	}
+}
+
+// At the admission cap a miss is refused with 429 fleet_busy and a
+// Retry-After, while a cache hit is still answered: the cap sheds work at
+// the fleet's edge, never what the coordinator can answer from memory.
+func TestFleetBusyRefusesMissesNotHits(t *testing.T) {
+	w := newTestWorker(t, serve.Config{})
+	coord, ts := newTestCoordinator(t, cluster.Config{}, w)
+	// post returns the reply's status, Retry-After, error kind and whether
+	// it was a cache hit.
+	post := func(cr *serve.ColorRequest) (code int, retryAfter, kind string, cached bool) {
+		t.Helper()
+		body, _ := json.Marshal(cr)
+		resp, err := http.Post(ts.URL+"/color", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out struct {
+			Kind   string `json:"kind"`
+			Cached bool   `json:"cached"`
+		}
+		_ = json.NewDecoder(resp.Body).Decode(&out)
+		return resp.StatusCode, resp.Header.Get("Retry-After"), out.Kind, out.Cached
+	}
+	seed := &serve.ColorRequest{Gen: "grid:9:9", Alg: "baseline"}
+	miss := &serve.ColorRequest{Gen: "grid:10:9", Alg: "baseline"}
+	if code, _, kind, _ := post(seed); code != http.StatusOK {
+		t.Fatalf("seed request: http %d %s", code, kind)
+	}
+
+	cluster.AddInflight(coord, cluster.MaxInflight)
+	if code, retryAfter, kind, _ := post(miss); code != http.StatusTooManyRequests || kind != "fleet_busy" || retryAfter == "" {
+		t.Fatalf("miss at the cap: http %d %s, Retry-After %q; want 429 fleet_busy with a Retry-After", code, kind, retryAfter)
+	}
+	// The seed's graph in another body misses the request memo and is
+	// answered from the cache on the full path.
+	hit := *seed
+	hit.IncludeColors = true
+	if code, _, kind, cached := post(&hit); code != http.StatusOK || !cached {
+		t.Fatalf("cache hit at the cap: http %d %s, cached %v; want a 200 cache hit", code, kind, cached)
+	}
+	if st := coord.Stats(); st.Shed != 1 {
+		t.Fatalf("shed %d, want the one miss", st.Shed)
+	}
+
+	cluster.AddInflight(coord, -cluster.MaxInflight)
+	if code, _, kind, _ := post(miss); code != http.StatusOK {
+		t.Fatalf("miss below the cap: http %d %s, want 200", code, kind)
 	}
 }

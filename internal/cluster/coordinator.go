@@ -68,8 +68,8 @@ func NewCoordinator(cfg Config) *Coordinator {
 	c := &Coordinator{
 		cfg:   cfg,
 		epoch: cfg.Epoch,
-		reg:   newRegistry(cfg),
-		front: serve.NewAdmission(serve.Config{CacheEntries: cfg.CacheEntries, IdemEntries: cfg.IdemEntries,
+		reg:   newRegistry(cfg.HeartbeatInterval),
+		front: serve.NewAdmission(serve.Config{CacheEntries: cfg.CacheEntries,
 			ReplayParallelism: cfg.ReplayParallelism, Journal: cfg.Journal}),
 		owners:  newOwnerTable(0),
 		client:  cfg.Client,
@@ -196,7 +196,7 @@ func (c *Coordinator) Close() {
 // configured interval. A 2xx refreshes liveness and harvests the worker's
 // backpressure telemetry (queue depth, device count, exec P50) for the
 // fleet-level Retry-After; a failure feeds the hysteresis state machine —
-// HeartbeatMisses consecutive failures demote, ReadmitStreak consecutive
+// heartbeatMisses consecutive failures demote, readmitStreak consecutive
 // successes re-admit, so a flapping link cannot oscillate membership.
 func (c *Coordinator) heartbeatLoop() {
 	defer c.hbWG.Done()
@@ -337,12 +337,12 @@ func shardKey(cr *serve.ColorRequest) int {
 	return cr.Shards
 }
 
-// execute runs one admitted miss: shed it when more than MaxInflight
+// execute runs one admitted miss: shed it when more than maxInflight
 // requests are in flight (journaled like a worker's queue-full rejection,
 // and retried by the caller), otherwise route a delta to its owner,
 // scatter-gather a graph of several shards, or route it whole.
 func (c *Coordinator) execute(ctx context.Context, cr *serve.ColorRequest, req *serve.Request) (*serve.Response, error) {
-	if c.cfg.MaxInflight > 0 && c.inflight.Load() > int64(c.cfg.MaxInflight) {
+	if c.inflight.Load() > maxInflight {
 		c.shed.Add(1)
 		return nil, ErrFleetBusy
 	}
@@ -382,7 +382,7 @@ func (c *Coordinator) shardsFor(g *graph.Graph, cr *serve.ColorRequest) int {
 }
 
 // route forwards the whole job to rendezvous-ranked workers, failing over
-// to the next-ranked worker (exclude-failed) up to RouteAttempts times. An
+// to the next-ranked worker (exclude-failed) up to routeAttempts times. An
 // uploaded graph travels as a binary CSR frame, as shards do, so the
 // worker decodes it in one linear pass and never parses edge-list text
 // again; a generator spec is smaller than any frame, and workers memoize
@@ -400,7 +400,7 @@ func (c *Coordinator) route(ctx context.Context, cr *serve.ColorRequest, req *se
 	defer cancel()
 	exclude := make(map[int]bool)
 	var lastErr error
-	for attempt := 0; attempt < c.cfg.RouteAttempts; attempt++ {
+	for attempt := 0; attempt < routeAttempts; attempt++ {
 		m, probe, err := c.reg.pick(fp, exclude)
 		if err != nil {
 			if lastErr != nil {
@@ -440,17 +440,17 @@ func (c *Coordinator) route(ctx context.Context, cr *serve.ColorRequest, req *se
 		exclude[m.id] = true
 		c.routeFailovers.Add(1)
 	}
-	return nil, fmt.Errorf("cluster: route exhausted %d attempts: %w", c.cfg.RouteAttempts, lastErr)
+	return nil, fmt.Errorf("cluster: route exhausted %d attempts: %w", routeAttempts, lastErr)
 }
 
 // workerCtx guarantees every worker dispatch carries a deadline: a caller
-// context without one is bounded by WorkerTimeout, so a hung worker can
+// context without one is bounded by workerTimeout, so a hung worker can
 // never hang a route or the scatter merge barrier indefinitely.
 func (c *Coordinator) workerCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 	if _, ok := ctx.Deadline(); ok {
 		return ctx, func() {}
 	}
-	return context.WithTimeout(ctx, c.cfg.WorkerTimeout)
+	return context.WithTimeout(ctx, workerTimeout)
 }
 
 // noteStaleEpoch reacts to a worker fencing one of our dispatches: a newer

@@ -115,7 +115,7 @@ func (c *Coordinator) routeDelta(ctx context.Context, cr *serve.ColorRequest, re
 	defer cancel()
 	exclude := make(map[int]bool)
 	var lastErr error
-	for attempt := 0; attempt < c.cfg.RouteAttempts; attempt++ {
+	for attempt := 0; attempt < routeAttempts; attempt++ {
 		var m *member
 		var probe bool
 		if addr, ok := c.owners.get(baseFp); ok && attempt == 0 {
@@ -176,5 +176,5 @@ func (c *Coordinator) routeDelta(ctx context.Context, cr *serve.ColorRequest, re
 		c.owners.drop(baseFp) // the owner is down; stop preferring it
 		c.routeFailovers.Add(1)
 	}
-	return nil, fmt.Errorf("cluster: delta route exhausted %d attempts: %w", c.cfg.RouteAttempts, lastErr)
+	return nil, fmt.Errorf("cluster: delta route exhausted %d attempts: %w", routeAttempts, lastErr)
 }

@@ -74,7 +74,6 @@ func TestStandbyTakeoverZeroLoss(t *testing.T) {
 		Cluster: cluster.Config{
 			Peers:             []string{w1.ts.URL, w2.ts.URL},
 			HeartbeatInterval: -1,
-			ExpireAfter:       time.Hour,
 		},
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -149,7 +148,6 @@ func TestEpochFencingDeposesOldCoordinator(t *testing.T) {
 			Peers:             []string{ts.URL},
 			Epoch:             epoch,
 			HeartbeatInterval: -1,
-			ExpireAfter:       time.Hour,
 		})
 		h := httptest.NewServer(cluster.Handler(c))
 		t.Cleanup(func() { h.Close(); c.Close() })
@@ -207,7 +205,7 @@ func TestGrayWorkerLosesRendezvousRank(t *testing.T) {
 	// slow-down injected on its link. Measured round trips would make the
 	// signal the host's speed: an EWMA score settles at the mean reward,
 	// slack x fleet median / exec, so a member turns gray only past
-	// slack / GrayScore = 8x the fleet median, and that median (the slow
+	// slack / grayScore = 8x the fleet median, and that median (the slow
 	// member's own share included) sat at about 28 ms under -race on a
 	// busy 2-vCPU host, putting 150 ms + 28 ms at about 6x.
 	cluster.SetHealthLatency(coord, func(addr string, _ time.Duration) time.Duration {
@@ -263,8 +261,6 @@ func TestRetryAfterPropagation(t *testing.T) {
 	coord := cluster.NewCoordinator(cluster.Config{
 		Peers:             []string{busy.URL},
 		HeartbeatInterval: -1,
-		ExpireAfter:       time.Hour,
-		RouteAttempts:     1,
 	})
 	defer coord.Close()
 	tsC := httptest.NewServer(cluster.Handler(coord))

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"gcolor/internal/cluster"
 	"gcolor/internal/serve"
@@ -25,7 +24,6 @@ func fuzzJoinServer() *httptest.Server {
 		c := cluster.NewCoordinator(cluster.Config{
 			Epoch:             3,
 			HeartbeatInterval: -1,
-			ExpireAfter:       time.Hour,
 		})
 		fuzzCoord.ts = httptest.NewServer(cluster.Handler(c))
 	})

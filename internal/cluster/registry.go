@@ -56,24 +56,30 @@ func (m *member) missed() (demoted bool) {
 	return demoted
 }
 
-// aliveAt reports whether the member has been seen within expire and is
-// not heartbeat-demoted.
+// aliveAt reports whether the member is neither heartbeat-demoted nor
+// expired (see aliveLocked).
 func (m *member) aliveAt(now time.Time, expire time.Duration) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return !m.hy.down && now.Sub(m.lastSeen) <= expire
+	return m.aliveLocked(now, expire)
+}
+
+// aliveLocked is aliveAt with m.mu held. A member expires when it has gone
+// unseen for longer than expire, or at once when its lastSeen is zero:
+// upsert zeroes it for an address its instance has moved away from.
+// expire 0 means silence never expires a member (probing is off).
+func (m *member) aliveLocked(now time.Time, expire time.Duration) bool {
+	if m.hy.down || m.lastSeen.IsZero() {
+		return false
+	}
+	return expire == 0 || now.Sub(m.lastSeen) <= expire
 }
 
 // registry is the coordinator's membership table: address-keyed members,
 // one shared EWMA health tracker, and one circuit breaker per member.
 // All methods are safe for concurrent use.
 type registry struct {
-	expire        time.Duration
-	brkCfg        serve.BreakerConfig
-	probation     float64
-	grayScore     float64
-	missThreshold int
-	readmitStreak int
+	expire time.Duration // 0: silence never expires a member
 
 	health *serve.FleetHealth
 	// latency, when set, is what the health scores observe for a dispatch
@@ -95,17 +101,15 @@ type registry struct {
 	rebinds       atomic.Int64 // instance IDs re-joining from a new address
 }
 
-func newRegistry(cfg Config) *registry {
-	return &registry{
-		expire:        cfg.ExpireAfter,
-		brkCfg:        cfg.Breaker,
-		probation:     cfg.ProbationScore,
-		grayScore:     cfg.GrayScore,
-		missThreshold: cfg.HeartbeatMisses,
-		readmitStreak: cfg.ReadmitStreak,
-		health:        serve.NewFleetHealth(0, cfg.HealthAlpha, cfg.LatencySlack),
-		byAddr:        make(map[string]*member),
+// newRegistry builds the membership table for a probe interval: a member
+// expires after expireProbes intervals of silence, or never while probing
+// is off (interval < 0).
+func newRegistry(interval time.Duration) *registry {
+	r := &registry{health: serve.NewFleetHealth(), byAddr: make(map[string]*member)}
+	if interval > 0 {
+		r.expire = expireProbes * interval
 	}
+	return r
 }
 
 // upsert registers a worker by address (idempotent: a re-join refreshes
@@ -124,10 +128,9 @@ func (r *registry) upsert(addr, instance string, static bool) *member {
 			addr:     addr,
 			addrHash: fnv1a64(addr),
 			static:   static,
-			brk:      serve.NewBreaker(r.brkCfg),
+			brk:      serve.NewBreaker(),
+			hy:       hysteresis{missThreshold: heartbeatMisses, readmitStreak: readmitStreak},
 		}
-		m.hy.missThreshold = r.missThreshold
-		m.hy.readmitStreak = r.readmitStreak
 		m.lastSeen = now
 		r.members = append(r.members, m)
 		r.byAddr[addr] = m
@@ -170,7 +173,7 @@ func (r *registry) all() []*member {
 	return out
 }
 
-// alive returns the members seen within the expiry window.
+// alive returns the members neither demoted nor expired.
 func (r *registry) alive() []*member {
 	now := time.Now()
 	var out []*member
@@ -203,7 +206,7 @@ func (r *registry) size() int {
 // worker that answers 2xx but 10x slower than its peers drags every job it
 // owns, and its breaker — which counts failures, not slowness — never
 // trips. Its EWMA health (latency-vs-fleet-median penalized) does sag, so
-// members below GrayScore lose their rendezvous preference while staying
+// members below grayScore lose their rendezvous preference while staying
 // in the fleet for overflow and recovery.
 func (r *registry) pick(key uint64, exclude map[int]bool) (m *member, probe bool, err error) {
 	live := r.alive()
@@ -222,7 +225,7 @@ func (r *registry) pick(key uint64, exclude map[int]bool) (m *member, probe bool
 		if !mm.brk.Allow() {
 			continue
 		}
-		if r.grayScore > 0 && len(ranked) > 1 && r.health.Score(mm.id) < r.grayScore {
+		if len(ranked) > 1 && r.health.Score(mm.id) < grayScore {
 			gray = append(gray, mm)
 			continue
 		}
@@ -273,7 +276,7 @@ func (r *registry) observe(m *member, probe, good bool, reward float64, exec tim
 		}
 		if readmitted {
 			r.readmitted.Add(1)
-			r.health.Boost(m.id, r.probation)
+			r.health.Boost(m.id, serve.ProbationScore)
 		}
 		return
 	}
@@ -307,6 +310,7 @@ func (r *registry) info(m *member) MemberInfo {
 	now := time.Now()
 	m.mu.Lock()
 	seenAgo := now.Sub(m.lastSeen)
+	alive := m.aliveLocked(now, r.expire)
 	down := m.hy.down
 	instance := m.instance
 	p50 := m.lat.quantile(0.50)
@@ -318,9 +322,9 @@ func (r *registry) info(m *member) MemberInfo {
 		Addr:       m.addr,
 		Instance:   instance,
 		Static:     m.static,
-		Alive:      !down && seenAgo <= r.expire,
+		Alive:      alive,
 		Down:       down,
-		Gray:       r.grayScore > 0 && health < r.grayScore,
+		Gray:       health < grayScore,
 		Health:     health,
 		Breaker:    m.brk.State().String(),
 		Jobs:       m.jobs.Load(),

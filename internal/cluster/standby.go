@@ -10,6 +10,10 @@ import (
 	"gcolor/internal/journal"
 )
 
+// bindWindow bounds the takeover's listen retry loop: a SIGKILLed
+// primary's socket may linger briefly.
+const bindWindow = 5 * time.Second
+
 // StandbyConfig sizes a warm-standby coordinator.
 type StandbyConfig struct {
 	// JournalDir is the primary's journal directory, which the standby
@@ -31,9 +35,6 @@ type StandbyConfig struct {
 	// liveness, so one dropped probe on a flaky link does not fork the
 	// control plane.
 	MissThreshold int
-	// BindWindow bounds the takeover's listen retry loop: a SIGKILLed
-	// primary's socket may linger briefly (default 5s).
-	BindWindow time.Duration
 	// Owner names this standby in the lease file (diagnostics only).
 	Owner string
 	// Journal tunes the journal the takeover coordinator appends to.
@@ -51,9 +52,6 @@ func (c StandbyConfig) withDefaults() StandbyConfig {
 	}
 	if c.MissThreshold < 1 {
 		c.MissThreshold = 3
-	}
-	if c.BindWindow <= 0 {
-		c.BindWindow = 5 * time.Second
 	}
 	return c
 }
@@ -178,7 +176,7 @@ func (s *Standby) takeover(ctx context.Context) (*Takeover, error) {
 
 	var ln net.Listener
 	if s.cfg.TakeoverAddr != "" {
-		ln, err = bindWithin(ctx, s.cfg.TakeoverAddr, s.cfg.BindWindow)
+		ln, err = bindWithin(ctx, s.cfg.TakeoverAddr, bindWindow)
 		if err != nil {
 			jnl.Close()
 			return nil, fmt.Errorf("cluster: standby takeover: bind %s: %w", s.cfg.TakeoverAddr, err)

@@ -62,9 +62,9 @@ type Admission struct {
 }
 
 // NewAdmission builds a standalone front door from cfg's CacheEntries,
-// IdemEntries, ReplayParallelism and Journal (registered as its compaction
-// source); the other fields are ignored. Recovery runs only when the
-// executor calls Recover.
+// ReplayParallelism and Journal (registered as its compaction source); the
+// other fields are ignored. Recovery runs only when the executor calls
+// Recover.
 func NewAdmission(cfg Config) *Admission {
 	return newAdmission(cfg.withDefaults(), metrics.NewRegistry(), context.Background(), nil)
 }
@@ -73,7 +73,7 @@ func newAdmission(cfg Config, reg *metrics.Registry, base context.Context, extra
 	a := &Admission{
 		reg:           reg,
 		cache:         newResultCache(cfg.CacheEntries),
-		idem:          newIdemCache(cfg.IdemEntries),
+		idem:          newIdemCache(),
 		specs:         newSpecCache(64),
 		jrnl:          cfg.Journal,
 		base:          base,
@@ -214,9 +214,16 @@ func (a *Admission) hit(req *Request, key cacheKey) (*Response, bool) {
 }
 
 // answered is a stored response as one caller's private copy, marked as
-// answered from memory.
+// answered from memory, with no colors when req asks for none.
 func answered(res *Response, req *Request) *Response {
-	hit := cloneHit(res)
+	var hit *Response
+	if req.noColors {
+		bare := *res
+		bare.Colors, bare.colors8 = nil, nil
+		hit = &bare
+	} else {
+		hit = cloneHit(res)
+	}
 	hit.Cached = true
 	hit.Device = -1
 	hit.Wait, hit.Exec = 0, 0

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// Per-device circuit breaker. Each pooled device carries one; together
-// with the health score it is the quarantine mechanism:
+// Circuit breaker. Each pooled device carries one, as does each cluster
+// member; together with the health score it is the quarantine mechanism:
 //
 //	closed ──(consecutive failures ≥ threshold, or health < OpenBelow)──▶ open
 //	open ──(cooldown elapsed, next lease request)──▶ half-open
@@ -23,7 +23,7 @@ import (
 // The clock is injectable (now func) so the state machine is table-testable
 // without sleeping.
 
-// BreakerState is the circuit state of one pooled device.
+// BreakerState is the circuit state of one pooled device or cluster member.
 type BreakerState int
 
 const (
@@ -49,8 +49,8 @@ func (s BreakerState) String() string {
 	}
 }
 
-// breakerConfig holds the resolved thresholds (see SelfHealConfig for the
-// user-facing knobs and defaults).
+// breakerConfig holds a breaker's resolved thresholds: a device's come
+// from SelfHealConfig, a cluster member's are SelfHealConfig's defaults.
 type breakerConfig struct {
 	failureThreshold int           // consecutive failures tripping closed → open
 	openBelow        float64       // health score below which closed trips
@@ -59,17 +59,10 @@ type breakerConfig struct {
 	probeSuccesses   int           // consecutive clean probes to close
 }
 
-// breakerEvent reports a state-machine transition caused by one recorded
-// outcome, so the pool can count quarantines and re-admissions.
-type breakerEvent int
-
-const (
-	breakerNoEvent    breakerEvent = iota
-	breakerTripped                 // entered open (from closed or half-open)
-	breakerReadmitted              // half-open probation completed, now closed
-)
-
-type breaker struct {
+// Breaker is the circuit breaker of one pooled device or one cluster
+// member (a worker is just a bigger device). All methods are safe for
+// concurrent use.
+type Breaker struct {
 	cfg breakerConfig
 	now func() time.Time
 
@@ -82,31 +75,24 @@ type breaker struct {
 	probeBusy   bool // a probe lease is outstanding
 }
 
-func newBreaker(cfg breakerConfig, now func() time.Time) *breaker {
+// NewBreaker builds a breaker with SelfHealConfig's default thresholds and
+// the wall clock: a cluster member's.
+func NewBreaker() *Breaker {
+	return newBreaker(SelfHealConfig{}.withDefaults().breakerConfig(), nil)
+}
+
+// newBreaker builds a breaker from resolved thresholds; a nil now means
+// the wall clock.
+func newBreaker(cfg breakerConfig, now func() time.Time) *Breaker {
 	if now == nil {
 		now = time.Now
 	}
-	if cfg.failureThreshold < 1 {
-		cfg.failureThreshold = 5
-	}
-	if cfg.openBelow <= 0 {
-		cfg.openBelow = 0.25
-	}
-	if cfg.cooldown <= 0 {
-		cfg.cooldown = 2 * time.Second
-	}
-	if cfg.maxCooldown < cfg.cooldown {
-		cfg.maxCooldown = 8 * cfg.cooldown
-	}
-	if cfg.probeSuccesses < 1 {
-		cfg.probeSuccesses = 3
-	}
-	return &breaker{cfg: cfg, now: now, cooldown: cfg.cooldown}
+	return &Breaker{cfg: cfg, now: now, cooldown: cfg.cooldown}
 }
 
 // State returns the current state, applying the time-based open → half-open
 // transition lazily.
-func (b *breaker) State() BreakerState {
+func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.tickLocked()
@@ -114,7 +100,7 @@ func (b *breaker) State() BreakerState {
 }
 
 // tickLocked advances open → half-open once the cooldown has elapsed.
-func (b *breaker) tickLocked() {
+func (b *Breaker) tickLocked() {
 	if b.state == BreakerOpen && b.now().Sub(b.openedAt) >= b.cooldown {
 		b.state = BreakerHalfOpen
 		b.probeOK = 0
@@ -122,18 +108,18 @@ func (b *breaker) tickLocked() {
 	}
 }
 
-// allowNormal reports whether the device may take a regular lease.
-func (b *breaker) allowNormal() bool {
+// Allow reports whether the device may take a regular (non-probe) job.
+func (b *Breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.tickLocked()
 	return b.state == BreakerClosed
 }
 
-// tryProbe reserves the (single) probe slot of a half-open device,
+// TryProbe reserves the (single) probe slot of a half-open device,
 // advancing open → half-open first if the cooldown has elapsed. The
-// reservation is released by recordProbe or releaseProbe.
-func (b *breaker) tryProbe() bool {
+// reservation is released by RecordProbe or ReleaseProbe.
+func (b *Breaker) TryProbe() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.tickLocked()
@@ -144,24 +130,25 @@ func (b *breaker) tryProbe() bool {
 	return true
 }
 
-// releaseProbe frees the probe slot without judging the device (the probe
+// ReleaseProbe frees the probe slot without judging the device (the probe
 // job was canceled, not failed).
-func (b *breaker) releaseProbe() {
+func (b *Breaker) ReleaseProbe() {
 	b.mu.Lock()
 	b.probeBusy = false
 	b.mu.Unlock()
 }
 
-// record folds one normal (non-probe) job outcome into the breaker.
-// score is the device's post-observation health score.
-func (b *breaker) record(good bool, score float64) breakerEvent {
+// Record folds one normal (non-probe) job outcome into the breaker; score
+// is the device's post-observation health score. It reports whether the
+// outcome tripped the breaker open.
+func (b *Breaker) Record(good bool, score float64) (tripped bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.tickLocked()
 	if b.state != BreakerClosed {
 		// A fail-open lease finished on a quarantined device; it carries no
 		// probation weight.
-		return breakerNoEvent
+		return false
 	}
 	if good {
 		b.consecFails = 0
@@ -170,20 +157,21 @@ func (b *breaker) record(good bool, score float64) breakerEvent {
 	}
 	if b.consecFails >= b.cfg.failureThreshold || score < b.cfg.openBelow {
 		b.openLocked()
-		return breakerTripped
+		return true
 	}
-	return breakerNoEvent
+	return false
 }
 
-// recordProbe folds one probe outcome into a half-open breaker. A clean
-// run counts toward probation; any failure re-opens with a doubled
-// (capped) cooldown.
-func (b *breaker) recordProbe(good bool) breakerEvent {
+// RecordProbe folds one probe outcome into a half-open breaker and reports
+// the transition it caused. A clean run counts toward probation and
+// re-admits once it is long enough; any failure re-opens (trips) with a
+// doubled, capped cooldown.
+func (b *Breaker) RecordProbe(good bool) (tripped, readmitted bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.probeBusy = false
 	if b.state != BreakerHalfOpen {
-		return breakerNoEvent
+		return false, false
 	}
 	if !good {
 		b.cooldown *= 2
@@ -191,20 +179,20 @@ func (b *breaker) recordProbe(good bool) breakerEvent {
 			b.cooldown = b.cfg.maxCooldown
 		}
 		b.openLocked()
-		return breakerTripped
+		return true, false
 	}
 	b.probeOK++
 	if b.probeOK >= b.cfg.probeSuccesses {
 		b.state = BreakerClosed
 		b.consecFails = 0
 		b.cooldown = b.cfg.cooldown
-		return breakerReadmitted
+		return false, true
 	}
-	return breakerNoEvent
+	return false, false
 }
 
 // openLocked enters the open state. Called with b.mu held.
-func (b *breaker) openLocked() {
+func (b *Breaker) openLocked() {
 	b.state = BreakerOpen
 	b.openedAt = b.now()
 	b.consecFails = 0

@@ -147,14 +147,16 @@ type cacheExport struct {
 	res *Response
 }
 
-// idemCache is a fixed-capacity LRU from client Idempotency-Key to the
-// completed response that key produced. It is consulted before the result
-// cache — even for NoCache requests, since an idempotent retry explicitly
-// asks for the stored answer — and is warm-started from journal
+// idemEntries is the capacity of the Idempotency-Key LRU.
+const idemEntries = 4096
+
+// idemCache is an LRU of idemEntries entries from client Idempotency-Key
+// to the completed response that key produced. It is consulted before the
+// result cache — even for NoCache requests, since an idempotent retry
+// explicitly asks for the stored answer — and is warm-started from journal
 // completion records, which is what makes retries safe across restarts.
 type idemCache struct {
 	mu    sync.Mutex
-	cap   int
 	order *list.List // front = most recent; values are *idemEntry
 	byKey map[string]*list.Element
 }
@@ -169,17 +171,14 @@ type idemEntry struct {
 	warm bool
 }
 
-func newIdemCache(capacity int) *idemCache {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &idemCache{cap: capacity, order: list.New(), byKey: make(map[string]*list.Element)}
+func newIdemCache() *idemCache {
+	return &idemCache{order: list.New(), byKey: make(map[string]*list.Element)}
 }
 
 // get returns the response stored under key, refreshing its recency, and
 // whether it is a warm entry not yet proved.
 func (c *idemCache) get(key string) (res *Response, warm, ok bool) {
-	if c.cap == 0 || key == "" {
+	if key == "" {
 		return nil, false, false
 	}
 	c.mu.Lock()
@@ -196,7 +195,7 @@ func (c *idemCache) get(key string) (res *Response, warm, ok bool) {
 // put inserts or refreshes key; warm marks an entry loaded from the
 // journal.
 func (c *idemCache) put(key string, res *Response, noCache bool, pk uint64, warm bool) {
-	if c.cap == 0 || key == "" {
+	if key == "" {
 		return
 	}
 	c.mu.Lock()
@@ -208,7 +207,7 @@ func (c *idemCache) put(key string, res *Response, noCache bool, pk uint64, warm
 		return
 	}
 	c.byKey[key] = c.order.PushFront(&idemEntry{key: key, res: res, noCache: noCache, pk: pk, warm: warm})
-	for c.order.Len() > c.cap {
+	for c.order.Len() > idemEntries {
 		el := c.order.Back()
 		c.order.Remove(el)
 		delete(c.byKey, el.Value.(*idemEntry).key)

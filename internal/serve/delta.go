@@ -37,11 +37,9 @@ import (
 // DeltaConfig tunes the incremental coloring engine. Zero values take the
 // documented defaults.
 type DeltaConfig struct {
-	// Disabled turns the engine off: no versions are pinned and every
-	// delta request fails with UnknownBaseError.
-	Disabled bool
 	// Entries sizes the versioned graph store LRU (default 64; negative
-	// disables pinning, like Disabled).
+	// turns the engine off: no versions are pinned and every delta request
+	// fails with UnknownBaseError).
 	Entries int
 	// FrontierFraction is the recolor budget: a delta whose frontier
 	// exceeds this fraction of the successor's vertex count falls back to
@@ -55,9 +53,6 @@ func (c DeltaConfig) withDefaults() DeltaConfig {
 		c.Entries = 0
 	case c.Entries == 0:
 		c.Entries = 64
-	}
-	if c.Disabled {
-		c.Entries = 0
 	}
 	if c.FrontierFraction <= 0 {
 		c.FrontierFraction = 0.2

@@ -13,7 +13,8 @@ import (
 // jobs all burned the resilience ladder. The score is what the lease path
 // weights selection by (a degraded-but-alive device sheds load smoothly
 // instead of flapping between "in" and "out") and what the circuit breaker
-// consults to decide quarantine.
+// consults to decide quarantine. A cluster coordinator scores its worker
+// members with the same tracker.
 //
 // Two signals feed each observation:
 //
@@ -66,11 +67,21 @@ func outcomeReward(kind gpucolor.OutcomeKind, faultsDelta int64) (float64, bool)
 // track the current workload mix, not history.
 const healthLatWindow = 128
 
-// fleetHealth tracks one EWMA score per pooled device plus the shared
-// recent-latency ring. All methods are safe for concurrent use.
-type fleetHealth struct {
+// latencySlack is how many multiples of the fleet-median execution time a
+// job may take before its reward is cut by latency.
+const latencySlack = 4
+
+// ProbationScore is the health score a re-admitted device or cluster
+// member restarts at: high enough not to re-trip at once on its stale
+// quarantine-era EWMA, low enough to keep its share of load small until
+// it proves itself.
+const ProbationScore = 0.6
+
+// FleetHealth tracks one EWMA score in [0, 1] per pooled device or cluster
+// member plus the shared recent-latency ring from which the fleet-median
+// latency penalty is derived. All methods are safe for concurrent use.
+type FleetHealth struct {
 	alpha float64 // EWMA weight of the newest observation
-	slack float64 // multiples of the fleet median before latency penalises
 
 	mu      sync.Mutex
 	scores  []float64
@@ -80,41 +91,33 @@ type fleetHealth struct {
 	scratch [healthLatWindow]int64
 }
 
-func newFleetHealth(n int, alpha, slack float64) *fleetHealth {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.2
-	}
-	if slack < 1 {
-		slack = 4
-	}
-	h := &fleetHealth{alpha: alpha, slack: slack, scores: make([]float64, n)}
+// NewFleetHealth builds an empty tracker with SelfHealConfig's default
+// EWMA weight: a cluster's, whose members join at runtime (AddMember).
+func NewFleetHealth() *FleetHealth {
+	return newFleetHealth(0, SelfHealConfig{}.withDefaults().Alpha)
+}
+
+// newFleetHealth builds a tracker for n devices, all scored 1.
+func newFleetHealth(n int, alpha float64) *FleetHealth {
+	h := &FleetHealth{alpha: alpha, scores: make([]float64, n)}
 	for i := range h.scores {
 		h.scores[i] = 1
 	}
 	return h
 }
 
-// add appends one device/member at full health and returns its index.
-// The pool's fleet is fixed-size; the cluster layer's membership grows at
-// runtime (workers join), which is the only caller.
-func (h *fleetHealth) add() int {
+// AddMember appends one member at full health and returns its index.
+func (h *FleetHealth) AddMember() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.scores = append(h.scores, 1)
 	return len(h.scores) - 1
 }
 
-// len returns the number of tracked scores.
-func (h *fleetHealth) len() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.scores)
-}
-
-// observe folds one finished job into device idx's score and returns the
+// Observe folds one finished job into member idx's score and returns the
 // updated value. exec == 0 skips the latency signal (CPU-fallback runs
 // and tests).
-func (h *fleetHealth) observe(idx int, reward float64, exec time.Duration) float64 {
+func (h *FleetHealth) Observe(idx int, reward float64, exec time.Duration) float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if exec > 0 {
@@ -128,8 +131,8 @@ func (h *fleetHealth) observe(idx int, reward float64, exec time.Duration) float
 		// shrinks proportionally (a 4×-slack run at 8× median keeps half
 		// its reward), floored so one glacial success cannot zero a score
 		// by itself.
-		if med > 0 && float64(exec) > h.slack*float64(med) {
-			factor := h.slack * float64(med) / float64(exec)
+		if med > 0 && float64(exec) > latencySlack*float64(med) {
+			factor := latencySlack * float64(med) / float64(exec)
 			if factor < 0.1 {
 				factor = 0.1
 			}
@@ -140,18 +143,18 @@ func (h *fleetHealth) observe(idx int, reward float64, exec time.Duration) float
 	return h.scores[idx]
 }
 
-// score returns device idx's current health score.
-func (h *fleetHealth) score(idx int) float64 {
+// Score returns member idx's current health score.
+func (h *FleetHealth) Score(idx int) float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.scores[idx]
 }
 
-// boost raises device idx's score to at least floor. Called on breaker
-// re-admission: a quarantined device's EWMA is frozen at its sick value,
+// Boost raises member idx's score to at least floor. Called on breaker
+// re-admission: a quarantined member's EWMA is frozen at its sick value,
 // and without the probation reset the breaker would re-trip on the stale
 // score before the first post-readmission job could move it.
-func (h *fleetHealth) boost(idx int, floor float64) {
+func (h *FleetHealth) Boost(idx int, floor float64) {
 	h.mu.Lock()
 	if h.scores[idx] < floor {
 		h.scores[idx] = floor
@@ -161,7 +164,7 @@ func (h *fleetHealth) boost(idx int, floor float64) {
 
 // medianLocked returns the median of the recent-latency ring (0 when
 // empty). Called with h.mu held.
-func (h *fleetHealth) medianLocked() int64 {
+func (h *FleetHealth) medianLocked() int64 {
 	if h.ringN == 0 {
 		return 0
 	}
@@ -178,11 +181,4 @@ func (h *fleetHealth) medianLocked() int64 {
 		xs[j+1] = v
 	}
 	return xs[len(xs)/2]
-}
-
-// medianExec returns the current fleet-median execution time.
-func (h *fleetHealth) medianExec() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return time.Duration(h.medianLocked())
 }

@@ -24,10 +24,12 @@ const hedgeWindow = 512
 // hedgeRecompute is how many observations between P99 recomputations.
 const hedgeRecompute = 32
 
+// hedgeMultiple scales the P99 into the hedge threshold.
+const hedgeMultiple = 1
+
 type hedgeTracker struct {
 	minSamples int
 	floor      time.Duration
-	multiple   float64 // threshold = multiple × P99
 
 	mu        sync.Mutex
 	ring      [hedgeWindow]int64
@@ -37,17 +39,8 @@ type hedgeTracker struct {
 	scratch   [hedgeWindow]int64
 }
 
-func newHedgeTracker(minSamples int, floor time.Duration, multiple float64) *hedgeTracker {
-	if minSamples < 1 {
-		minSamples = 64
-	}
-	if floor <= 0 {
-		floor = 2 * time.Millisecond
-	}
-	if multiple <= 0 {
-		multiple = 1
-	}
-	return &hedgeTracker{minSamples: minSamples, floor: floor, multiple: multiple}
+func newHedgeTracker(minSamples int, floor time.Duration) *hedgeTracker {
+	return &hedgeTracker{minSamples: minSamples, floor: floor}
 }
 
 // observe records one successful execution time.
@@ -88,7 +81,7 @@ func (h *hedgeTracker) threshold() (time.Duration, bool) {
 	if h.n < h.minSamples {
 		return 0, false
 	}
-	thr := time.Duration(h.multiple * float64(h.cachedP99))
+	thr := time.Duration(hedgeMultiple * h.cachedP99)
 	if thr < h.floor {
 		thr = h.floor
 	}

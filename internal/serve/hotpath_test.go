@@ -23,7 +23,7 @@ const maxServeAllocsPerRequest = 5000
 // gpucolor run with the same options, across algorithms and the fused
 // flag, interleaved on one device so every job inherits a dirty runner.
 func TestServedResultsMatchTransient(t *testing.T) {
-	s := NewServer(Config{Devices: 1, Workers: 1})
+	s := NewServer(Config{Devices: 1})
 	defer s.Stop()
 
 	jobs := []struct {
@@ -86,7 +86,7 @@ func TestSteadyStateServeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates; budget only holds without it")
 	}
-	s := NewServer(Config{Devices: 1, Workers: 1})
+	s := NewServer(Config{Devices: 1})
 	defer s.Stop()
 	g := gen.RMAT(9, 8, gen.Graph500, 3)
 	req := func() *Request { return &Request{Graph: g, NoCache: true} }
@@ -119,7 +119,7 @@ func TestSteadyStateServeAllocs(t *testing.T) {
 // /metricsz evidence), and a warm server allocates no new device buffers —
 // the runner holds them across jobs, so Allocs stays flat.
 func TestArenaStatsExposed(t *testing.T) {
-	s := NewServer(Config{Devices: 1, Workers: 1})
+	s := NewServer(Config{Devices: 1})
 	defer s.Stop()
 	g := gen.Grid2D(10, 10)
 	for i := 0; i < 3; i++ {
@@ -144,7 +144,7 @@ func TestArenaStatsExposed(t *testing.T) {
 // BenchmarkServeSteadyState measures the full served-request hot path on a
 // warm single-device server.
 func BenchmarkServeSteadyState(b *testing.B) {
-	s := NewServer(Config{Devices: 1, Workers: 1})
+	s := NewServer(Config{Devices: 1})
 	defer s.Stop()
 	g := gen.RMAT(9, 8, gen.Graph500, 3)
 	if _, err := s.Submit(context.Background(), &Request{Graph: g, NoCache: true}); err != nil {
@@ -162,7 +162,7 @@ func BenchmarkServeSteadyState(b *testing.B) {
 // BenchmarkServeSteadyStateFused is BenchmarkServeSteadyState with the
 // fused kernels.
 func BenchmarkServeSteadyStateFused(b *testing.B) {
-	s := NewServer(Config{Devices: 1, Workers: 1})
+	s := NewServer(Config{Devices: 1})
 	defer s.Stop()
 	g := gen.RMAT(9, 8, gen.Graph500, 3)
 	if _, err := s.Submit(context.Background(), &Request{Graph: g, NoCache: true, Fused: true}); err != nil {

@@ -185,7 +185,7 @@ func TestHTTPHealthzMetricsz(t *testing.T) {
 }
 
 func TestHTTPRequestTimeout(t *testing.T) {
-	s := NewServer(Config{Devices: 1, Workers: 1})
+	s := NewServer(Config{Devices: 1})
 	defer s.Stop()
 	ts := httptest.NewServer(Handler(s))
 	defer ts.Close()

@@ -138,7 +138,9 @@ func (a *Admission) Recall(u *Upload, rid, idemKey string) (*ColorResponse, bool
 	if !ok {
 		return nil, false
 	}
-	req := &Request{RequestID: rid, IdemKey: idemKey}
+	// A recall never answers an entry it would have to prove and never
+	// pins a version, so without include_colors nothing reads the colors.
+	req := &Request{RequestID: rid, IdemKey: idemKey, noColors: !m.includeColors}
 	res, ok, held := a.replay(req, nil)
 	if held {
 		return nil, false
@@ -157,9 +159,6 @@ func (a *Admission) Recall(u *Upload, rid, idemKey string) (*ColorResponse, bool
 	}
 	out := WireResponse(res, req)
 	out.Vertices, out.Edges = m.vertices, m.edges
-	if !m.includeColors {
-		out.Colors = nil
-	}
 	return out, true
 }
 

@@ -2,16 +2,19 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"gcolor/internal/color"
 	"gcolor/internal/graph"
 )
 
@@ -390,5 +393,47 @@ func TestMemoConcurrentRepeats(t *testing.T) {
 	before := s.Stats().MemoHits
 	if r := postOK(t, "repeat", ts.URL, "application/json", "", bodies[0]); !r.Cached || s.Stats().MemoHits != before+1 {
 		t.Fatalf("repeat after the burst: cached=%v, memo hits %d→%d", r.Cached, before, s.Stats().MemoHits)
+	}
+}
+
+// A memo recall whose reply carries no colors leaves the stored coloring
+// packed: it allocates less than one byte per vertex of the answer it
+// recalls, where unpacking that coloring alone would take four.
+func TestMemoRecallWithoutColorsSkipsUnpack(t *testing.T) {
+	a := NewAdmission(Config{})
+	upload := func() *Upload {
+		return &Upload{ContentType: "application/json", Body: []byte(`{"gen":"grid:256:256","alg":"baseline"}`)}
+	}
+	first := upload()
+	if _, ok := a.Recall(first, "", ""); ok {
+		t.Fatal("recall answered an upload never decoded")
+	}
+	_, req, err := a.Decode(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := req.Graph.NumVertices()
+	if n < 1<<16 {
+		t.Fatalf("graph has %d vertices, want at least 65536", n)
+	}
+	req.Fingerprint = req.Graph.Fingerprint()
+	if _, err := a.Serve(context.Background(), req, 1, func() (*Response, error) {
+		colors := color.Greedy(req.Graph, color.Natural, 0)
+		return &Response{Fingerprint: req.Fingerprint, Colors: colors, NumColors: color.NumColors(colors), Shards: 1}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	const runs = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if out, ok := a.Recall(upload(), "", ""); !ok || !out.Cached || out.Colors != nil {
+			t.Fatalf("recall %d: answered %v, reply %+v; want a cached reply without colors", i, ok, out)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= uint64(n) {
+		t.Fatalf("a recall without colors allocated %d bytes for a %d-vertex answer; want fewer than one per vertex", per, n)
 	}
 }

@@ -34,7 +34,7 @@ func packCases() []struct {
 func TestStoredColorsRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range packCases() {
-		s := NewServer(Config{Devices: 1, Workers: 1})
+		s := NewServer(Config{Devices: 1})
 		idem := "pack-" + tc.name
 		first, err := s.Submit(ctx, &Request{Graph: tc.g, IdemKey: idem})
 		if err != nil {

@@ -86,10 +86,8 @@ type DevicePool struct {
 	busyNS  []atomic.Int64
 	jobs    []atomic.Int64
 
-	health         *fleetHealth
-	breakers       []*breaker
-	probationScore float64
-	disabled       bool // self-healing off: uniform selection, breakers inert
+	health   *FleetHealth
+	breakers []*Breaker
 
 	quarantines atomic.Int64 // breaker trips (entries into open)
 	readmits    atomic.Int64 // probation completions (half-open → closed)
@@ -134,19 +132,10 @@ func NewDevicePool(cfgs []DeviceConfig) *DevicePool {
 // Called by NewServer before any traffic; not safe once leases exist.
 func (p *DevicePool) configureSelfHeal(cfg SelfHealConfig) {
 	cfg = cfg.withDefaults()
-	p.disabled = cfg.Disabled
-	p.probationScore = cfg.ProbationScore
-	p.health = newFleetHealth(len(p.devices), cfg.Alpha, cfg.LatencySlack)
-	p.breakers = make([]*breaker, len(p.devices))
-	bc := breakerConfig{
-		failureThreshold: cfg.FailureThreshold,
-		openBelow:        cfg.OpenBelow,
-		cooldown:         cfg.Cooldown,
-		maxCooldown:      cfg.MaxCooldown,
-		probeSuccesses:   cfg.ProbeSuccesses,
-	}
+	p.health = newFleetHealth(len(p.devices), cfg.Alpha)
+	p.breakers = make([]*Breaker, len(p.devices))
 	for i := range p.breakers {
-		p.breakers[i] = newBreaker(bc, nil)
+		p.breakers[i] = newBreaker(cfg.breakerConfig(), nil)
 	}
 }
 
@@ -220,7 +209,7 @@ func (l *Lease) Release() {
 	}
 	p := l.pool
 	if l.probe && !l.observed.Load() {
-		p.breakers[l.idx].releaseProbe()
+		p.breakers[l.idx].ReleaseProbe()
 	}
 	p.runners[l.idx].Scrub()
 	p.busyNS[l.idx].Add(int64(time.Since(l.start)))
@@ -246,32 +235,29 @@ func (p *DevicePool) observe(idx int, probe bool, kind gpucolor.OutcomeKind, exe
 		p.probes.Add(1)
 		if !counts {
 			// Canceled probe: neutral, just free the slot.
-			p.breakers[idx].releaseProbe()
+			p.breakers[idx].ReleaseProbe()
 			return
 		}
-		p.health.observe(idx, reward, exec)
+		p.health.Observe(idx, reward, exec)
 		// A clean probe is one where the device itself produced a good
 		// coloring; CPU fallback or any failure flunks probation.
 		good := kind == gpucolor.OutcomeSuccess || kind == gpucolor.OutcomeRepaired
-		switch p.breakers[idx].recordProbe(good) {
-		case breakerTripped:
+		tripped, readmitted := p.breakers[idx].RecordProbe(good)
+		if tripped {
 			p.probeFails.Add(1)
 			p.quarantines.Add(1)
-		case breakerReadmitted:
+		}
+		if readmitted {
 			p.readmits.Add(1)
-			p.health.boost(idx, p.probationScore)
+			p.health.Boost(idx, ProbationScore)
 		}
 		return
 	}
 	if !counts {
 		return
 	}
-	score := p.health.observe(idx, reward, exec)
-	if p.disabled {
-		return
-	}
-	good := reward > rewardFailure
-	if p.breakers[idx].record(good, score) == breakerTripped {
+	score := p.health.Observe(idx, reward, exec)
+	if p.breakers[idx].Record(reward > rewardFailure, score) {
 		p.quarantines.Add(1)
 	}
 }
@@ -297,31 +283,12 @@ func (p *DevicePool) pickLocked(exclude int, probeOK bool) (idx int, probe bool)
 	if p.nfree == 0 {
 		return -1, false
 	}
-	if p.disabled {
-		// Uniform random among free devices: the pre-self-healing pool.
-		n := 0
-		pick := -1
-		for i := range p.free {
-			if !p.free[i] || i == exclude {
-				continue
-			}
-			n++
-			if p.rng.Intn(n) == 0 {
-				pick = i
-			}
-		}
-		if pick >= 0 {
-			p.claimLocked(pick)
-		}
-		return pick, false
-	}
-
 	if probeOK {
 		for i := range p.free {
 			if !p.free[i] || i == exclude {
 				continue
 			}
-			if p.breakers[i].State() != BreakerClosed && p.breakers[i].tryProbe() {
+			if p.breakers[i].State() != BreakerClosed && p.breakers[i].TryProbe() {
 				p.claimLocked(i)
 				return i, true
 			}
@@ -334,10 +301,10 @@ func (p *DevicePool) pickLocked(exclude int, probeOK bool) (idx int, probe bool)
 		if !p.free[i] || i == exclude {
 			continue
 		}
-		if !p.breakers[i].allowNormal() {
+		if !p.breakers[i].Allow() {
 			continue
 		}
-		w := p.health.score(i)
+		w := p.health.Score(i)
 		if w < 0.02 {
 			w = 0.02
 		}
@@ -374,7 +341,7 @@ func (p *DevicePool) pickLocked(exclude int, probeOK bool) (idx int, probe bool)
 			if !p.free[i] || i == exclude {
 				continue
 			}
-			if s := p.health.score(i); s > bestScore {
+			if s := p.health.Score(i); s > bestScore {
 				best, bestScore = i, s
 			}
 		}
@@ -450,7 +417,7 @@ func (p *DevicePool) TryAcquireHealthy(exclude int) (*Lease, bool) {
 }
 
 // HealthScore returns device i's current EWMA health score in [0, 1].
-func (p *DevicePool) HealthScore(i int) float64 { return p.health.score(i) }
+func (p *DevicePool) HealthScore(i int) float64 { return p.health.Score(i) }
 
 // BreakerState returns device i's circuit state.
 func (p *DevicePool) BreakerState(i int) BreakerState { return p.breakers[i].State() }

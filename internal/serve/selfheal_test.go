@@ -21,7 +21,7 @@ type fakeClock struct{ t time.Time }
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
-func testBreaker(clk *fakeClock) *breaker {
+func testBreaker(clk *fakeClock) *Breaker {
 	return newBreaker(breakerConfig{
 		failureThreshold: 3,
 		openBelow:        0.25,
@@ -35,8 +35,8 @@ func TestBreakerStateMachine(t *testing.T) {
 	t.Run("successes keep it closed", func(t *testing.T) {
 		b := testBreaker(&fakeClock{})
 		for i := 0; i < 10; i++ {
-			if ev := b.record(true, 0.9); ev != breakerNoEvent {
-				t.Fatalf("success %d produced event %d", i, ev)
+			if b.Record(true, 0.9) {
+				t.Fatalf("success %d tripped the breaker", i)
 			}
 		}
 		if b.State() != BreakerClosed {
@@ -47,19 +47,19 @@ func TestBreakerStateMachine(t *testing.T) {
 	t.Run("consecutive failures trip at threshold", func(t *testing.T) {
 		b := testBreaker(&fakeClock{})
 		for i := 0; i < 2; i++ {
-			if ev := b.record(false, 0.9); ev != breakerNoEvent {
+			if b.Record(false, 0.9) {
 				t.Fatalf("failure %d tripped early", i)
 			}
 		}
 		// A success resets the run.
-		b.record(true, 0.9)
-		b.record(false, 0.9)
-		b.record(false, 0.9)
+		b.Record(true, 0.9)
+		b.Record(false, 0.9)
+		b.Record(false, 0.9)
 		if b.State() != BreakerClosed {
 			t.Fatal("tripped before threshold after reset")
 		}
-		if ev := b.record(false, 0.9); ev != breakerTripped {
-			t.Fatalf("third consecutive failure: event %d, want tripped", ev)
+		if !b.Record(false, 0.9) {
+			t.Fatal("third consecutive failure did not trip")
 		}
 		if b.State() != BreakerOpen {
 			t.Fatalf("state = %v, want open", b.State())
@@ -68,8 +68,8 @@ func TestBreakerStateMachine(t *testing.T) {
 
 	t.Run("low health score trips regardless of failures", func(t *testing.T) {
 		b := testBreaker(&fakeClock{})
-		if ev := b.record(true, 0.1); ev != breakerTripped {
-			t.Fatalf("score 0.1 < openBelow: event %d, want tripped", ev)
+		if !b.Record(true, 0.1) {
+			t.Fatal("score 0.1 < openBelow did not trip")
 		}
 	})
 
@@ -77,32 +77,32 @@ func TestBreakerStateMachine(t *testing.T) {
 		clk := &fakeClock{}
 		b := testBreaker(clk)
 		for i := 0; i < 3; i++ {
-			b.record(false, 0.9)
+			b.Record(false, 0.9)
 		}
-		if b.allowNormal() {
+		if b.Allow() {
 			t.Fatal("open breaker allowed a normal lease")
 		}
-		if b.tryProbe() {
+		if b.TryProbe() {
 			t.Fatal("probe admitted before cooldown")
 		}
 		clk.advance(999 * time.Millisecond)
-		if b.tryProbe() {
+		if b.TryProbe() {
 			t.Fatal("probe admitted 1ms early")
 		}
 		clk.advance(time.Millisecond)
-		if !b.tryProbe() {
+		if !b.TryProbe() {
 			t.Fatal("probe rejected after cooldown")
 		}
 		if b.State() != BreakerHalfOpen {
 			t.Fatalf("state = %v, want half-open", b.State())
 		}
-		if b.tryProbe() {
+		if b.TryProbe() {
 			t.Fatal("second concurrent probe admitted")
 		}
 		// A canceled probe frees the slot without judging the device.
-		b.releaseProbe()
-		if !b.tryProbe() {
-			t.Fatal("probe slot not freed by releaseProbe")
+		b.ReleaseProbe()
+		if !b.TryProbe() {
+			t.Fatal("probe slot not freed by ReleaseProbe")
 		}
 	})
 
@@ -110,16 +110,16 @@ func TestBreakerStateMachine(t *testing.T) {
 		clk := &fakeClock{}
 		b := testBreaker(clk)
 		for i := 0; i < 3; i++ {
-			b.record(false, 0.9)
+			b.Record(false, 0.9)
 		}
 		fail := func(wantCooldown time.Duration) {
 			t.Helper()
 			clk.advance(wantCooldown)
-			if !b.tryProbe() {
+			if !b.TryProbe() {
 				t.Fatalf("probe rejected after %v cooldown", wantCooldown)
 			}
-			if ev := b.recordProbe(false); ev != breakerTripped {
-				t.Fatalf("failed probe: event %d, want tripped", ev)
+			if tripped, readmitted := b.RecordProbe(false); !tripped || readmitted {
+				t.Fatalf("failed probe: tripped=%v readmitted=%v, want tripped only", tripped, readmitted)
 			}
 			if b.State() != BreakerOpen {
 				t.Fatalf("state after failed probe = %v, want open", b.State())
@@ -130,7 +130,7 @@ func TestBreakerStateMachine(t *testing.T) {
 		fail(4 * time.Second) // capped at maxCooldown = 4s
 		// Still capped: 4s, not 8s.
 		clk.advance(4 * time.Second)
-		if !b.tryProbe() {
+		if !b.TryProbe() {
 			t.Fatal("cooldown exceeded maxCooldown cap")
 		}
 	})
@@ -139,33 +139,33 @@ func TestBreakerStateMachine(t *testing.T) {
 		clk := &fakeClock{}
 		b := testBreaker(clk)
 		for i := 0; i < 3; i++ {
-			b.record(false, 0.9)
+			b.Record(false, 0.9)
 		}
 		clk.advance(time.Second)
-		if !b.tryProbe() {
+		if !b.TryProbe() {
 			t.Fatal("probe rejected")
 		}
-		if ev := b.recordProbe(true); ev != breakerNoEvent {
-			t.Fatalf("first clean probe: event %d, want none (1/2)", ev)
+		if tripped, readmitted := b.RecordProbe(true); tripped || readmitted {
+			t.Fatalf("first clean probe: tripped=%v readmitted=%v, want neither (1/2)", tripped, readmitted)
 		}
-		if !b.tryProbe() {
+		if !b.TryProbe() {
 			t.Fatal("second probe rejected")
 		}
-		if ev := b.recordProbe(true); ev != breakerReadmitted {
-			t.Fatalf("second clean probe: event %d, want readmitted", ev)
+		if tripped, readmitted := b.RecordProbe(true); tripped || !readmitted {
+			t.Fatalf("second clean probe: tripped=%v readmitted=%v, want readmitted only", tripped, readmitted)
 		}
 		if b.State() != BreakerClosed {
 			t.Fatalf("state = %v, want closed after probation", b.State())
 		}
-		if !b.allowNormal() {
+		if !b.Allow() {
 			t.Fatal("re-admitted breaker refused a normal lease")
 		}
 		// Cooldown was reset to base by the re-admission.
 		for i := 0; i < 3; i++ {
-			b.record(false, 0.9)
+			b.Record(false, 0.9)
 		}
 		clk.advance(time.Second)
-		if !b.tryProbe() {
+		if !b.TryProbe() {
 			t.Fatal("cooldown was not reset to base after re-admission")
 		}
 	})
@@ -173,12 +173,12 @@ func TestBreakerStateMachine(t *testing.T) {
 	t.Run("records while non-closed are no-ops", func(t *testing.T) {
 		b := testBreaker(&fakeClock{})
 		for i := 0; i < 3; i++ {
-			b.record(false, 0.9)
+			b.Record(false, 0.9)
 		}
 		// A fail-open lease finishing on a quarantined device must not
 		// re-trip or re-admit anything.
-		if ev := b.record(false, 0.0); ev != breakerNoEvent {
-			t.Fatalf("record while open: event %d, want none", ev)
+		if b.Record(false, 0.0) {
+			t.Fatal("Record while open tripped the breaker again")
 		}
 		if b.State() != BreakerOpen {
 			t.Fatalf("state = %v, want open", b.State())
@@ -213,49 +213,49 @@ func TestOutcomeRewards(t *testing.T) {
 }
 
 func TestHealthScoreEWMA(t *testing.T) {
-	h := newFleetHealth(2, 0.5, 4)
-	if got := h.score(0); got != 1 {
+	h := newFleetHealth(2, 0.5)
+	if got := h.Score(0); got != 1 {
 		t.Fatalf("initial score = %v, want 1", got)
 	}
 	// Failures decay toward 0, successes recover toward 1.
-	h.observe(0, rewardFailure, 0)
-	if got := h.score(0); got != 0.5 {
+	h.Observe(0, rewardFailure, 0)
+	if got := h.Score(0); got != 0.5 {
 		t.Fatalf("after one failure: %v, want 0.5", got)
 	}
-	h.observe(0, rewardFailure, 0)
-	if got := h.score(0); got != 0.25 {
+	h.Observe(0, rewardFailure, 0)
+	if got := h.Score(0); got != 0.25 {
 		t.Fatalf("after two failures: %v, want 0.25", got)
 	}
-	h.observe(0, rewardSuccess, 0)
-	if got := h.score(0); got != 0.625 {
+	h.Observe(0, rewardSuccess, 0)
+	if got := h.Score(0); got != 0.625 {
 		t.Fatalf("recovery: %v, want 0.625", got)
 	}
-	if got := h.score(1); got != 1 {
+	if got := h.Score(1); got != 1 {
 		t.Fatalf("device 1 score moved to %v without observations", got)
 	}
-	// boost only raises.
-	h.boost(0, 0.9)
-	if got := h.score(0); got != 0.9 {
-		t.Fatalf("boost: %v, want 0.9", got)
+	// Boost only raises.
+	h.Boost(0, 0.9)
+	if got := h.Score(0); got != 0.9 {
+		t.Fatalf("Boost: %v, want 0.9", got)
 	}
-	h.boost(0, 0.1)
-	if got := h.score(0); got != 0.9 {
-		t.Fatalf("boost lowered a score: %v", got)
+	h.Boost(0, 0.1)
+	if got := h.Score(0); got != 0.9 {
+		t.Fatalf("Boost lowered a score: %v", got)
 	}
 	// Latency penalty: a success far beyond slack×median keeps only part
 	// of its reward.
 	for i := 0; i < 16; i++ {
-		h.observe(1, rewardSuccess, 10*time.Millisecond)
+		h.Observe(1, rewardSuccess, 10*time.Millisecond)
 	}
-	before := h.score(1)
-	h.observe(1, rewardSuccess, 400*time.Millisecond) // 40× median, slack 4
-	if got := h.score(1); got >= before {
+	before := h.Score(1)
+	h.Observe(1, rewardSuccess, 400*time.Millisecond) // 40× median, slack 4
+	if got := h.Score(1); got >= before {
 		t.Fatalf("glacial success did not penalise: %v -> %v", before, got)
 	}
 }
 
 func TestHedgeTrackerWarmup(t *testing.T) {
-	h := newHedgeTracker(3, time.Millisecond, 1)
+	h := newHedgeTracker(3, time.Millisecond)
 	if _, ok := h.threshold(); ok {
 		t.Fatal("threshold active before any samples")
 	}
@@ -342,7 +342,7 @@ func TestHedgedDispatch(t *testing.T) {
 // TestDrainCompletesQueuedWork: Drain(0) lets every admitted job finish —
 // nothing in flight or queued is dropped.
 func TestDrainCompletesQueuedWork(t *testing.T) {
-	s := NewServer(Config{Devices: 1, Workers: 1})
+	s := NewServer(Config{Devices: 1})
 
 	errs := make(chan error, 6)
 	// One long job occupies the only device...
@@ -387,7 +387,7 @@ func TestDrainCompletesQueuedWork(t *testing.T) {
 // hands queued jobs back to their callers (never silently drops them) and
 // returns a typed DrainTimeoutError.
 func TestDrainTimeoutHandsOff(t *testing.T) {
-	s := NewServer(Config{Devices: 1, Workers: 1})
+	s := NewServer(Config{Devices: 1})
 
 	blockerErr := make(chan error, 1)
 	go func() {
@@ -435,7 +435,7 @@ func TestDrainTimeoutHandsOff(t *testing.T) {
 // submitter itself returns early on its own context, so the typed error is
 // observed through a coalesced waiter whose context is still live.
 func TestDeadlineInQueueTyped(t *testing.T) {
-	s := NewServer(Config{Devices: 1, Workers: 1})
+	s := NewServer(Config{Devices: 1})
 	defer s.Stop()
 	go s.Submit(context.Background(), &Request{Graph: blockerGraph(), NoCache: true})
 	waitFor(t, "blocker to occupy the device", func() bool {
@@ -540,7 +540,6 @@ func TestQuarantineAndReadmission(t *testing.T) {
 			Cooldown:         50 * time.Millisecond,
 			MaxCooldown:      200 * time.Millisecond,
 			ProbeSuccesses:   2,
-			NoHedge:          true,
 		},
 	})
 	defer s.Stop()

@@ -169,6 +169,10 @@ type Request struct {
 	// memo is the memo digest of the upload this request was decoded
 	// from, when it is one Admission.serve should record (memo.go).
 	memo memoTag
+	// noColors marks a request whose reply carries no colors (a memo
+	// recall without include_colors): an answer from memory leaves its
+	// Colors nil rather than unpack a stored coloring no one reads.
+	noColors bool
 }
 
 // replayWire returns the request's journal wire form, building a binary

@@ -97,7 +97,7 @@ func TestCacheHitSkipsDevice(t *testing.T) {
 }
 
 func TestDuplicateInFlightCoalesce(t *testing.T) {
-	s := NewServer(Config{Devices: 1, Workers: 1})
+	s := NewServer(Config{Devices: 1})
 	defer s.Stop()
 
 	// Occupy the only worker so the duplicates stay in flight together.
@@ -244,7 +244,7 @@ func TestDeadlineExpiredNeverReachesDevice(t *testing.T) {
 
 	// Server-level: cancel a queued request behind a blocker; the device
 	// must only ever run the blocker.
-	s := NewServer(Config{Devices: 1, Workers: 1})
+	s := NewServer(Config{Devices: 1})
 	defer s.Stop()
 	go s.Submit(context.Background(), &Request{Graph: blockerGraph(), NoCache: true})
 	waitFor(t, "blocker to occupy the device", func() bool {
@@ -310,7 +310,7 @@ func TestPoolLeasing(t *testing.T) {
 }
 
 func TestServerStopDrains(t *testing.T) {
-	s := NewServer(Config{Devices: 2, Workers: 2})
+	s := NewServer(Config{Devices: 2})
 	res, err := s.Submit(context.Background(), &Request{Graph: smallGraph()})
 	if err != nil || res == nil {
 		t.Fatalf("Submit before Stop: %v", err)
@@ -377,7 +377,7 @@ func queuedSmallJobs() []*Request {
 // iterations equal a fresh server's answer to the same request — and the
 // cached repeat of each carries those same solo cycles.
 func TestBatchedJobsMatchSolo(t *testing.T) {
-	s := NewServer(Config{Devices: 1, Workers: 1})
+	s := NewServer(Config{Devices: 1})
 	defer s.Stop()
 	reqs := queuedSmallJobs()
 	got := queueBehindBlocker(t, s, reqs)
@@ -412,7 +412,7 @@ func TestBatchedJobsMatchSolo(t *testing.T) {
 // freshRun answers r on a server that has served nothing else.
 func freshRun(t *testing.T, r *Request) *Response {
 	t.Helper()
-	s := NewServer(Config{Devices: 1, Workers: 1})
+	s := NewServer(Config{Devices: 1})
 	defer s.Stop()
 	res, err := s.Submit(context.Background(), &Request{Graph: r.Graph, Seed: r.Seed})
 	if err != nil {
@@ -426,7 +426,7 @@ func freshRun(t *testing.T, r *Request) *Response {
 // coloring that verifies for its own graph and fingerprint, and none ran
 // fused with another.
 func TestBatchMemberFaultRetriesSolo(t *testing.T) {
-	s := NewServer(Config{Devices: 1, Workers: 1, Device: DeviceConfig{FaultRate: 5e-3, FaultSeed: 11}})
+	s := NewServer(Config{Devices: 1, Device: DeviceConfig{FaultRate: 5e-3, FaultSeed: 11}})
 	defer s.Stop()
 	reqs := []*Request{
 		{Graph: gen.Grid2D(8, 9), Seed: 3},
@@ -461,7 +461,7 @@ func TestBatchMemberFaultRetriesSolo(t *testing.T) {
 // own device lease, so the device's job count rises by one per job plus
 // the blocker.
 func TestQueueGather(t *testing.T) {
-	s := NewServer(Config{Devices: 1, Workers: 1})
+	s := NewServer(Config{Devices: 1})
 	defer s.Stop()
 	reqs := queuedSmallJobs()
 	queueBehindBlocker(t, s, reqs)

@@ -21,18 +21,13 @@ var ErrDraining = fmt.Errorf("serve: draining: %w", ErrClosed)
 
 // SelfHealConfig tunes the self-healing layer: health scoring, circuit
 // breakers, and hedged re-dispatch. Zero values take the documented
-// defaults; the zero struct is the production configuration.
+// defaults; the zero struct is the production configuration, and a
+// cluster coordinator scores and breaks its members with exactly those
+// defaults (NewFleetHealth, NewBreaker). The layer is always on.
 type SelfHealConfig struct {
-	// Disabled turns the whole layer off: uniform lease selection, inert
-	// breakers, no hedging — the pre-self-healing server.
-	Disabled bool
-
 	// Alpha is the EWMA weight of the newest health observation
 	// (default 0.2).
 	Alpha float64
-	// LatencySlack is how many multiples of the fleet-median execution
-	// time a job may take before its reward is cut by latency (default 4).
-	LatencySlack float64
 
 	// OpenBelow trips a closed breaker when the device's health score
 	// falls below it (default 0.25).
@@ -48,30 +43,18 @@ type SelfHealConfig struct {
 	// ProbeSuccesses is the number of consecutive clean probe jobs a
 	// half-open device needs for re-admission (default 3).
 	ProbeSuccesses int
-	// ProbationScore is the health score a re-admitted device restarts at
-	// (default 0.6): high enough not to instantly re-trip on the stale
-	// quarantine-era EWMA, low enough to keep its share of load small
-	// until it proves itself.
-	ProbationScore float64
 
-	// NoHedge disables hedged re-dispatch.
-	NoHedge bool
 	// HedgeMinSamples is the number of successful executions observed
 	// before hedging activates (default 64).
 	HedgeMinSamples int
 	// HedgeFloor is the minimum hedge threshold (default 2ms), so a fleet
 	// of microsecond jobs does not hedge on scheduler noise.
 	HedgeFloor time.Duration
-	// HedgeMultiple scales the P99 into the hedge threshold (default 1).
-	HedgeMultiple float64
 }
 
 func (c SelfHealConfig) withDefaults() SelfHealConfig {
 	if c.Alpha <= 0 || c.Alpha > 1 {
 		c.Alpha = 0.2
-	}
-	if c.LatencySlack < 1 {
-		c.LatencySlack = 4
 	}
 	if c.OpenBelow <= 0 {
 		c.OpenBelow = 0.25
@@ -88,19 +71,24 @@ func (c SelfHealConfig) withDefaults() SelfHealConfig {
 	if c.ProbeSuccesses < 1 {
 		c.ProbeSuccesses = 3
 	}
-	if c.ProbationScore <= 0 || c.ProbationScore > 1 {
-		c.ProbationScore = 0.6
-	}
 	if c.HedgeMinSamples < 1 {
 		c.HedgeMinSamples = 64
 	}
 	if c.HedgeFloor <= 0 {
 		c.HedgeFloor = 2 * time.Millisecond
 	}
-	if c.HedgeMultiple <= 0 {
-		c.HedgeMultiple = 1
-	}
 	return c
+}
+
+// breakerConfig is a resolved config's breaker thresholds.
+func (c SelfHealConfig) breakerConfig() breakerConfig {
+	return breakerConfig{
+		failureThreshold: c.FailureThreshold,
+		openBelow:        c.OpenBelow,
+		cooldown:         c.Cooldown,
+		maxCooldown:      c.MaxCooldown,
+		probeSuccesses:   c.ProbeSuccesses,
+	}
 }
 
 // ShardConfig is the shard policy (internal/shard): when a request is
@@ -127,10 +115,6 @@ type Config struct {
 	// CacheEntries sizes the result LRU (default 512; negative disables
 	// caching).
 	CacheEntries int
-	// Workers is the number of executor goroutines (default: pool size).
-	// More workers than devices lets dequeue/deadline triage overlap with
-	// execution; jobs still serialize on device leases.
-	Workers int
 	// SelfHeal tunes health scoring, circuit breakers, and hedging.
 	SelfHeal SelfHealConfig
 	// Shard tunes sharded scatter-gather execution.
@@ -149,9 +133,6 @@ type Config struct {
 	// synchronously in NewServer, and pending accepts are re-submitted in
 	// the background (RecoveryDone closes when the replay settles).
 	Recovery *journal.Recovery
-	// IdemEntries sizes the Idempotency-Key LRU (default 4096; negative
-	// disables idempotent replay).
-	IdemEntries int
 	// ReplayParallelism bounds concurrent recovery re-submissions
 	// (default 4): recovery shares the queue with live traffic and must
 	// not monopolize it.
@@ -177,15 +158,6 @@ func (c Config) withDefaults() Config {
 		c.CacheEntries = 0
 	case c.CacheEntries == 0:
 		c.CacheEntries = 512
-	}
-	if c.Workers < 1 {
-		c.Workers = c.Devices
-	}
-	switch {
-	case c.IdemEntries < 0:
-		c.IdemEntries = 0
-	case c.IdemEntries == 0:
-		c.IdemEntries = 4096
 	}
 	if c.ReplayParallelism < 1 {
 		c.ReplayParallelism = 4
@@ -242,7 +214,7 @@ func NewServer(cfg Config) *Server {
 		queue:     newJobQueue(cfg.QueueCapacity, cfg.ShedFraction),
 		versions:  newVersionStore(cfg.Delta.Entries),
 		reg:       metrics.NewRegistry(),
-		hedge:     newHedgeTracker(cfg.SelfHeal.HedgeMinSamples, cfg.SelfHeal.HedgeFloor, cfg.SelfHeal.HedgeMultiple),
+		hedge:     newHedgeTracker(cfg.SelfHeal.HedgeMinSamples, cfg.SelfHeal.HedgeFloor),
 		baseCtx:   ctx,
 		cancel:    cancel,
 		started:   time.Now(),
@@ -271,7 +243,8 @@ func NewServer(cfg Config) *Server {
 	s.reg.Histogram("wait_us")
 	s.reg.Histogram("exec_us")
 	s.reg.Histogram("delta_frontier_size")
-	for i := 0; i < cfg.Workers; i++ {
+	// One executor goroutine per pooled device.
+	for i := 0; i < pool.Size(); i++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
@@ -540,11 +513,11 @@ func (s *Server) dispatch(ctx context.Context, j *job, g *graph.Graph, seed uint
 	s.wg.Add(1)
 	go s.attempt(primCtx, j, g, seed, lease, false, resCh)
 
-	// Arm the hedge timer only when hedging is on, a second device exists,
-	// and the tail estimate has warmed up. Probe leases are never hedged:
-	// the probe must answer for itself.
+	// Arm the hedge timer only when a second device exists and the tail
+	// estimate has warmed up. Probe leases are never hedged: the probe must
+	// answer for itself.
 	var hedgeC <-chan time.Time
-	if !s.cfg.SelfHeal.NoHedge && !s.cfg.SelfHeal.Disabled && s.pool.Size() > 1 && !lease.Probe() {
+	if s.pool.Size() > 1 && !lease.Probe() {
 		if thr, ok := s.hedge.threshold(); ok {
 			t := time.NewTimer(thr)
 			defer t.Stop()
