@@ -7,10 +7,11 @@
 //   - pooled: a warm single-device serve.Server (the serving hot path);
 //   - pooled+fused: the same with the fused assign+flag kernels.
 //
-// Each section records wall clock, heap allocations, allocated bytes and
-// GC pause time per request (runtime.ReadMemStats deltas). The simulated
-// side records fused-vs-unfused cycles per seed dataset, which must be
-// bit-identical colorings in strictly fewer cycles.
+// Each section records wall clock, heap allocations and allocated bytes
+// per request (runtime.ReadMemStats deltas, the median of five passes)
+// and the passes' GC pause time. The simulated side records
+// fused-vs-unfused cycles per seed dataset, which must be bit-identical
+// colorings in strictly fewer cycles.
 //
 // With -budget pointing at BENCH_BUDGET.json, the run fails (exit 1) if
 // the pooled path's allocations per request exceed the committed budget —
@@ -59,6 +60,7 @@ var hostperfDatasets = []string{
 type hostSection struct {
 	Label          string `json:"label"`
 	Requests       int    `json:"requests"`
+	Passes         int    `json:"passes,omitempty"`
 	WallUSPerReq   int64  `json:"wall_us_per_request"`
 	AllocsPerReq   int64  `json:"allocs_per_request"`
 	BytesPerReq    int64  `json:"bytes_per_request"`
@@ -259,32 +261,43 @@ type allocBudget struct {
 	MaxAllocsPerRequest int64 `json:"max_allocs_per_request"`
 }
 
-// measureHost runs fn n times after a warmup call and returns the
-// per-request host-side costs.
+// hostPasses is how many timed passes of n requests measureHost takes the
+// median of: the allocation counters are process-wide, so one pass reads
+// whatever else the runtime allocated meanwhile.
+const hostPasses = 5
+
+// measureHost runs fn n times per pass, hostPasses passes after a warmup
+// call, and returns the median per-request host-side costs of the passes
+// and their GC totals.
 func measureHost(label string, n int, fn func() error) (hostSection, error) {
 	if err := fn(); err != nil {
 		return hostSection{}, fmt.Errorf("%s warmup: %w", label, err)
 	}
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		if err := fn(); err != nil {
-			return hostSection{}, fmt.Errorf("%s request %d: %w", label, i, err)
+	var wall, allocs, bytes [hostPasses]int64
+	sec := hostSection{Label: label, Requests: n, Passes: hostPasses}
+	for p := range hostPasses {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		for i := 0; i < n; i++ {
+			if err := fn(); err != nil {
+				return hostSection{}, fmt.Errorf("%s request %d: %w", label, i, err)
+			}
 		}
+		wall[p] = time.Since(start).Microseconds() / int64(n)
+		runtime.ReadMemStats(&after)
+		allocs[p] = int64(after.Mallocs-before.Mallocs) / int64(n)
+		bytes[p] = int64(after.TotalAlloc-before.TotalAlloc) / int64(n)
+		sec.GCPauseUSTotal += int64(after.PauseTotalNs-before.PauseTotalNs) / 1000
+		sec.GCRuns += int64(after.NumGC - before.NumGC)
 	}
-	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
-	return hostSection{
-		Label:          label,
-		Requests:       n,
-		WallUSPerReq:   wall.Microseconds() / int64(n),
-		AllocsPerReq:   int64(after.Mallocs-before.Mallocs) / int64(n),
-		BytesPerReq:    int64(after.TotalAlloc-before.TotalAlloc) / int64(n),
-		GCPauseUSTotal: int64(after.PauseTotalNs-before.PauseTotalNs) / 1000,
-		GCRuns:         int64(after.NumGC - before.NumGC),
-	}, nil
+	median := func(xs [hostPasses]int64) int64 {
+		slices.Sort(xs[:])
+		return xs[hostPasses/2]
+	}
+	sec.WallUSPerReq, sec.AllocsPerReq, sec.BytesPerReq = median(wall), median(allocs), median(bytes)
+	return sec, nil
 }
 
 // fusedNumbers runs every dataset fused and unfused and checks the fusion

@@ -1,8 +1,7 @@
 // Command gcbench regenerates the paper's tables and figures (see DESIGN.md
-// for the experiment index and EXPERIMENTS.md for recorded output). Two
-// serving-side modes ride along: the hot-path host benchmark, which holds
-// the allocation budget and the default-mix floor, and the
-// partition-tolerance drill.
+// for the experiment index and EXPERIMENTS.md for recorded output). One
+// serving-side mode rides along: the hot-path host benchmark, which holds
+// the allocation budget and the default-mix floor.
 //
 // Usage:
 //
@@ -10,11 +9,11 @@
 //	gcbench -exp F7         # just the headline comparison
 //	gcbench -scale small    # quick pass with small datasets
 //	gcbench -hostperf       # hot-path host benchmark -> BENCH_PR3.json
-//	gcbench -partition      # standby failover + gray-failure drill -> BENCH_PR9.json
 //
 // The serving layer's other gates (sharded color quality, the delta
 // stream's speedup and allocations, the fleet's scatter speedup and kill
-// drill) are Go tests in the packages that own them; bench/ measures the
+// drill, the self-healing soak, the standby failover and gray-failure
+// drills) are Go tests in the packages that own them; bench/ measures the
 // serving stack end to end.
 package main
 
@@ -35,22 +34,11 @@ func main() {
 
 		hostperf  = flag.Bool("hostperf", false, "run the hot-path host benchmark (arena/pooling/fusion) instead of the paper experiments")
 		hostOut   = flag.String("hostperf-json", "BENCH_PR3.json", "output file for -hostperf")
-		hostN     = flag.Int("hostperf-requests", 20, "steady-state request count per section for -hostperf")
+		hostN     = flag.Int("hostperf-requests", 20, "steady-state request count per timed pass (five per section) for -hostperf")
 		budgetArg = flag.String("budget", "", "allocation budget file (BENCH_BUDGET.json); -hostperf fails if the pooled serving path exceeds it")
-
-		partBench = flag.Bool("partition", false, "run the partition-tolerance drill (standby failover under network chaos + gray-failure demotion) instead of the paper experiments")
-		partOut   = flag.String("partition-json", "BENCH_PR9.json", "output file for -partition")
-		partW     = flag.Int("partition-workers", 3, "worker daemons for -partition")
 	)
 	flag.Parse()
 
-	if *partBench {
-		if err := runPartitionBench(*partOut, *partW); err != nil {
-			fmt.Fprintf(os.Stderr, "gcbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *hostperf {
 		if err := runHostperfBench(*hostOut, *budgetArg, *hostN); err != nil {
 			fmt.Fprintf(os.Stderr, "gcbench: %v\n", err)

@@ -1,7 +1,8 @@
 // Command gcload drives a gcolord daemon or coordinator with a
-// configurable request mix and reports throughput and latency. Two fault
-// drills ride along: -crash-drill and -chaos-soak. Chained delta streams
-// are measured by bench/'s delta workload, which checks every answer.
+// configurable request mix and reports throughput and latency. One fault
+// drill rides along: -crash-drill. Chained delta streams are measured by
+// bench/'s delta workload, which checks every answer, and the
+// self-healing soak is a Go test (TestChaosSoak in internal/serve).
 //
 // Closed loop (default): -conc workers each keep one request in flight.
 // Open loop: requests fire at a fixed -rate regardless of completions,
@@ -14,7 +15,6 @@
 //	gcload -baseline -conc 8 -n 200 -json load.json
 //	gcload -wire binary -conc 8 -duration 10s  # binary CSR frames, options in query
 //	gcload -crash-drill -json BENCH_PR6.json   # kill -9 / restart / replay drill
-//	gcload -chaos-soak -json BENCH_PR4.json    # in-process self-healing soak
 //
 // The mix is spec=weight pairs (specs as in serve.ParseGraphSpec); -unique
 // rewrites the seed of that fraction of requests so they miss every cache,
@@ -112,12 +112,6 @@ func main() {
 		drillBuildFlags   = flag.String("drill-buildflags", "", "extra go build flags when -crash-drill builds gcolord, e.g. -race")
 		drillOverheadGate = flag.Float64("drill-overhead-gate", 0.05, "max tolerated journal throughput overhead fraction in the -crash-drill A/B")
 		drillDevices      = flag.Int("drill-devices", 2, "-crash-drill daemon pool size")
-
-		chaosSoak     = flag.Bool("chaos-soak", false, "run the self-healing chaos soak against an in-process server (ignores -addr) and exit")
-		soakFaultRate = flag.Float64("soak-fault-rate", 0.02, "per-event fault probability armed on the chaos-soak victim")
-		soakPhase     = flag.Duration("soak-phase", 3*time.Second, "chaos-soak phase length (baseline / fault / recovery windows)")
-		soakDevices   = flag.Int("soak-devices", 4, "chaos-soak pool size")
-		soakMix       = flag.String("soak-mix", "grid:24:24=2,rmat:8:8:1=1", "chaos-soak workload mix (small graphs keep phases dense)")
 	)
 	flag.Parse()
 
@@ -133,21 +127,6 @@ func main() {
 			conc:         *conc,
 			overheadGate: *drillOverheadGate,
 			outPath:      out,
-		}))
-	}
-
-	if *chaosSoak {
-		out := *jsonOut
-		if out == "" {
-			out = "BENCH_PR4.json"
-		}
-		os.Exit(runChaosSoak(chaosSoakConfig{
-			devices:   *soakDevices,
-			conc:      *conc,
-			faultRate: *soakFaultRate,
-			phase:     *soakPhase,
-			mix:       *soakMix,
-			outPath:   out,
 		}))
 	}
 

@@ -303,11 +303,6 @@ var (
 	ErrDeadlineInQueue = serve.ErrDeadlineInQueue
 )
 
-// SelfHealConfig tunes per-device health scoring, circuit breakers,
-// and hedged re-dispatch. Self-healing is always on; the zero value
-// takes the defaults.
-type SelfHealConfig = serve.SelfHealConfig
-
 // DrainSummary reports what happened during a graceful drain.
 type DrainSummary = serve.DrainSummary
 

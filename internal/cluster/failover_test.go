@@ -192,9 +192,9 @@ func TestGrayWorkerLosesRendezvousRank(t *testing.T) {
 	fast2 := newTestWorker(t, serve.Config{})
 	slow := newTestWorker(t, serve.Config{})
 
-	// The gray signal is latency versus the FLEET median, so the fleet
-	// needs a fast majority for the slow member to stand out — exactly the
-	// production shape (one sick node among healthy peers).
+	// The gray signal is latency versus the fleet's typical member, so the
+	// fleet needs a fast majority for the slow member to stand out —
+	// exactly the production shape (one sick node among healthy peers).
 	const slowdown = 150 * time.Millisecond
 	in := netchaos.New(1)
 	in.SlowHost(strings.TrimPrefix(slow.ts.URL, "http://"), slowdown)
@@ -204,10 +204,9 @@ func TestGrayWorkerLosesRendezvousRank(t *testing.T) {
 	// The health scores see each dispatch as 1 ms of work plus the
 	// slow-down injected on its link. Measured round trips would make the
 	// signal the host's speed: an EWMA score settles at the mean reward,
-	// slack x fleet median / exec, so a member turns gray only past
-	// slack / grayScore = 8x the fleet median, and that median (the slow
-	// member's own share included) sat at about 28 ms under -race on a
-	// busy 2-vCPU host, putting 150 ms + 28 ms at about 6x.
+	// slack x reference / exec, so a member turns gray only past
+	// slack / grayScore = 8x the reference, which sat at about 28 ms under
+	// -race on a busy 2-vCPU host, putting 150 ms + 28 ms at about 6x.
 	cluster.SetHealthLatency(coord, func(addr string, _ time.Duration) time.Duration {
 		if addr == slow.ts.URL {
 			return time.Millisecond + slowdown

@@ -205,9 +205,9 @@ func (r *registry) size() int {
 // The gray pass is the load-imbalance lesson at fleet granularity: a
 // worker that answers 2xx but 10x slower than its peers drags every job it
 // owns, and its breaker — which counts failures, not slowness — never
-// trips. Its EWMA health (latency-vs-fleet-median penalized) does sag, so
-// members below grayScore lose their rendezvous preference while staying
-// in the fleet for overflow and recovery.
+// trips. Its EWMA health (penalized for latency against its peers') does
+// sag, so members below grayScore lose their rendezvous preference while
+// staying in the fleet for overflow and recovery.
 func (r *registry) pick(key uint64, exclude map[int]bool) (m *member, probe bool, err error) {
 	live := r.alive()
 	candidates := live[:0:0]

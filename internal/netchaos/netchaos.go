@@ -19,8 +19,9 @@
 //
 // Two frontends share one Injector: Transport wraps an http.RoundTripper
 // for in-process clients (the coordinator's worker client in tests and the
-// gray-failure drill), and Proxy carries real TCP connections for
-// real-process drills (gcbench -partition fronts one worker with it).
+// gray-failure drill), and Proxy carries real TCP connections, so a drill
+// can fault a link whatever client dials it (internal/cluster's
+// TestPartitionDrillFailover fronts one worker with it).
 package netchaos
 
 import (

@@ -7,11 +7,12 @@ import (
 	"time"
 )
 
-// Proxy carries real TCP connections through the injector so real-process
-// drills (gcbench -partition) can fault the wire between a coordinator and
-// a worker that live in separate OS processes. The proxy listens on its
-// own address; the faulted peer advertises the proxy address to the fleet,
-// and the proxy forwards to the peer's real address.
+// Proxy carries real TCP connections through the injector, so a drill can
+// fault the wire between a coordinator and a worker whatever client dials
+// it, in one process (internal/cluster's TestPartitionDrillFailover) or
+// across OS processes. The proxy listens on its own address; the faulted
+// peer is known to the fleet by the proxy address, and the proxy forwards
+// to the peer's real address.
 //
 // Fault mapping for stream transport:
 //

@@ -170,7 +170,7 @@ func (a *Admission) replay(req *Request, g *graph.Graph) (res *Response, ok, hel
 	if warm && g == nil {
 		return nil, false, true
 	}
-	hit := answered(stored, req)
+	hit := answered(stored, req, warm)
 	if warm {
 		proper := color.Verify(g, hit.Colors) == nil
 		if a.idem.settle(req.IdemKey, stored, proper) {
@@ -199,7 +199,7 @@ func (a *Admission) hit(req *Request, key cacheKey) (*Response, bool) {
 	if !ok || warm && req.Graph == nil {
 		return nil, false
 	}
-	hit := answered(res, req)
+	hit := answered(res, req, warm)
 	if warm {
 		proper := color.Verify(req.Graph, hit.Colors) == nil
 		if a.cache.settle(key, res, proper) {
@@ -214,16 +214,11 @@ func (a *Admission) hit(req *Request, key cacheKey) (*Response, bool) {
 }
 
 // answered is a stored response as one caller's private copy, marked as
-// answered from memory, with no colors when req asks for none.
-func answered(res *Response, req *Request) *Response {
-	var hit *Response
-	if req.noColors {
-		bare := *res
-		bare.Colors, bare.colors8 = nil, nil
-		hit = &bare
-	} else {
-		hit = cloneHit(res)
-	}
+// answered from memory. It carries no colors when req reads none, unless
+// prove is set: a journal-warmed entry's colors are checked against the
+// graph on its first hit.
+func answered(res *Response, req *Request, prove bool) *Response {
+	hit := cloneHit(res, !req.noColors || prove)
 	hit.Cached = true
 	hit.Device = -1
 	hit.Wait, hit.Exec = 0, 0
@@ -289,9 +284,10 @@ func (a *Admission) wait(ctx context.Context, req *Request, fl *flight, coalesce
 		if fl.err != nil {
 			return nil, fl.err
 		}
-		// Each waiter gets its own Colors copy: the flight's result is also
-		// the cache entry, and waiters are free to mutate what they receive.
-		res := cloneHit(fl.res)
+		// Each waiter that reads colors gets its own copy: the flight's
+		// result is also the cache entry, and waiters are free to mutate
+		// what they receive.
+		res := cloneHit(fl.res, !req.noColors)
 		res.Coalesced = res.Coalesced || coalesced
 		res.RequestID = req.RequestID
 		return res, nil

@@ -8,9 +8,9 @@ import (
 // Circuit breaker. Each pooled device carries one, as does each cluster
 // member; together with the health score it is the quarantine mechanism:
 //
-//	closed ──(consecutive failures ≥ threshold, or health < OpenBelow)──▶ open
+//	closed ──(consecutive failures ≥ threshold, or health < openBelow)──▶ open
 //	open ──(cooldown elapsed, next lease request)──▶ half-open
-//	half-open ──(ProbeSuccesses consecutive clean probes)──▶ closed
+//	half-open ──(probeSuccesses consecutive clean probes)──▶ closed
 //	half-open ──(any probe failure)──▶ open (cooldown doubled, capped)
 //
 // While open the device is quarantined: the lease path skips it entirely
@@ -49,8 +49,18 @@ func (s BreakerState) String() string {
 	}
 }
 
-// breakerConfig holds a breaker's resolved thresholds: a device's come
-// from SelfHealConfig, a cluster member's are SelfHealConfig's defaults.
+// The thresholds every breaker runs with, a pooled device's and a
+// cluster member's alike.
+const (
+	breakerFailureThreshold = 5                // consecutive failed jobs that trip a closed breaker
+	breakerOpenBelow        = 0.25             // health score below which a closed breaker trips
+	breakerCooldown         = 2 * time.Second  // quarantine before the first probe
+	breakerMaxCooldown      = 16 * time.Second // cap of the doubling after failed probes
+	breakerProbeSuccesses   = 3                // consecutive clean probes that re-admit
+)
+
+// breakerConfig holds a breaker's thresholds; NewBreaker's are the
+// constants above, and tests build their own.
 type breakerConfig struct {
 	failureThreshold int           // consecutive failures tripping closed → open
 	openBelow        float64       // health score below which closed trips
@@ -75,13 +85,19 @@ type Breaker struct {
 	probeBusy   bool // a probe lease is outstanding
 }
 
-// NewBreaker builds a breaker with SelfHealConfig's default thresholds and
-// the wall clock: a cluster member's.
+// NewBreaker builds a breaker with the default thresholds and the wall
+// clock: a pooled device's or a cluster member's.
 func NewBreaker() *Breaker {
-	return newBreaker(SelfHealConfig{}.withDefaults().breakerConfig(), nil)
+	return newBreaker(breakerConfig{
+		failureThreshold: breakerFailureThreshold,
+		openBelow:        breakerOpenBelow,
+		cooldown:         breakerCooldown,
+		maxCooldown:      breakerMaxCooldown,
+		probeSuccesses:   breakerProbeSuccesses,
+	}, nil)
 }
 
-// newBreaker builds a breaker from resolved thresholds; a nil now means
+// newBreaker builds a breaker from the given thresholds; a nil now means
 // the wall clock.
 func newBreaker(cfg breakerConfig, now func() time.Time) *Breaker {
 	if now == nil {

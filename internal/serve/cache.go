@@ -282,10 +282,13 @@ func (f *flight) complete(res *Response, err error) {
 // mutating the slice it was handed cannot corrupt the cached entry (and
 // with it every later hit). The shallow copy alone used to alias the
 // cache's backing array — the classic "poison one hit, serve bad
-// colorings forever" bug.
-func cloneHit(res *Response) *Response {
+// colorings forever" bug. Without colors the copy carries none, and the
+// stored coloring is neither unpacked nor copied.
+func cloneHit(res *Response, colors bool) *Response {
 	hit := *res
 	switch {
+	case !colors:
+		hit.Colors, hit.colors8 = nil, nil
 	case hit.colors8 != nil:
 		hit.Colors = make([]int32, len(hit.colors8))
 		for i, c := range hit.colors8 {

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 
@@ -22,9 +24,10 @@ import (
 //     down the recovery ladder the job had to go, with a haircut when the
 //     device's fault injector fired even though the job recovered
 //     ("fault-absorbed" — the device is lying about being fine);
-//   - execution latency versus the fleet median: a device whose successes
-//     take many multiples of what its peers need (stalled workgroups, CAS
-//     storms) is degraded even if every run eventually verifies.
+//   - execution latency versus the fleet's typical member: a device whose
+//     successes take many multiples of what its peers need (stalled
+//     workgroups, CAS storms) is degraded even if every run eventually
+//     verifies.
 
 // Outcome rewards: the EWMA input for each rung of the recovery ladder.
 // Cheaper recoveries still signal partial sickness; structural failures
@@ -63,13 +66,16 @@ func outcomeReward(kind gpucolor.OutcomeKind, faultsDelta int64) (float64, bool)
 }
 
 // healthLatWindow is the shared ring of recent execution times from which
-// the fleet median is derived. Small and fixed: the median only needs to
-// track the current workload mix, not history.
+// the fleet's reference latency is derived. Small and fixed: it only needs
+// to track the current workload mix, not history.
 const healthLatWindow = 128
 
-// latencySlack is how many multiples of the fleet-median execution time a
-// job may take before its reward is cut by latency.
+// latencySlack is how many multiples of the reference latency a job may
+// take before its reward is cut by latency.
 const latencySlack = 4
+
+// healthAlpha is the EWMA weight of the newest health observation.
+const healthAlpha = 0.2
 
 // ProbationScore is the health score a re-admitted device or cluster
 // member restarts at: high enough not to re-trip at once on its stale
@@ -78,23 +84,30 @@ const latencySlack = 4
 const ProbationScore = 0.6
 
 // FleetHealth tracks one EWMA score in [0, 1] per pooled device or cluster
-// member plus the shared recent-latency ring from which the fleet-median
-// latency penalty is derived. All methods are safe for concurrent use.
+// member plus the shared recent-latency ring from which the latency
+// penalty's reference is derived. All methods are safe for concurrent use.
 type FleetHealth struct {
 	alpha float64 // EWMA weight of the newest observation
 
 	mu      sync.Mutex
 	scores  []float64
-	ring    [healthLatWindow]int64 // exec ns of recent finished jobs, fleet-wide
-	ringN   int                    // observations recorded (caps at window)
-	ringI   int                    // next write position
-	scratch [healthLatWindow]int64
+	ring    [healthLatWindow]latSample // recent jobs that did not fail, fleet-wide
+	ringN   int                        // observations recorded (caps at window)
+	ringI   int                        // next write position
+	scratch [healthLatWindow]latSample
+	medians [healthLatWindow]int64 // per-member medians, referenceLocked's scratch
 }
 
-// NewFleetHealth builds an empty tracker with SelfHealConfig's default
-// EWMA weight: a cluster's, whose members join at runtime (AddMember).
+// latSample is one job in the latency ring: who ran it and how long it took.
+type latSample struct {
+	member int
+	ns     int64
+}
+
+// NewFleetHealth builds an empty tracker with the healthAlpha EWMA
+// weight: a cluster's, whose members join at runtime (AddMember).
 func NewFleetHealth() *FleetHealth {
-	return newFleetHealth(0, SelfHealConfig{}.withDefaults().Alpha)
+	return newFleetHealth(0, healthAlpha)
 }
 
 // newFleetHealth builds a tracker for n devices, all scored 1.
@@ -116,23 +129,26 @@ func (h *FleetHealth) AddMember() int {
 
 // Observe folds one finished job into member idx's score and returns the
 // updated value. exec == 0 skips the latency signal (CPU-fallback runs
-// and tests).
+// and tests). A failed job (reward 0) stays out of the latency ring: how
+// fast a job fails says nothing about how long a job takes.
 func (h *FleetHealth) Observe(idx int, reward float64, exec time.Duration) float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if exec > 0 {
-		med := h.medianLocked()
-		h.ring[h.ringI] = int64(exec)
-		h.ringI = (h.ringI + 1) % healthLatWindow
-		if h.ringN < healthLatWindow {
-			h.ringN++
+		ref := h.referenceLocked()
+		if reward > rewardFailure {
+			h.ring[h.ringI] = latSample{member: idx, ns: int64(exec)}
+			h.ringI = (h.ringI + 1) % healthLatWindow
+			if h.ringN < healthLatWindow {
+				h.ringN++
+			}
 		}
-		// Latency-vs-fleet penalty: beyond slack× the median, the reward
-		// shrinks proportionally (a 4×-slack run at 8× median keeps half
-		// its reward), floored so one glacial success cannot zero a score
-		// by itself.
-		if med > 0 && float64(exec) > latencySlack*float64(med) {
-			factor := latencySlack * float64(med) / float64(exec)
+		// Latency penalty: beyond slack× the reference, the reward
+		// shrinks proportionally (a 4×-slack run at 8× the reference
+		// keeps half its reward), floored so one glacial success cannot
+		// zero a score by itself.
+		if ref > 0 && float64(exec) > latencySlack*float64(ref) {
+			factor := latencySlack * float64(ref) / float64(exec)
 			if factor < 0.1 {
 				factor = 0.1
 			}
@@ -162,23 +178,30 @@ func (h *FleetHealth) Boost(idx int, floor float64) {
 	h.mu.Unlock()
 }
 
-// medianLocked returns the median of the recent-latency ring (0 when
-// empty). Called with h.mu held.
-func (h *FleetHealth) medianLocked() int64 {
-	if h.ringN == 0 {
-		return 0
-	}
+// referenceLocked returns the latency a job is judged against: the median
+// over members of each member's median latency in the ring (the lower
+// one of an even count; 0 when the ring is empty). Each member counts
+// once however many jobs it ran, so a slow member that owns most of the
+// traffic cannot make its own latency the reference, and a fleet of two
+// judges both members against the faster one. Called with h.mu held.
+func (h *FleetHealth) referenceLocked() int64 {
 	xs := h.scratch[:h.ringN]
 	copy(xs, h.ring[:h.ringN])
-	// Insertion sort: the window is tiny and usually nearly sorted.
-	for i := 1; i < len(xs); i++ {
-		v := xs[i]
-		j := i - 1
-		for j >= 0 && xs[j] > v {
-			xs[j+1] = xs[j]
-			j--
+	slices.SortFunc(xs, func(a, b latSample) int {
+		return cmp.Or(cmp.Compare(a.member, b.member), cmp.Compare(a.ns, b.ns))
+	})
+	meds := h.medians[:0]
+	for i := 0; i < len(xs); {
+		j := i + 1
+		for j < len(xs) && xs[j].member == xs[i].member {
+			j++
 		}
-		xs[j+1] = v
+		meds = append(meds, xs[i+(j-i)/2].ns)
+		i = j
 	}
-	return xs[len(xs)/2]
+	if len(meds) == 0 {
+		return 0
+	}
+	slices.Sort(meds)
+	return meds[(len(meds)-1)/2]
 }

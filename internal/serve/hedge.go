@@ -27,6 +27,14 @@ const hedgeRecompute = 32
 // hedgeMultiple scales the P99 into the hedge threshold.
 const hedgeMultiple = 1
 
+// hedgeMinSamples is how many successful executions a server observes
+// before hedging activates.
+const hedgeMinSamples = 64
+
+// hedgeFloor is the least hedge threshold, so a fleet of microsecond jobs
+// does not hedge on scheduler noise.
+const hedgeFloor = 2 * time.Millisecond
+
 type hedgeTracker struct {
 	minSamples int
 	floor      time.Duration

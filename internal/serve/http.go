@@ -672,7 +672,8 @@ func colorRequestFromQuery(cr *ColorRequest, q url.Values) error {
 // replay payload; a binary one gets its graph_csr_b64 (or delta) envelope
 // built only if it is journaled. Every error is the client's. The Request
 // has no RequestID or IdemKey yet; it carries the upload's memo digest
-// when Recall computed one and the request's answer is all it does.
+// when Recall computed one and the request's answer is all it does, and
+// is marked noColors when nothing reads its answer's colors.
 func (a *Admission) Decode(u *Upload) (*ColorRequest, *Request, error) {
 	cr := new(ColorRequest)
 	var req *Request
@@ -724,6 +725,9 @@ func (a *Admission) Decode(u *Upload) (*ColorRequest, *Request, error) {
 		req.memo = u.memo
 		req.memo.includeColors = cr.IncludeColors
 	}
+	// A resident upload or a delta pins its answer's colors as a version,
+	// so only other uploads may go without them.
+	req.noColors = !cr.IncludeColors && req.Graph != nil && !req.Resident
 	return cr, req, nil
 }
 

@@ -437,3 +437,60 @@ func TestMemoRecallWithoutColorsSkipsUnpack(t *testing.T) {
 		t.Fatalf("a recall without colors allocated %d bytes for a %d-vertex answer; want fewer than one per vertex", per, n)
 	}
 }
+
+// TestFullPathHitWithoutColorsSkipsUnpack: a cache hit reached after a
+// request-memo miss (the same graph in another body) whose reply carries
+// no colors neither unpacks nor copies the stored coloring; with
+// include_colors it still gets a private copy of the colors.
+func TestFullPathHitWithoutColorsSkipsUnpack(t *testing.T) {
+	a := NewAdmission(Config{})
+	serveBody := func(body string) *Response {
+		t.Helper()
+		up := &Upload{ContentType: "application/json", Body: []byte(body)}
+		if _, ok := a.Recall(up, "", ""); ok {
+			t.Fatalf("recall answered %s", body)
+		}
+		_, req, err := a.Decode(up)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Fingerprint = req.Graph.Fingerprint()
+		res, err := a.Serve(context.Background(), req, 1, func() (*Response, error) {
+			colors := color.Greedy(req.Graph, color.Natural, 0)
+			return &Response{Fingerprint: req.Fingerprint, Colors: colors, NumColors: color.NumColors(colors), Shards: 1}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	first := serveBody(`{"gen":"grid:256:256","alg":"baseline","include_colors":true}`)
+	n := len(first.Colors)
+	if n < 1<<16 {
+		t.Fatalf("graph has %d vertices, want at least 65536", n)
+	}
+
+	// Each body differs from every other by its whitespace, so each one
+	// misses the memo and is decoded.
+	const runs = 16
+	var before, after runtime.MemStats
+	bare := 0
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		body := fmt.Sprintf(`{"gen":"grid:256:256","alg":"baseline",%*s"seed":0}`, i, "")
+		if res := serveBody(body); res.Cached && res.Colors == nil {
+			bare++
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d of %d hits without colors, %d bytes per hit for %d vertices", bare, runs, per, n)
+	if bare != runs || per >= uint64(n) {
+		t.Fatalf("want every hit cached without colors and fewer bytes than vertices")
+	}
+
+	res := serveBody(`{"gen":"grid:256:256","alg":"baseline","seed":0,"include_colors":true}`)
+	if !res.Cached || !slices.Equal(res.Colors, first.Colors) {
+		t.Fatalf("hit with include_colors: cached %v, colors equal %v", res.Cached, slices.Equal(res.Colors, first.Colors))
+	}
+}

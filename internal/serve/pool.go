@@ -29,10 +29,6 @@ type DeviceConfig struct {
 	// the given per-event probability and FaultSeed (chaos serving).
 	FaultRate float64
 	FaultSeed uint64
-	// FaultDisarmed attaches the injector disarmed: the device behaves as
-	// fault-free until FaultInjector.Arm is called. The chaos soak uses
-	// this to sicken a chosen device mid-run.
-	FaultDisarmed bool
 }
 
 func (c DeviceConfig) build() *simt.Device {
@@ -55,9 +51,6 @@ func (c DeviceConfig) build() *simt.Device {
 			seed = 1
 		}
 		dev.Fault = simt.NewFaultInjector(seed, c.FaultRate)
-		if c.FaultDisarmed {
-			dev.Fault.Disarm()
-		}
 	}
 	return dev
 }
@@ -102,41 +95,32 @@ type DevicePool struct {
 }
 
 // NewDevicePool builds a pool from per-device configs (one device per
-// entry) with default self-healing parameters (see SelfHealConfig). It
-// panics on an empty config list: a pool with no devices is a programming
-// error, not a runtime condition.
+// entry), each device scored from full health with a closed breaker
+// (NewBreaker's thresholds). It panics on an empty config list: a pool
+// with no devices is a programming error, not a runtime condition.
 func NewDevicePool(cfgs []DeviceConfig) *DevicePool {
 	if len(cfgs) == 0 {
 		panic("serve: NewDevicePool with no device configs")
 	}
 	p := &DevicePool{
-		devices: make([]*simt.Device, len(cfgs)),
-		runners: make([]*gpucolor.Runner, len(cfgs)),
-		busyNS:  make([]atomic.Int64, len(cfgs)),
-		jobs:    make([]atomic.Int64, len(cfgs)),
-		free:    make([]bool, len(cfgs)),
-		nfree:   len(cfgs),
-		rng:     rand.New(rand.NewSource(1)),
-		notify:  make(chan struct{}, 1),
+		devices:  make([]*simt.Device, len(cfgs)),
+		runners:  make([]*gpucolor.Runner, len(cfgs)),
+		busyNS:   make([]atomic.Int64, len(cfgs)),
+		jobs:     make([]atomic.Int64, len(cfgs)),
+		free:     make([]bool, len(cfgs)),
+		nfree:    len(cfgs),
+		health:   newFleetHealth(len(cfgs), healthAlpha),
+		breakers: make([]*Breaker, len(cfgs)),
+		rng:      rand.New(rand.NewSource(1)),
+		notify:   make(chan struct{}, 1),
 	}
 	for i, cfg := range cfgs {
 		p.devices[i] = cfg.build()
 		p.runners[i] = gpucolor.NewRunner(p.devices[i])
+		p.breakers[i] = NewBreaker()
 		p.free[i] = true
 	}
-	p.configureSelfHeal(SelfHealConfig{})
 	return p
-}
-
-// configureSelfHeal (re)builds the health tracker and breakers from cfg.
-// Called by NewServer before any traffic; not safe once leases exist.
-func (p *DevicePool) configureSelfHeal(cfg SelfHealConfig) {
-	cfg = cfg.withDefaults()
-	p.health = newFleetHealth(len(p.devices), cfg.Alpha)
-	p.breakers = make([]*Breaker, len(p.devices))
-	for i := range p.breakers {
-		p.breakers[i] = newBreaker(cfg.breakerConfig(), nil)
-	}
 }
 
 // UniformPool builds a pool of n identical devices from one config,
@@ -190,9 +174,9 @@ func (l *Lease) Probe() bool { return l.probe }
 
 // Observe folds the leased job's outcome into the device's health score
 // and circuit breaker: the typed resilient outcome, the execution time
-// (compared against the fleet median), and how many faults the device's
-// injector fired during the run. Call before Release; at most one
-// observation per lease is recorded.
+// (compared against the other devices' in FleetHealth), and how many
+// faults the device's injector fired during the run. Call before Release;
+// at most one observation per lease is recorded.
 func (l *Lease) Observe(kind gpucolor.OutcomeKind, exec time.Duration, faultsDelta int64) {
 	if !l.observed.CompareAndSwap(false, true) {
 		return

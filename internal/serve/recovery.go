@@ -38,7 +38,7 @@ func (a *Admission) writeSnapshot(w *journal.SnapshotWriter) error {
 
 	now := time.Now().UnixMilli()
 	for _, e := range a.cache.export() {
-		rec := completionRecord("", "", e.key, cloneHit(e.res), nil, false)
+		rec := completionRecord("", "", e.key, cloneHit(e.res, true), nil, false)
 		rec.CompletedUnixMS = now
 		if err := w.Complete(&rec); err != nil {
 			return err
@@ -48,7 +48,7 @@ func (a *Admission) writeSnapshot(w *journal.SnapshotWriter) error {
 		if e.res == nil || e.key == "" {
 			continue
 		}
-		rec := completionRecord("", e.key, cacheKey{fp: e.res.Fingerprint, policy: e.pk}, cloneHit(e.res), nil, e.noCache)
+		rec := completionRecord("", e.key, cacheKey{fp: e.res.Fingerprint, policy: e.pk}, cloneHit(e.res, true), nil, e.noCache)
 		rec.CompletedUnixMS = now
 		if err := w.Complete(&rec); err != nil {
 			return err

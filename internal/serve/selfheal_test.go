@@ -254,6 +254,38 @@ func TestHealthScoreEWMA(t *testing.T) {
 	}
 }
 
+// TestHealthReferenceCountsEachMemberOnce: the latency reference weighs
+// every member once, so a slow member that runs most of the jobs is still
+// judged against its peers, in a fleet of two as of three; and failed
+// jobs stay out of it, so a member that fails fast does not make its
+// peers' successes look slow.
+func TestHealthReferenceCountsEachMemberOnce(t *testing.T) {
+	for _, n := range []int{2, 3} {
+		h := newFleetHealth(n, 0.2)
+		for i := 0; i < 8; i++ {
+			for peer := 1; peer < n; peer++ {
+				h.Observe(peer, rewardSuccess, time.Millisecond)
+			}
+		}
+		for i := 0; i < 40; i++ {
+			h.Observe(0, rewardSuccess, 20*time.Millisecond)
+		}
+		if got := h.Score(0); got >= 0.5 {
+			t.Fatalf("%d members: one 20x slower than its peers, running most jobs, scores %v; want below 0.5", n, got)
+		}
+	}
+
+	h := newFleetHealth(3, 0.2)
+	for i := 0; i < 8; i++ {
+		h.Observe(1, rewardFailure, time.Microsecond)
+		h.Observe(2, rewardFailure, time.Microsecond)
+	}
+	h.Observe(0, rewardSuccess, time.Millisecond)
+	if got := h.Observe(0, rewardSuccess, time.Millisecond); got < 0.999 {
+		t.Fatalf("successes beside peers that fail fast score %v; want 1", got)
+	}
+}
+
 func TestHedgeTrackerWarmup(t *testing.T) {
 	h := newHedgeTracker(3, time.Millisecond)
 	if _, ok := h.threshold(); ok {
@@ -274,6 +306,39 @@ func TestHedgeTrackerWarmup(t *testing.T) {
 	}
 }
 
+// TestSelfHealDefaults pins the thresholds every breaker, health tracker
+// and hedge tracker runs with: a cluster member's (NewBreaker,
+// NewFleetHealth) and a fresh server's pool and hedge gate alike.
+func TestSelfHealDefaults(t *testing.T) {
+	want := breakerConfig{
+		failureThreshold: 5,
+		openBelow:        0.25,
+		cooldown:         2 * time.Second,
+		maxCooldown:      16 * time.Second,
+		probeSuccesses:   3,
+	}
+	if got := NewBreaker().cfg; got != want {
+		t.Fatalf("NewBreaker thresholds %+v, want %+v", got, want)
+	}
+	if got := NewFleetHealth().alpha; got != 0.2 {
+		t.Fatalf("NewFleetHealth alpha %v, want 0.2", got)
+	}
+
+	s := NewServer(Config{Devices: 2})
+	defer s.Stop()
+	for i, b := range s.pool.breakers {
+		if b.cfg != want {
+			t.Fatalf("device %d breaker thresholds %+v, want %+v", i, b.cfg, want)
+		}
+	}
+	if got := s.pool.health.alpha; got != 0.2 {
+		t.Fatalf("pool health alpha %v, want 0.2", got)
+	}
+	if s.hedge.minSamples != 64 || s.hedge.floor != 2*time.Millisecond {
+		t.Fatalf("hedge gate %d samples, floor %v; want 64 samples, floor 2ms", s.hedge.minSamples, s.hedge.floor)
+	}
+}
+
 // TestHedgedDispatch: a job that runs past the hedge threshold is
 // re-dispatched to the second device; exactly one response comes back, the
 // loser is canceled, and both leases are released.
@@ -283,12 +348,12 @@ func TestHedgedDispatch(t *testing.T) {
 		// so whichever attempt loses still has most of its run left when
 		// the winner finishes — the cancellation is always exercised.
 		DeviceConfigs: []DeviceConfig{{Workers: 4}, {Workers: 1}},
-		SelfHeal: SelfHealConfig{
-			HedgeMinSamples: 1,
-			HedgeFloor:      time.Millisecond,
-		},
 	})
 	defer s.Stop()
+	// Arm hedging after one sample with a 1ms floor, in place of the
+	// hedgeMinSamples and hedgeFloor defaults. No job has run yet, and the
+	// executors first read the tracker after popping a job Submit queued.
+	s.hedge = newHedgeTracker(1, time.Millisecond)
 
 	// Warm the hedge tracker past its min-samples gate.
 	if _, err := s.Submit(context.Background(), &Request{Graph: smallGraph()}); err != nil {
@@ -526,20 +591,15 @@ func TestDrainzEndpoint(t *testing.T) {
 	}
 }
 
-// TestQuarantineAndReadmission drives the full loop in-process: sicken a
-// device, watch the breaker open, clear the fault, watch probes re-admit
-// it.
+// TestQuarantineAndReadmission drives the full loop in-process on the
+// default thresholds: sicken a device, watch the breaker open, clear the
+// fault, watch probes re-admit it after the 2 s cooldown and 3 clean
+// probes.
 func TestQuarantineAndReadmission(t *testing.T) {
 	s := NewServer(Config{
 		DeviceConfigs: []DeviceConfig{
-			{FaultRate: 0.05, FaultSeed: 7, FaultDisarmed: true},
+			{FaultRate: 0.05, FaultSeed: 7},
 			{},
-		},
-		SelfHeal: SelfHealConfig{
-			FailureThreshold: 2,
-			Cooldown:         50 * time.Millisecond,
-			MaxCooldown:      200 * time.Millisecond,
-			ProbeSuccesses:   2,
 		},
 	})
 	defer s.Stop()
@@ -552,7 +612,6 @@ func TestQuarantineAndReadmission(t *testing.T) {
 		return err
 	}
 
-	s.Pool().FaultInjector(0).Arm()
 	var seed uint32
 	waitFor(t, "device 0 to be quarantined", func() bool {
 		seed++

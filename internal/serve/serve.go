@@ -169,9 +169,11 @@ type Request struct {
 	// memo is the memo digest of the upload this request was decoded
 	// from, when it is one Admission.serve should record (memo.go).
 	memo memoTag
-	// noColors marks a request whose reply carries no colors (a memo
-	// recall without include_colors): an answer from memory leaves its
-	// Colors nil rather than unpack a stored coloring no one reads.
+	// noColors marks a request whose reply carries no colors and that
+	// reads none itself: an upload or memo recall without include_colors
+	// that is neither resident nor a delta (Decode, Recall). An answer
+	// from memory, or a coalesced waiter's, leaves its Colors nil rather
+	// than unpack or copy a coloring no one reads.
 	noColors bool
 }
 

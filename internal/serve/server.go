@@ -19,78 +19,6 @@ import (
 // working with errors.Is(err, ErrClosed).
 var ErrDraining = fmt.Errorf("serve: draining: %w", ErrClosed)
 
-// SelfHealConfig tunes the self-healing layer: health scoring, circuit
-// breakers, and hedged re-dispatch. Zero values take the documented
-// defaults; the zero struct is the production configuration, and a
-// cluster coordinator scores and breaks its members with exactly those
-// defaults (NewFleetHealth, NewBreaker). The layer is always on.
-type SelfHealConfig struct {
-	// Alpha is the EWMA weight of the newest health observation
-	// (default 0.2).
-	Alpha float64
-
-	// OpenBelow trips a closed breaker when the device's health score
-	// falls below it (default 0.25).
-	OpenBelow float64
-	// FailureThreshold trips a closed breaker after this many consecutive
-	// failed jobs regardless of score (default 5).
-	FailureThreshold int
-	// Cooldown is the quarantine time before a breaker goes half-open
-	// (default 2s); repeated probe failures double it up to MaxCooldown
-	// (default 8×Cooldown).
-	Cooldown    time.Duration
-	MaxCooldown time.Duration
-	// ProbeSuccesses is the number of consecutive clean probe jobs a
-	// half-open device needs for re-admission (default 3).
-	ProbeSuccesses int
-
-	// HedgeMinSamples is the number of successful executions observed
-	// before hedging activates (default 64).
-	HedgeMinSamples int
-	// HedgeFloor is the minimum hedge threshold (default 2ms), so a fleet
-	// of microsecond jobs does not hedge on scheduler noise.
-	HedgeFloor time.Duration
-}
-
-func (c SelfHealConfig) withDefaults() SelfHealConfig {
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.2
-	}
-	if c.OpenBelow <= 0 {
-		c.OpenBelow = 0.25
-	}
-	if c.FailureThreshold < 1 {
-		c.FailureThreshold = 5
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 2 * time.Second
-	}
-	if c.MaxCooldown < c.Cooldown {
-		c.MaxCooldown = 8 * c.Cooldown
-	}
-	if c.ProbeSuccesses < 1 {
-		c.ProbeSuccesses = 3
-	}
-	if c.HedgeMinSamples < 1 {
-		c.HedgeMinSamples = 64
-	}
-	if c.HedgeFloor <= 0 {
-		c.HedgeFloor = 2 * time.Millisecond
-	}
-	return c
-}
-
-// breakerConfig is a resolved config's breaker thresholds.
-func (c SelfHealConfig) breakerConfig() breakerConfig {
-	return breakerConfig{
-		failureThreshold: c.FailureThreshold,
-		openBelow:        c.OpenBelow,
-		cooldown:         c.Cooldown,
-		maxCooldown:      c.MaxCooldown,
-		probeSuccesses:   c.ProbeSuccesses,
-	}
-}
-
 // ShardConfig is the shard policy (internal/shard): when a request is
 // split into edge-balanced shards colored in parallel on separate pool
 // devices and reconciled by the bounded boundary repair loop. Its zero
@@ -115,8 +43,6 @@ type Config struct {
 	// CacheEntries sizes the result LRU (default 512; negative disables
 	// caching).
 	CacheEntries int
-	// SelfHeal tunes health scoring, circuit breakers, and hedging.
-	SelfHeal SelfHealConfig
 	// Shard tunes sharded scatter-gather execution.
 	Shard ShardConfig
 	// Delta tunes the incremental coloring engine (versioned resident
@@ -162,7 +88,6 @@ func (c Config) withDefaults() Config {
 	if c.ReplayParallelism < 1 {
 		c.ReplayParallelism = 4
 	}
-	c.SelfHeal = c.SelfHeal.withDefaults()
 	c.Delta = c.Delta.withDefaults()
 	return c
 }
@@ -206,7 +131,6 @@ func NewServer(cfg Config) *Server {
 	} else {
 		pool = UniformPool(cfg.Devices, cfg.Device)
 	}
-	pool.configureSelfHeal(cfg.SelfHeal)
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:       cfg,
@@ -214,7 +138,7 @@ func NewServer(cfg Config) *Server {
 		queue:     newJobQueue(cfg.QueueCapacity, cfg.ShedFraction),
 		versions:  newVersionStore(cfg.Delta.Entries),
 		reg:       metrics.NewRegistry(),
-		hedge:     newHedgeTracker(cfg.SelfHeal.HedgeMinSamples, cfg.SelfHeal.HedgeFloor),
+		hedge:     newHedgeTracker(hedgeMinSamples, hedgeFloor),
 		baseCtx:   ctx,
 		cancel:    cancel,
 		started:   time.Now(),

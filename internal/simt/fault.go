@@ -42,8 +42,9 @@ import "sync/atomic"
 // execution. The zero value injects nothing; set the per-site rates (each
 // a probability in [0, 1]) to arm specific fault classes. Rates and seed
 // must not be reconfigured while a kernel is running, but Arm/Disarm flip
-// an atomic gate and are safe at any time — the chaos-soak harness uses
-// them to sicken and heal a serving device mid-run. A disarmed injector
+// an atomic gate and are safe at any time — the serving self-healing
+// tests (internal/serve's TestChaosSoak) use them to sicken and heal a
+// device mid-run. A disarmed injector
 // injects nothing (runs behave exactly as fault-free), while the
 // permissive out-of-bounds absorption below stays active, so disarming
 // mid-kernel can never turn an already-corrupted index into a crash.
