@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -31,6 +32,18 @@ type crashDrillConfig struct {
 	conc         int
 	overheadGate float64 // max tolerated journal throughput overhead fraction
 	outPath      string
+}
+
+// overheadPairs is the number of journal-on/off run pairs whose median
+// overhead the crash drill gates.
+const overheadPairs = 5
+
+// median returns the middle of xs (the mean of the middle two for an even
+// count), sorting xs in place.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	n := len(xs)
+	return (xs[(n-1)/2] + xs[n/2]) / 2
 }
 
 // drillReport is the JSON written to -json (default BENCH_PR6.json): the
@@ -473,25 +486,29 @@ func runCrashDrill(cfg crashDrillConfig) int {
 		fmt.Printf("crash-drill: %s throughput %.1f req/s (%d ok / %d sent)\n", label, sum.Throughput, sum.OK, sum.Requests)
 		return sum.Throughput
 	}
-	// Best of two interleaved runs per mode: machine-level drift across a
-	// multi-second window is the same order as the effect being measured.
-	for i := 0; i < 2; i++ {
-		on := abRun(fmt.Sprintf("journal-on-%d", i),
-			"-journal-dir", filepath.Join(work, fmt.Sprintf("wal-ab-%d", i)), "-journal-fsync", "batch")
-		off := abRun(fmt.Sprintf("journal-off-%d", i))
-		if on > rep.JournalOnRPS {
-			rep.JournalOnRPS = on
+	// The gate reads the median overhead of overheadPairs on/off pairs,
+	// each side run first in turn: machine-level drift across a multi-second
+	// window is the same order as the effect being measured, and a pair's
+	// two runs share most of it.
+	var on, off, frac [overheadPairs]float64
+	for i := range frac {
+		onRun := func() float64 {
+			return abRun(fmt.Sprintf("journal-on-%d", i),
+				"-journal-dir", filepath.Join(work, fmt.Sprintf("wal-ab-%d", i)), "-journal-fsync", "batch")
 		}
-		if off > rep.JournalOffRPS {
-			rep.JournalOffRPS = off
+		offRun := func() float64 { return abRun(fmt.Sprintf("journal-off-%d", i)) }
+		if i%2 == 0 {
+			on[i], off[i] = onRun(), offRun()
+		} else {
+			off[i], on[i] = offRun(), onRun()
 		}
+		if off[i] > 0 {
+			frac[i] = 1 - on[i]/off[i]
+		}
+		fmt.Printf("crash-drill: pair %d overhead %.1f%%\n", i, frac[i]*100)
 	}
-	if rep.JournalOffRPS > 0 {
-		rep.OverheadFrac = 1 - rep.JournalOnRPS/rep.JournalOffRPS
-		if rep.OverheadFrac < 0 {
-			rep.OverheadFrac = 0
-		}
-	}
+	rep.JournalOnRPS, rep.JournalOffRPS = median(on[:]), median(off[:])
+	rep.OverheadFrac = max(median(frac[:]), 0)
 	check(rep.OverheadFrac <= cfg.overheadGate,
 		"journal overhead %.1f%% exceeds gate %.1f%% (on %.1f vs off %.1f req/s)",
 		rep.OverheadFrac*100, cfg.overheadGate*100, rep.JournalOnRPS, rep.JournalOffRPS)

@@ -152,7 +152,7 @@ func main() {
 			log.Fatal("gcolord: -standby requires -journal-dir (the primary's journal directory)")
 		}
 		runStandby(*addr, *standbyURL, *journalDir, *journalFsync, *journalSeg,
-			*heartbeat, *standbyMisses, *leaseOwner, *peers, policy, *drainTimeout)
+			*standbyMisses, *leaseOwner, coordinatorConfig(*peers, *heartbeat, policy, *cacheSz), *drainTimeout)
 		return
 	}
 
@@ -205,7 +205,9 @@ func main() {
 			epoch = lease.Epoch
 			log.Printf("gcolord: coordinator holds epoch %d (lease owner %s)", lease.Epoch, lease.Owner)
 		}
-		runCoordinator(*addr, *peers, *heartbeat, policy, *drainTimeout, epoch, jrnl, rec)
+		cfg := coordinatorConfig(*peers, *heartbeat, policy, *cacheSz)
+		cfg.Epoch, cfg.Journal, cfg.Recovery = epoch, jrnl, rec
+		runCoordinator(*addr, cfg, *drainTimeout)
 		return
 	case "server", "worker":
 	default:
@@ -315,29 +317,30 @@ func main() {
 	}
 }
 
-// runCoordinator is the -role coordinator daemon body: no device pool,
-// just the cluster front door with the same signal/drain lifecycle as the
-// serving roles.
-func runCoordinator(addr, peers string, heartbeat time.Duration, policy shard.Policy, drainTimeout time.Duration, epoch uint64, jrnl *journal.Journal, rec *journal.Recovery) {
+// coordinatorConfig is the cluster.Config of a coordinator, fresh or
+// promoted from standby: the static peers split out of -peers, the
+// heartbeat interval and shard policy, and a result cache (and with it the
+// request memo) sized by -cache, as a server's is.
+func coordinatorConfig(peers string, heartbeat time.Duration, policy shard.Policy, cacheEntries int) cluster.Config {
 	var peerList []string
 	if peers != "" {
 		peerList = strings.Split(peers, ",")
 	}
+	return cluster.Config{Peers: peerList, HeartbeatInterval: heartbeat, Shard: policy, CacheEntries: cacheEntries}
+}
+
+// runCoordinator is the -role coordinator daemon body: no device pool,
+// just the cluster front door with the same signal/drain lifecycle as the
+// serving roles.
+func runCoordinator(addr string, cfg cluster.Config, drainTimeout time.Duration) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		log.Fatalf("gcolord: %v", err)
 	}
-	coord := cluster.NewCoordinator(cluster.Config{
-		Peers:             peerList,
-		HeartbeatInterval: heartbeat,
-		Shard:             policy,
-		Epoch:             epoch,
-		Journal:           jrnl,
-		Recovery:          rec,
-	})
+	coord := cluster.NewCoordinator(cfg)
 	log.Printf("gcolord: coordinator serving on %s (%d static peers, heartbeat %v, epoch %d)",
-		addr, len(peerList), heartbeat, epoch)
-	serveCoordinator(coord, jrnl, ln, drainTimeout)
+		addr, len(cfg.Peers), cfg.HeartbeatInterval, cfg.Epoch)
+	serveCoordinator(coord, cfg.Journal, ln, drainTimeout)
 }
 
 // serveCoordinator is the serve-and-drain body of a coordinator, fresh or
@@ -395,30 +398,21 @@ func serveCoordinator(coord *cluster.Coordinator, jrnl *journal.Journal, ln net.
 // address at a fresh fencing epoch. A SIGTERM/SIGINT before takeover exits
 // cleanly; after takeover the promoted coordinator drains like any other.
 func runStandby(addr, primaryURL, dir, fsync string, segBytes int64,
-	heartbeat time.Duration, misses int, owner, peers string,
-	policy shard.Policy, drainTimeout time.Duration) {
+	misses int, owner string, cfg cluster.Config, drainTimeout time.Duration) {
 	mode, err := journal.ParseFsyncMode(fsync)
 	if err != nil {
 		log.Fatalf("gcolord: -journal-fsync: %v", err)
-	}
-	var peerList []string
-	if peers != "" {
-		peerList = strings.Split(peers, ",")
 	}
 	sb := cluster.NewStandby(cluster.StandbyConfig{
 		JournalDir:        dir,
 		PrimaryURL:        primaryURL,
 		TakeoverAddr:      addr,
-		HeartbeatInterval: heartbeat,
+		HeartbeatInterval: cfg.HeartbeatInterval,
 		MissThreshold:     misses,
 		Owner:             ownerName(owner),
 		Journal:           journal.Options{Fsync: mode, SegmentBytes: segBytes},
-		Cluster: cluster.Config{
-			Peers:             peerList,
-			HeartbeatInterval: heartbeat,
-			Shard:             policy,
-		},
-		Logf: log.Printf,
+		Cluster:           cfg,
+		Logf:              log.Printf,
 	})
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -433,7 +427,7 @@ func runStandby(addr, primaryURL, dir, fsync string, segBytes int64,
 	}()
 
 	log.Printf("gcolord: standby watching %s (journal %s, probe %v, %d misses to take over)",
-		primaryURL, dir, heartbeat, misses)
+		primaryURL, dir, cfg.HeartbeatInterval, misses)
 	tk, err := sb.Run(ctx)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"gcolor/internal/graph"
+	"gcolor/internal/lru"
 	"gcolor/internal/serve"
 )
 
@@ -26,7 +27,7 @@ type Coordinator struct {
 	epoch    uint64 // fencing epoch, immutable after construction (0 = unfenced)
 	reg      *registry
 	front    *serve.Admission
-	owners   *ownerTable
+	owners   ownerTable
 	client   *http.Client
 	hbClient *http.Client // control-plane client (header-timeout bounded)
 
@@ -71,7 +72,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 		reg:   newRegistry(cfg.HeartbeatInterval),
 		front: serve.NewAdmission(serve.Config{CacheEntries: cfg.CacheEntries,
 			ReplayParallelism: cfg.ReplayParallelism, Journal: cfg.Journal}),
-		owners:  newOwnerTable(0),
+		owners:  ownerTable{lru.New[uint64, string](ownerEntries)},
 		client:  cfg.Client,
 		drainCh: make(chan struct{}),
 		stopHB:  make(chan struct{}),
@@ -398,28 +399,73 @@ func (c *Coordinator) route(ctx context.Context, cr *serve.ColorRequest, req *se
 	}
 	ctx, cancel := c.workerCtx(ctx)
 	defer cancel()
+	resp, m, tries, err := c.callWorkers(ctx, &workerCall{
+		body: &out, rid: req.RequestID, idemKey: req.IdemKey,
+		key: fp, tries: routeAttempts, failovers: &c.routeFailovers, name: "route",
+	})
+	if err != nil {
+		return nil, err
+	}
+	resp.Fingerprint, resp.Worker, resp.Redispatched = fp, m.addr, tries-1
+	if cr.Resident {
+		c.owners.Put(fp, m.addr)
+	}
+	return resp, nil
+}
+
+// workerCall is one job's call to the fleet, as callWorkers runs it.
+type workerCall struct {
+	body         *serve.ColorRequest
+	rid, idemKey string // X-Request-ID, and Idempotency-Key ("" for none)
+	// key ranks the workers by rendezvous; pick, when set, replaces that
+	// order (a delta prefers its base version's owner on the first try).
+	key  uint64
+	pick func(first bool, exclude map[int]bool) (m *member, probe bool, err error)
+	// tries bounds the workers called; failovers counts each move to
+	// another worker after a retryable failure.
+	tries     int
+	failovers *atomic.Int64
+	// name, when set, labels the error of a call that used up its tries;
+	// otherwise that error is the last try's.
+	name string
+}
+
+// callWorkers runs one worker call under DESIGN's failure matrix, the one
+// place every route, delta and shard dispatch settles. Each try picks a
+// live member that has not failed this call, calls it, marks it seen if
+// it answered, and scores the outcome into its health and breaker through
+// judgeWorkerError. A stale_epoch rejection fences this coordinator and
+// ends the call, as does the end of ctx; a retryable failure fails over
+// to another member, up to wc.tries calls. It returns the reply, the
+// member called last, the calls made and the error: ctx.Err() itself when
+// the call was abandoned, ErrNoWorkers when no member was left to try
+// first, else the last worker's *WorkerError.
+func (c *Coordinator) callWorkers(ctx context.Context, wc *workerCall) (*serve.Response, *member, int, error) {
 	exclude := make(map[int]bool)
 	var lastErr error
-	for attempt := 0; attempt < routeAttempts; attempt++ {
-		m, probe, err := c.reg.pick(fp, exclude)
+	for try := 0; try < wc.tries; try++ {
+		var m *member
+		var probe bool
+		var err error
+		if wc.pick != nil {
+			m, probe, err = wc.pick(try == 0, exclude)
+		} else {
+			m, probe, err = c.reg.pick(wc.key, exclude)
+		}
 		if err != nil {
 			if lastErr != nil {
-				return nil, lastErr
+				err = lastErr
 			}
-			return nil, err
+			return nil, nil, try, err
 		}
 		m.jobs.Add(1)
 		start := time.Now()
-		resp, err := callWorker(ctx, c.client, m.addr, &out, req.RequestID, req.IdemKey, c.epoch)
+		resp, err := callWorker(ctx, c.client, m.addr, wc.body, wc.rid, wc.idemKey, c.epoch)
 		exec := time.Since(start)
 		if err == nil {
 			m.seen(time.Now())
 			c.reg.observe(m, probe, true, 1, exec)
-			resp.Fingerprint, resp.Worker, resp.Redispatched = fp, m.addr, attempt
-			if cr.Resident {
-				c.owners.put(fp, m.addr)
-			}
-			return resp, nil
+			return resp, m, try + 1, nil
 		}
 		lastErr = err
 		we, _ := err.(*WorkerError)
@@ -427,20 +473,23 @@ func (c *Coordinator) route(ctx context.Context, cr *serve.ColorRequest, req *se
 			m.seen(time.Now()) // it answered; sick is not dead
 		}
 		if c.noteStaleEpoch(we) {
-			return nil, err
+			return nil, m, try + 1, err
 		}
 		good, reward := judgeWorkerError(we)
 		c.reg.observe(m, probe, good, reward, exec)
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return nil, m, try + 1, ctx.Err()
 		}
 		if we == nil || !we.Retryable() {
-			return nil, err
+			return nil, m, try + 1, err
 		}
 		exclude[m.id] = true
-		c.routeFailovers.Add(1)
+		wc.failovers.Add(1)
 	}
-	return nil, fmt.Errorf("cluster: route exhausted %d attempts: %w", routeAttempts, lastErr)
+	if wc.name != "" {
+		lastErr = fmt.Errorf("cluster: %s exhausted %d attempts: %w", wc.name, wc.tries, lastErr)
+	}
+	return nil, nil, wc.tries, lastErr
 }
 
 // workerCtx guarantees every worker dispatch carries a deadline: a caller
@@ -585,7 +634,7 @@ func (c *Coordinator) Stats() Stats {
 		DeltaJobs:        c.deltaJobs.Load(),
 		DeltaOwnerHits:   c.deltaOwnerHits.Load(),
 		DeltaOwnerMisses: c.deltaOwnerMisses.Load(),
-		VersionOwners:    c.owners.len(),
+		VersionOwners:    c.owners.Len(),
 		Routed:           c.routed.Load(),
 		Scattered:        c.scattered.Load(),
 		Failed:           c.failed.Load(),

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"gcolor/internal/color"
 	"gcolor/internal/graph"
 	"gcolor/internal/journal"
+	"gcolor/internal/lru"
 	"gcolor/internal/metrics"
 )
 
@@ -30,9 +32,11 @@ type Admission struct {
 	// counts as the executor counts each request it serves (a Server's
 	// requests_total); nil for an executor that counts none.
 	requests *metrics.Counter
-	cache    *resultCache
-	idem     *idemCache
-	memo     *requestMemo // nil when the cache is off (memo.go)
+	// cache is the result cache: completed responses by cacheKey, with
+	// its evictions counted so /metricsz can report churn.
+	cache    *lru.Cache[cacheKey, cacheEntry]
+	idem     idemCache
+	memo     *lru.Cache[[sha256.Size]byte, memoEntry] // nil when the cache is off (memo.go)
 	specs    *specCache
 	jrnl     *journal.Journal
 	base     context.Context // bounds replayed jobs
@@ -72,8 +76,8 @@ func NewAdmission(cfg Config) *Admission {
 func newAdmission(cfg Config, reg *metrics.Registry, base context.Context, extra func(*journal.SnapshotWriter, int64) error) *Admission {
 	a := &Admission{
 		reg:           reg,
-		cache:         newResultCache(cfg.CacheEntries),
-		idem:          newIdemCache(),
+		cache:         lru.New[cacheKey, cacheEntry](cfg.CacheEntries),
+		idem:          idemCache{lru.New[string, idemEntry](idemEntries)},
 		specs:         newSpecCache(64),
 		jrnl:          cfg.Journal,
 		base:          base,
@@ -96,7 +100,7 @@ func newAdmission(cfg Config, reg *metrics.Registry, base context.Context, extra
 		reg.Counter(name)
 	}
 	if cfg.CacheEntries > 0 {
-		a.memo = newRequestMemo(cfg.CacheEntries)
+		a.memo = lru.New[[sha256.Size]byte, memoEntry](cfg.CacheEntries)
 	}
 	if a.jrnl != nil {
 		a.jrnl.SetSource(a.writeSnapshot)
@@ -145,7 +149,7 @@ func (a *Admission) Draining() bool { return a.draining.Load() }
 // entries, and the idempotency map's entries.
 func (a *Admission) CacheStats() (hits, misses, evictions int64, entries, idemEntries int) {
 	return a.reg.Counter("cache_hits").Value(), a.reg.Counter("cache_misses").Value(),
-		a.cache.evictions(), a.cache.len(), a.idem.len()
+		a.cache.Evictions(), a.cache.Len(), a.idem.Len()
 }
 
 // Metrics returns the front door's registry (shared, live): a Server's
@@ -163,17 +167,17 @@ func (a *Admission) Metrics() *metrics.Registry { return a.reg }
 // successor is built) an unproved entry is not answered, and held reports
 // it, so that the caller takes the path that builds the graph.
 func (a *Admission) replay(req *Request, g *graph.Graph) (res *Response, ok, held bool) {
-	stored, warm, ok := a.idem.get(req.IdemKey)
+	e, ok := a.idem.Get(req.IdemKey)
 	if !ok {
 		return nil, false, false
 	}
-	if warm && g == nil {
+	if e.warm && g == nil {
 		return nil, false, true
 	}
-	hit := answered(stored, req, warm)
-	if warm {
+	hit := answered(e.res, req, e.warm)
+	if e.warm {
 		proper := color.Verify(g, hit.Colors) == nil
-		if a.idem.settle(req.IdemKey, stored, proper) {
+		if a.idem.Update(req.IdemKey, func(s *idemEntry) bool { return s.settle(e.res, proper) }) {
 			a.reg.Counter("warm_idem_rejected_total").Inc()
 		}
 		if !proper {
@@ -195,14 +199,14 @@ func (a *Admission) hit(req *Request, key cacheKey) (*Response, bool) {
 	if req.NoCache {
 		return nil, false
 	}
-	res, warm, ok := a.cache.get(key)
-	if !ok || warm && req.Graph == nil {
+	e, ok := a.cache.Get(key)
+	if !ok || e.warm && req.Graph == nil {
 		return nil, false
 	}
-	hit := answered(res, req, warm)
-	if warm {
+	hit := answered(e.res, req, e.warm)
+	if e.warm {
 		proper := color.Verify(req.Graph, hit.Colors) == nil
-		if a.cache.settle(key, res, proper) {
+		if a.cache.Update(key, func(s *cacheEntry) bool { return s.settle(e.res, proper) }) {
 			a.reg.Counter("warm_cache_rejected_total").Inc()
 		}
 		if !proper {
@@ -315,9 +319,9 @@ func (a *Admission) publish(fl *flight, res *Response, err error) {
 		key := cacheKey{fp: res.Fingerprint, policy: fl.key.policy}
 		stored := packResponse(res)
 		if !fl.req.NoCache {
-			a.cache.put(key, stored, false)
+			a.cache.Put(key, cacheEntry{res: stored})
 		}
-		a.idem.put(fl.req.IdemKey, stored, fl.req.NoCache, key.policy, false)
+		a.idem.Put(fl.req.IdemKey, idemEntry{cacheEntry: cacheEntry{res: stored}, noCache: fl.req.NoCache, pk: key.policy})
 	}
 	a.mu.Lock()
 	if a.inflight[fl.key] == fl {

@@ -1,8 +1,9 @@
 package serve
 
 import (
-	"container/list"
 	"sync"
+
+	"gcolor/internal/lru"
 )
 
 // cacheKey identifies a (graph content, coloring policy) pair: the graph
@@ -22,129 +23,27 @@ func keyOf(req *Request, fp uint64, shards int) cacheKey {
 	return cacheKey{fp: fp, policy: k}
 }
 
-// resultCache is a fixed-capacity LRU of completed responses, in the
-// packed form packResponse makes. Stored responses are treated as
+// cacheEntry is one answer the result cache or the idempotency map keeps,
+// in the packed form packResponse makes. Stored responses are treated as
 // immutable: lookups return the same *Response to every hit, and every hit
-// path hands its caller a private copy via cloneHit. Evictions are counted
-// (they used to be silent) so /metricsz can report churn.
-type resultCache struct {
-	mu     sync.Mutex
-	cap    int
-	order  *list.List // front = most recent; values are *cacheEntry
-	byKey  map[cacheKey]*list.Element
-	evicts int64
-}
-
+// path hands its caller a private copy via cloneHit.
 type cacheEntry struct {
-	key cacheKey
 	res *Response
 	// warm marks an entry loaded from the journal at startup and not yet
-	// checked against its graph; Admission.hit proves it on first use.
+	// checked against its graph; Admission.hit and Admission.replay prove
+	// it on first use.
 	warm bool
 }
 
-func newResultCache(capacity int) *resultCache {
-	if capacity < 0 {
-		capacity = 0
+// settle is the lru.Cache.Update step that records the proof of a warm
+// entry, if it still holds res: a proper coloring stays as an ordinary
+// entry, an improper one is removed. It reports whether the entry stays.
+func (e *cacheEntry) settle(res *Response, proper bool) (keep bool) {
+	if e.res != res {
+		return true
 	}
-	return &resultCache{
-		cap:   capacity,
-		order: list.New(),
-		byKey: make(map[cacheKey]*list.Element),
-	}
-}
-
-// get returns the cached response for key, refreshing its recency, and
-// whether it is a warm entry not yet proved.
-func (c *resultCache) get(key cacheKey) (res *Response, warm, ok bool) {
-	if c.cap == 0 {
-		return nil, false, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		return nil, false, false
-	}
-	c.order.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	return e.res, e.warm, true
-}
-
-// put inserts or refreshes key, evicting the least recently used entry
-// beyond capacity; warm marks an entry loaded from the journal.
-func (c *resultCache) put(key cacheKey, res *Response, warm bool) {
-	if c.cap == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		e := el.Value.(*cacheEntry)
-		e.res, e.warm = res, warm
-		c.order.MoveToFront(el)
-		return
-	}
-	c.byKey[key] = c.order.PushFront(&cacheEntry{key: key, res: res, warm: warm})
-	for c.order.Len() > c.cap {
-		el := c.order.Back()
-		c.order.Remove(el)
-		delete(c.byKey, el.Value.(*cacheEntry).key)
-		c.evicts++
-	}
-}
-
-// settle records the proof of the warm entry under key, if it still holds
-// res: a proper coloring stays as an ordinary entry, an improper one is
-// removed. It reports whether it removed the entry.
-func (c *resultCache) settle(key cacheKey, res *Response, proper bool) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok || el.Value.(*cacheEntry).res != res {
-		return false
-	}
-	if proper {
-		el.Value.(*cacheEntry).warm = false
-		return false
-	}
-	c.order.Remove(el)
-	delete(c.byKey, key)
-	return true
-}
-
-// len returns the number of cached entries.
-func (c *resultCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// evictions returns the lifetime eviction count.
-func (c *resultCache) evictions() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evicts
-}
-
-// export snapshots every entry, least recently used first, so replaying
-// the exported list through put reproduces the recency order. Used by
-// journal snapshot compaction.
-func (c *resultCache) export() []cacheExport {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]cacheExport, 0, c.order.Len())
-	for el := c.order.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*cacheEntry)
-		out = append(out, cacheExport{key: e.key, res: e.res})
-	}
-	return out
-}
-
-// cacheExport is one exported result-cache entry.
-type cacheExport struct {
-	key cacheKey
-	res *Response
+	e.warm = false
+	return proper
 }
 
 // idemEntries is the capacity of the Idempotency-Key LRU.
@@ -155,99 +54,26 @@ const idemEntries = 4096
 // result cache — even for NoCache requests, since an idempotent retry
 // explicitly asks for the stored answer — and is warm-started from journal
 // completion records, which is what makes retries safe across restarts.
-type idemCache struct {
-	mu    sync.Mutex
-	order *list.List // front = most recent; values are *idemEntry
-	byKey map[string]*list.Element
-}
+// The empty key, a request without one, is never stored.
+type idemCache struct{ *lru.Cache[string, idemEntry] }
 
 type idemEntry struct {
-	key     string
-	res     *Response
+	cacheEntry
 	noCache bool   // the producing request bypassed the result cache
 	pk      uint64 // the producing request's policy key (journal snapshots)
-	// warm marks an entry loaded from the journal at startup and not yet
-	// checked against its graph; Admission.replay proves it on first use.
-	warm bool
 }
 
-func newIdemCache() *idemCache {
-	return &idemCache{order: list.New(), byKey: make(map[string]*list.Element)}
-}
-
-// get returns the response stored under key, refreshing its recency, and
-// whether it is a warm entry not yet proved.
-func (c *idemCache) get(key string) (res *Response, warm, ok bool) {
+func (c idemCache) Get(key string) (idemEntry, bool) {
 	if key == "" {
-		return nil, false, false
+		return idemEntry{}, false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		return nil, false, false
-	}
-	c.order.MoveToFront(el)
-	e := el.Value.(*idemEntry)
-	return e.res, e.warm, true
+	return c.Cache.Get(key)
 }
 
-// put inserts or refreshes key; warm marks an entry loaded from the
-// journal.
-func (c *idemCache) put(key string, res *Response, noCache bool, pk uint64, warm bool) {
-	if key == "" {
-		return
+func (c idemCache) Put(key string, e idemEntry) {
+	if key != "" {
+		c.Cache.Put(key, e)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		e := el.Value.(*idemEntry)
-		e.res, e.noCache, e.pk, e.warm = res, noCache, pk, warm
-		c.order.MoveToFront(el)
-		return
-	}
-	c.byKey[key] = c.order.PushFront(&idemEntry{key: key, res: res, noCache: noCache, pk: pk, warm: warm})
-	for c.order.Len() > idemEntries {
-		el := c.order.Back()
-		c.order.Remove(el)
-		delete(c.byKey, el.Value.(*idemEntry).key)
-	}
-}
-
-// settle records the proof of the warm entry under key, if it still holds
-// res, as resultCache.settle does. It reports whether it removed the
-// entry.
-func (c *idemCache) settle(key string, res *Response, proper bool) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok || el.Value.(*idemEntry).res != res {
-		return false
-	}
-	if proper {
-		el.Value.(*idemEntry).warm = false
-		return false
-	}
-	c.order.Remove(el)
-	delete(c.byKey, key)
-	return true
-}
-
-func (c *idemCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// export snapshots every entry, least recently used first.
-func (c *idemCache) export() []idemEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]idemEntry, 0, c.order.Len())
-	for el := c.order.Back(); el != nil; el = el.Prev() {
-		out = append(out, *el.Value.(*idemEntry))
-	}
-	return out
 }
 
 // flight is one admitted execution that any number of duplicate requests

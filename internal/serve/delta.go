@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -12,6 +11,7 @@ import (
 
 	"gcolor/internal/color"
 	"gcolor/internal/graph"
+	"gcolor/internal/lru"
 )
 
 // This file is the incremental coloring engine: the versioned resident
@@ -34,31 +34,15 @@ import (
 // fingerprint the moment the delta settles — entries update forward instead
 // of being invalidated.
 
-// DeltaConfig tunes the incremental coloring engine. Zero values take the
-// documented defaults.
-type DeltaConfig struct {
-	// Entries sizes the versioned graph store LRU (default 64; negative
-	// turns the engine off: no versions are pinned and every delta request
-	// fails with UnknownBaseError).
-	Entries int
-	// FrontierFraction is the recolor budget: a delta whose frontier
+// The incremental engine's sizes, the same for every server.
+const (
+	// versionEntries is the capacity of the resident version store.
+	versionEntries = 64
+	// frontierFraction is the recolor budget: a delta whose frontier
 	// exceeds this fraction of the successor's vertex count falls back to
-	// a full recolor (default 0.2). Values >= 1 never fall back on size.
-	FrontierFraction float64
-}
-
-func (c DeltaConfig) withDefaults() DeltaConfig {
-	switch {
-	case c.Entries < 0:
-		c.Entries = 0
-	case c.Entries == 0:
-		c.Entries = 64
-	}
-	if c.FrontierFraction <= 0 {
-		c.FrontierFraction = 0.2
-	}
-	return c
-}
+	// a full recolor.
+	frontierFraction = 0.2
+)
 
 // UnknownBaseError is the typed failure of a delta request whose base
 // fingerprint is not resident (never uploaded, evicted, or lost across a
@@ -94,14 +78,10 @@ func ParseFingerprint(s string) (uint64, error) {
 // refresh replaces the entry, and readers copy out), so lookups can hand
 // back the entry without further locking.
 type versionStore struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recent; values are *versionEntry
-	byFp  map[uint64]*list.Element
+	*lru.Cache[uint64, *versionEntry]
 }
 
 type versionEntry struct {
-	fp     uint64
 	g      *graph.Graph
 	colors []int32
 	// delta, applied to the version whose fingerprint is base, made this
@@ -111,53 +91,20 @@ type versionEntry struct {
 	delta *graph.Delta
 }
 
-func newVersionStore(capacity int) *versionStore {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &versionStore{cap: capacity, order: list.New(), byFp: make(map[uint64]*list.Element)}
-}
-
-func (c *versionStore) get(fp uint64) (*versionEntry, bool) {
-	if c.cap == 0 {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byFp[fp]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*versionEntry), true
-}
-
 // put pins (or refreshes) a version made by applying d to the version base
 // (d nil for an upload). The coloring and d's edit lists are copied; the
 // graph is shared (Graph is immutable). Colorings that do not match the
 // graph are refused — a truncated journal record must not poison the
 // chain.
-func (c *versionStore) put(fp uint64, g *graph.Graph, colors []int32, base uint64, d *graph.Delta) {
-	if c.cap == 0 || g == nil || len(colors) != g.NumVertices() {
+func (c versionStore) put(fp uint64, g *graph.Graph, colors []int32, base uint64, d *graph.Delta) {
+	if g == nil || len(colors) != g.NumVertices() {
 		return
 	}
-	e := &versionEntry{fp: fp, g: g, colors: slices.Clone(colors)}
+	e := &versionEntry{g: g, colors: slices.Clone(colors)}
 	if d != nil {
 		e.base, e.delta = base, cloneDelta(d)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byFp[fp]; ok {
-		el.Value = e
-		c.order.MoveToFront(el)
-		return
-	}
-	c.byFp[fp] = c.order.PushFront(e)
-	for c.order.Len() > c.cap {
-		el := c.order.Back()
-		c.order.Remove(el)
-		delete(c.byFp, el.Value.(*versionEntry).fp)
-	}
+	c.Put(fp, e)
 }
 
 // cloneDelta copies d's edit lists into one allocation.
@@ -165,25 +112,6 @@ func cloneDelta(d *graph.Delta) *graph.Delta {
 	na := len(d.AddEdges)
 	edits := append(append(make([][2]int32, 0, na+len(d.RemoveEdges)), d.AddEdges...), d.RemoveEdges...)
 	return &graph.Delta{AddVertices: d.AddVertices, AddEdges: edits[:na:na], RemoveEdges: edits[na:]}
-}
-
-func (c *versionStore) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// export snapshots every version, least recently used first, so replaying
-// the list through put reproduces the recency order. Used by journal
-// snapshot compaction.
-func (c *versionStore) export() []*versionEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*versionEntry, 0, c.order.Len())
-	for el := c.order.Back(); el != nil; el = el.Prev() {
-		out = append(out, el.Value.(*versionEntry))
-	}
-	return out
 }
 
 // deltaScratch pools the frontier-recolor buffers: a warm steady-state
@@ -214,7 +142,7 @@ func (s *Server) submitDelta(ctx context.Context, req *Request) (*Response, erro
 		return replayed, nil
 	}
 
-	base, ok := s.versions.get(req.BaseFingerprint)
+	base, ok := s.versions.Get(req.BaseFingerprint)
 	if !ok {
 		s.reg.Counter("delta_unknown_base_total").Inc()
 		return nil, &UnknownBaseError{Fingerprint: req.BaseFingerprint}
@@ -249,7 +177,7 @@ func (s *Server) submitDelta(ctx context.Context, req *Request) (*Response, erro
 		return nil, ErrDraining
 	}
 
-	budget := int(s.cfg.Delta.FrontierFraction * float64(ng.NumVertices()))
+	budget := int(s.frontier * float64(ng.NumVertices()))
 	if len(frontier) > budget {
 		return s.deltaFallback(ctx, req, fp, key, shards, ng, len(frontier))
 	}

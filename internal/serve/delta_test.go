@@ -147,9 +147,9 @@ func TestDeltaBadDelta(t *testing.T) {
 }
 
 func TestDeltaFallbackOverBudget(t *testing.T) {
-	// FrontierFraction so small the budget is zero: every effective delta
-	// falls back to a full recolor of the successor.
-	s := NewServer(Config{Devices: 2, Delta: DeltaConfig{FrontierFraction: 1e-9}})
+	// A frontier budget so small it is zero: every effective delta falls
+	// back to a full recolor of the successor.
+	s := newServer(Config{Devices: 2}, versionEntries, 1e-9)
 	defer s.Stop()
 	g := gen.Grid2D(8, 8)
 	baseFp := submitResident(t, s, g)
@@ -307,7 +307,7 @@ func TestDrainServesReplaysAndHits(t *testing.T) {
 // the incremental palette stays within 1.3x of a from-scratch recolor of
 // the same graph.
 func TestDeltaPropertyRandomStreams(t *testing.T) {
-	s := NewServer(Config{Devices: 2, Delta: DeltaConfig{FrontierFraction: 1, Entries: 8}})
+	s := newServer(Config{Devices: 2}, 8, 1)
 	defer s.Stop()
 	scratch := NewServer(Config{Devices: 2})
 	defer scratch.Stop()
@@ -579,7 +579,7 @@ func TestCompactionSnapshotRebuildsVersions(t *testing.T) {
 	fp := submitResident(t, s1, gen.RMAT(8, 8, gen.Graph500, 3))
 	rng := rand.New(rand.NewSource(4))
 	for step := 0; step < 5; step++ {
-		base, _ := s1.versions.get(fp)
+		base, _ := s1.versions.Get(fp)
 		n := int32(base.g.NumVertices())
 		d := &graph.Delta{AddVertices: step % 2}
 		for i := 0; i < 4; i++ {
@@ -597,7 +597,7 @@ func TestCompactionSnapshotRebuildsVersions(t *testing.T) {
 		}
 		fp = res.Fingerprint
 	}
-	want := s1.versions.export()
+	want := versionsOf(s1)
 	if len(want) != 6 {
 		t.Fatalf("%d resident versions, want 6", len(want))
 	}
@@ -639,7 +639,7 @@ func TestCompactionSnapshotRebuildsVersions(t *testing.T) {
 	if got := s2.RecoveryInfo().WarmedVersions; got != int64(len(want)) {
 		t.Fatalf("warmed %d versions, want %d", got, len(want))
 	}
-	got := s2.versions.export()
+	got := versionsOf(s2)
 	if len(got) != len(want) {
 		t.Fatalf("%d versions after replay, want %d", len(got), len(want))
 	}
@@ -687,7 +687,7 @@ func TestVersionRefreshRacesCompaction(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compact: %v", err)
 			}
-			if n := s.versions.len(); n != 1 {
+			if n := s.versions.Len(); n != 1 {
 				t.Fatalf("%d resident versions, want 1", n)
 			}
 			return
@@ -813,7 +813,7 @@ func (m *versionModel) apply(base uint64, d *graph.Delta) uint64 {
 // wantDeltaForm reports which versions, in the store's least recently
 // used first order, a snapshot should write as edit scripts: exactly those
 // made by a delta from another version that comes earlier in that order.
-func (m *versionModel) wantDeltaForm(order []*versionEntry) map[uint64]bool {
+func (m *versionModel) wantDeltaForm(order []storedVersion) map[uint64]bool {
 	want := make(map[uint64]bool, len(order))
 	seen := make(map[uint64]bool, len(order))
 	for _, v := range order {
@@ -850,9 +850,9 @@ func copyJournalDir(t *testing.T, dir string) string {
 // and edit lists the model recorded; a full form is byte for byte the
 // json.Marshal form of the version's CSR frame. It returns the number of
 // delta-form and full-graph records.
-func (m *versionModel) checkSnapshotForms(rec *journal.Recovery, order []*versionEntry, want map[uint64]bool) (deltas, fulls int) {
+func (m *versionModel) checkSnapshotForms(rec *journal.Recovery, order []storedVersion, want map[uint64]bool) (deltas, fulls int) {
 	m.t.Helper()
-	byFp := make(map[uint64]*versionEntry, len(order))
+	byFp := make(map[uint64]storedVersion, len(order))
 	for _, v := range order {
 		byFp[v.fp] = v
 	}
@@ -899,14 +899,29 @@ func (m *versionModel) checkSnapshotForms(rec *journal.Recovery, order []*versio
 	return deltas, fulls
 }
 
+// storedVersion is one resident version and its fingerprint.
+type storedVersion struct {
+	fp uint64
+	*versionEntry
+}
+
+// versionsOf lists s's resident versions, least recently used first.
+func versionsOf(s *Server) []storedVersion {
+	var out []storedVersion
+	for _, e := range s.versions.Snapshot() {
+		out = append(out, storedVersion{e.Key, e.Value})
+	}
+	return out
+}
+
 // checkRebuilt checks that every exported version came back with an equal
 // fingerprint, CSR and coloring.
-func checkRebuilt(t *testing.T, want, got []*versionEntry) {
+func checkRebuilt(t *testing.T, want, got []storedVersion) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%d versions after replay, want %d", len(got), len(want))
 	}
-	byFp := make(map[uint64]*versionEntry, len(got))
+	byFp := make(map[uint64]storedVersion, len(got))
 	for _, g := range got {
 		byFp[g.fp] = g
 	}
@@ -941,7 +956,7 @@ func TestVersionSnapshotWritesEditScripts(t *testing.T) {
 	m := newVersionModel(t, s1)
 	rng := rand.New(rand.NewSource(9))
 	graphOf := func(fp uint64) *graph.Graph {
-		v, ok := s1.versions.get(fp)
+		v, ok := s1.versions.Get(fp)
 		if !ok {
 			t.Fatalf("version %016x not resident", fp)
 		}
@@ -985,7 +1000,7 @@ func TestVersionSnapshotWritesEditScripts(t *testing.T) {
 		t.Fatalf("%d delta fallbacks, want 1", got)
 	}
 
-	order := s1.versions.export()
+	order := versionsOf(s1)
 	want := m.wantDeltaForm(order)
 	if err := j1.Compact(); err != nil {
 		t.Fatal(err)
@@ -1011,7 +1026,7 @@ func TestVersionSnapshotWritesEditScripts(t *testing.T) {
 	if got := s2.RecoveryInfo().WarmedVersions; got != int64(len(order)) {
 		t.Fatalf("warmed %d versions, want %d", got, len(order))
 	}
-	checkRebuilt(t, order, s2.versions.export())
+	checkRebuilt(t, order, versionsOf(s2))
 }
 
 // TestVersionSnapshotTwoChains fills the store with two interleaved
@@ -1024,7 +1039,7 @@ func TestVersionSnapshotTwoChains(t *testing.T) {
 	const capacity = 16
 	dir := t.TempDir()
 	j1, rec1 := openTestJournal(t, dir)
-	s1 := NewServer(Config{Devices: 2, Journal: j1, Recovery: rec1, Delta: DeltaConfig{Entries: capacity}})
+	s1 := newServer(Config{Devices: 2, Journal: j1, Recovery: rec1}, capacity, frontierFraction)
 	m := newVersionModel(t, s1)
 	rng := rand.New(rand.NewSource(11))
 	var heads [2]uint64
@@ -1043,7 +1058,7 @@ func TestVersionSnapshotTwoChains(t *testing.T) {
 			heads[c], graphs[c] = m.apply(heads[c], d), ng
 		}
 	}
-	order := s1.versions.export()
+	order := versionsOf(s1)
 	if len(order) != capacity {
 		t.Fatalf("%d resident versions, want %d", len(order), capacity)
 	}
@@ -1068,12 +1083,12 @@ func TestVersionSnapshotTwoChains(t *testing.T) {
 		}
 
 		j2, rec2 := openTestJournal(t, dir)
-		s2 := NewServer(Config{Devices: 2, Journal: j2, Recovery: rec2, Delta: DeltaConfig{Entries: capacity}})
+		s2 := newServer(Config{Devices: 2, Journal: j2, Recovery: rec2}, capacity, frontierFraction)
 		if got := s2.RecoveryInfo().WarmedVersions; got != capacity {
 			t.Fatalf("round %d: warmed %d versions, want %d", round, got, capacity)
 		}
-		checkRebuilt(t, order, s2.versions.export())
-		order = s2.versions.export()
+		checkRebuilt(t, order, versionsOf(s2))
+		order = versionsOf(s2)
 		want = m.wantDeltaForm(order)
 		err = j2.Compact()
 		s2.Stop()
@@ -1108,7 +1123,7 @@ func BenchmarkCompactVersions(b *testing.B) {
 		}
 		heads[c], graphs[c] = res.Fingerprint, g
 	}
-	for s.versions.len() < 64 {
+	for s.versions.Len() < 64 {
 		for c := range heads {
 			d := editScript(rng, graphs[c], false)
 			res, err := s.Submit(context.Background(), &Request{Delta: d, BaseFingerprint: heads[c]})

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"crypto/rand"
 	"encoding/base64"
@@ -14,11 +13,11 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"gcolor/internal/gpucolor"
 	"gcolor/internal/graph"
+	"gcolor/internal/lru"
 )
 
 // ColorRequest is the JSON body of POST /color. Exactly one of Graph
@@ -180,47 +179,22 @@ func sanitizeRequestID(id string) string {
 // requested by every gcload worker) is generated once, not per request.
 // Inline-uploaded graphs are not memoized — their parse cost is the upload
 // cost.
-type specCache struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List
-	byKey map[string]*list.Element
-}
+type specCache = lru.Cache[string, *graph.Graph]
 
-type specEntry struct {
-	key string
-	g   *graph.Graph
-}
+func newSpecCache(capacity int) *specCache { return lru.New[string, *graph.Graph](capacity) }
 
-func newSpecCache(capacity int) *specCache {
-	return &specCache{cap: capacity, order: list.New(), byKey: make(map[string]*list.Element)}
-}
-
-func (c *specCache) get(spec string) (*graph.Graph, error) {
-	c.mu.Lock()
-	if el, ok := c.byKey[spec]; ok {
-		c.order.MoveToFront(el)
-		g := el.Value.(*specEntry).g
-		c.mu.Unlock()
+// specGraph returns spec's graph from specs, generating it on a miss.
+// Generation runs outside the cache's lock: duplicate generation on a race
+// is harmless (same deterministic graph) and rarer than lock contention.
+func specGraph(specs *specCache, spec string) (*graph.Graph, error) {
+	if g, ok := specs.Get(spec); ok {
 		return g, nil
 	}
-	c.mu.Unlock()
-	// Generate outside the lock; duplicate generation on a race is
-	// harmless (same deterministic graph) and rarer than lock contention.
 	g, err := ParseGraphSpec(spec)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	if _, ok := c.byKey[spec]; !ok {
-		c.byKey[spec] = c.order.PushFront(&specEntry{key: spec, g: g})
-		for c.order.Len() > c.cap {
-			el := c.order.Back()
-			c.order.Remove(el)
-			delete(c.byKey, el.Value.(*specEntry).key)
-		}
-	}
-	c.mu.Unlock()
+	specs.Put(spec, g)
 	return g, nil
 }
 
@@ -769,7 +743,7 @@ func buildRequest(cr *ColorRequest, specs *specCache) (*Request, *graph.Graph, e
 	}
 	switch {
 	case cr.Gen != "":
-		g, err = specs.get(cr.Gen)
+		g, err = specGraph(specs, cr.Gen)
 	case cr.Graph != "":
 		g, err = graph.ParseEdgeList(cr.Graph)
 	default:

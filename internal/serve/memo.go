@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
-	"sync"
 )
 
 // The request memo lets a front door answer a repeat without decoding it.
@@ -65,57 +63,12 @@ func (u *Upload) digest() [sha256.Size]byte {
 }
 
 // memoEntry is what decoding one upload produced: its cache key, and the
-// vertex and edge counts and include_colors its reply echoes.
+// vertex and edge counts and include_colors its reply echoes. The memo is
+// an LRU of these by the upload's digest, as large as the result cache.
 type memoEntry struct {
-	sum             [sha256.Size]byte
 	key             cacheKey
 	vertices, edges int
 	includeColors   bool
-}
-
-// requestMemo is a fixed-capacity LRU of memo entries by digest.
-type requestMemo struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recent; values are *memoEntry
-	bySum map[[sha256.Size]byte]*list.Element
-}
-
-func newRequestMemo(capacity int) *requestMemo {
-	return &requestMemo{cap: capacity, order: list.New(), bySum: make(map[[sha256.Size]byte]*list.Element)}
-}
-
-func (m *requestMemo) get(sum [sha256.Size]byte) (memoEntry, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	el, ok := m.bySum[sum]
-	if !ok {
-		return memoEntry{}, false
-	}
-	m.order.MoveToFront(el)
-	return *el.Value.(*memoEntry), true
-}
-
-func (m *requestMemo) put(e memoEntry) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if el, ok := m.bySum[e.sum]; ok {
-		*el.Value.(*memoEntry) = e
-		m.order.MoveToFront(el)
-		return
-	}
-	m.bySum[e.sum] = m.order.PushFront(&e)
-	for m.order.Len() > m.cap {
-		el := m.order.Back()
-		m.order.Remove(el)
-		delete(m.bySum, el.Value.(*memoEntry).sum)
-	}
-}
-
-func (m *requestMemo) len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.order.Len()
 }
 
 // Recall answers a repeat of an upload this front door has decoded before,
@@ -134,7 +87,7 @@ func (a *Admission) Recall(u *Upload, rid, idemKey string) (*ColorResponse, bool
 		return nil, false
 	}
 	u.memo = memoTag{sum: u.digest(), set: true}
-	m, ok := a.memo.get(u.memo.sum)
+	m, ok := a.memo.Get(u.memo.sum)
 	if !ok {
 		return nil, false
 	}
@@ -168,8 +121,7 @@ func (a *Admission) remember(req *Request, key cacheKey) {
 	if !req.memo.set || a.memo == nil {
 		return
 	}
-	a.memo.put(memoEntry{
-		sum:           req.memo.sum,
+	a.memo.Put(req.memo.sum, memoEntry{
 		key:           key,
 		vertices:      req.Graph.NumVertices(),
 		edges:         req.Graph.NumEdges(),
@@ -181,7 +133,7 @@ func (a *Admission) remember(req *Request, key cacheKey) {
 func (a *Admission) MemoStats() (hits int64, entries int) {
 	hits = a.reg.Counter("memo_hits").Value()
 	if a.memo != nil {
-		entries = a.memo.len()
+		entries = a.memo.Len()
 	}
 	return hits, entries
 }

@@ -44,14 +44,15 @@ func TestStoredColorsRoundTrip(t *testing.T) {
 			t.Fatalf("%s: %d colors does not exercise this case", tc.name, first.NumColors)
 		}
 		want := slices.Clone(first.Colors)
-		stored, _, ok := s.front.idem.get(idem)
+		e, ok := s.front.idem.Get(idem)
+		stored := e.res
 		if !ok {
 			t.Fatalf("%s: no idempotent entry", tc.name)
 		}
 		if (stored.colors8 != nil) != tc.packed || (stored.Colors == nil) != tc.packed {
 			t.Errorf("%s: stored packed=%v, want %v", tc.name, stored.colors8 != nil, tc.packed)
 		}
-		if exp := s.front.cache.export(); len(exp) != 1 || exp[0].res != stored {
+		if exp := s.front.cache.Snapshot(); len(exp) != 1 || exp[0].Value.res != stored {
 			t.Errorf("%s: the cache and the idempotency LRU do not share one stored response", tc.name)
 		}
 

@@ -37,18 +37,16 @@ func (a *Admission) writeSnapshot(w *journal.SnapshotWriter) error {
 	sort.Slice(pending, func(i, k int) bool { return pending[i].AcceptedUnixMS < pending[k].AcceptedUnixMS })
 
 	now := time.Now().UnixMilli()
-	for _, e := range a.cache.export() {
-		rec := completionRecord("", "", e.key, cloneHit(e.res, true), nil, false)
+	for _, e := range a.cache.Snapshot() {
+		rec := completionRecord("", "", e.Key, cloneHit(e.Value.res, true), nil, false)
 		rec.CompletedUnixMS = now
 		if err := w.Complete(&rec); err != nil {
 			return err
 		}
 	}
-	for _, e := range a.idem.export() {
-		if e.res == nil || e.key == "" {
-			continue
-		}
-		rec := completionRecord("", e.key, cacheKey{fp: e.res.Fingerprint, policy: e.pk}, cloneHit(e.res, true), nil, e.noCache)
+	for _, e := range a.idem.Snapshot() {
+		v := e.Value
+		rec := completionRecord("", e.Key, cacheKey{fp: v.res.Fingerprint, policy: v.pk}, cloneHit(v.res, true), nil, v.noCache)
 		rec.CompletedUnixMS = now
 		if err := w.Complete(&rec); err != nil {
 			return err
@@ -76,12 +74,13 @@ func (a *Admission) writeSnapshot(w *journal.SnapshotWriter) error {
 // delta) carries its full graph as a graph_csr_b64 frame, encoded into
 // buffers reused across versions.
 func (s *Server) writeVersions(w *journal.SnapshotWriter, now int64) error {
-	versions := s.versions.export()
+	versions := s.versions.Snapshot()
 	written := make(map[uint64]bool, len(versions))
 	var frame, full []byte
-	for _, v := range versions {
-		colored := &Response{Fingerprint: v.fp, Colors: v.colors, NumColors: color.NumColors(v.colors)}
-		rec := completionRecord(versionRecordID(v.fp), "", cacheKey{fp: v.fp}, colored, nil, true)
+	for _, e := range versions {
+		fp, v := e.Key, e.Value
+		colored := &Response{Fingerprint: fp, Colors: v.colors, NumColors: color.NumColors(v.colors)}
+		rec := completionRecord(versionRecordID(fp), "", cacheKey{fp: fp}, colored, nil, true)
 		rec.CompletedUnixMS = now
 		if err := w.Complete(&rec); err != nil {
 			return err
@@ -107,10 +106,10 @@ func (s *Server) writeVersions(w *journal.SnapshotWriter, now int64) error {
 			full = appendCSRWire(full[:0], frame)
 			wire = full
 		}
-		written[v.fp] = true
+		written[fp] = true
 		if err := w.Accept(&journal.AcceptRecord{
-			ID:             versionRecordID(v.fp),
-			Fingerprint:    v.fp,
+			ID:             versionRecordID(fp),
+			Fingerprint:    fp,
 			AcceptedUnixMS: now,
 			Resident:       true,
 			Wire:           wire,
@@ -172,11 +171,11 @@ func (a *Admission) Recover(rec *journal.Recovery, resubmit func(ctx context.Con
 			Device:      -1,
 		})
 		if !c.NoCache {
-			a.cache.put(cacheKey{fp: c.Fingerprint, policy: c.PolicyKey}, res, true)
+			a.cache.Put(cacheKey{fp: c.Fingerprint, policy: c.PolicyKey}, cacheEntry{res: res, warm: true})
 			a.warmCache++
 		}
 		if c.IdemKey != "" {
-			a.idem.put(c.IdemKey, res, c.NoCache, c.PolicyKey, true)
+			a.idem.Put(c.IdemKey, idemEntry{cacheEntry: cacheEntry{res: res, warm: true}, noCache: c.NoCache, pk: c.PolicyKey})
 			a.warmIdem++
 		}
 	}
@@ -301,7 +300,7 @@ func (s *Server) rebuildGraph(wire []byte, fp uint64) (g *graph.Graph, base uint
 	if err != nil {
 		return nil, 0, nil, false
 	}
-	bv, ok := s.versions.get(base)
+	bv, ok := s.versions.Get(base)
 	if !ok {
 		return nil, base, nil, true
 	}

@@ -256,7 +256,7 @@ func TestRecallSkipsUnprovedWarmEntry(t *testing.T) {
 	colors := color.Greedy(g, color.Natural, 0)
 	a.Recover(&journal.Recovery{Completions: []journal.CompleteRecord{{Fingerprint: req.Fingerprint, PolicyKey: key.policy,
 		Disposition: journal.DispOK, NumColors: color.NumColors(colors), ColorsB64: journal.EncodeColors(colors)}}}, nil)
-	a.memo.put(memoEntry{sum: up.digest(), key: key, vertices: g.NumVertices(), edges: g.NumEdges()})
+	a.memo.Put(up.digest(), memoEntry{key: key, vertices: g.NumVertices(), edges: g.NumEdges()})
 	if out, ok := a.Recall(up, "r1", ""); ok {
 		t.Fatalf("recall answered from a warmed entry not yet proved: %+v", out)
 	}
@@ -437,7 +437,7 @@ func TestRecallSkipsUnprovedWarmIdemEntry(t *testing.T) {
 	a.Recover(&journal.Recovery{Completions: []journal.CompleteRecord{{IdemKey: "k1", NoCache: true,
 		Fingerprint: req.Fingerprint, PolicyKey: key.policy, Disposition: journal.DispOK,
 		NumColors: color.NumColors(colors), ColorsB64: journal.EncodeColors(colors)}}}, nil)
-	a.memo.put(memoEntry{sum: up.digest(), key: key, vertices: g.NumVertices(), edges: g.NumEdges(), includeColors: true})
+	a.memo.Put(up.digest(), memoEntry{key: key, vertices: g.NumVertices(), edges: g.NumEdges(), includeColors: true})
 	if out, ok := a.Recall(up, "r1", "k1"); ok {
 		t.Fatalf("recall answered from a warmed idempotency entry not yet proved: %+v", out)
 	}

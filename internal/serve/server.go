@@ -10,6 +10,7 @@ import (
 	"gcolor/internal/gpucolor"
 	"gcolor/internal/graph"
 	"gcolor/internal/journal"
+	"gcolor/internal/lru"
 	"gcolor/internal/metrics"
 	"gcolor/internal/shard"
 )
@@ -45,9 +46,6 @@ type Config struct {
 	CacheEntries int
 	// Shard tunes sharded scatter-gather execution.
 	Shard ShardConfig
-	// Delta tunes the incremental coloring engine (versioned resident
-	// graphs + frontier recolor of mutations).
-	Delta DeltaConfig
 
 	// Journal, when set, makes the server crash-safe: every replayable
 	// request is journaled before enqueue and every finished job journals
@@ -88,7 +86,6 @@ func (c Config) withDefaults() Config {
 	if c.ReplayParallelism < 1 {
 		c.ReplayParallelism = 4
 	}
-	c.Delta = c.Delta.withDefaults()
 	return c
 }
 
@@ -103,9 +100,11 @@ type Server struct {
 	front    *Admission
 	pool     *DevicePool
 	queue    *jobQueue
-	versions *versionStore
+	versions versionStore
 	reg      *metrics.Registry
 	hedge    *hedgeTracker
+	// frontier is the delta recolor budget (frontierFraction).
+	frontier float64
 
 	// warmVersions counts the resident versions rebuilt at startup.
 	warmVersions int64
@@ -123,7 +122,12 @@ type Server struct {
 }
 
 // NewServer builds a serving stack from cfg and starts its workers.
-func NewServer(cfg Config) *Server {
+func NewServer(cfg Config) *Server { return newServer(cfg, versionEntries, frontierFraction) }
+
+// newServer is NewServer with the incremental engine's version store
+// capacity and frontier budget given, sized before warm start pins any
+// version.
+func newServer(cfg Config, versions int, frontier float64) *Server {
 	cfg = cfg.withDefaults()
 	var pool *DevicePool
 	if len(cfg.DeviceConfigs) > 0 {
@@ -136,9 +140,10 @@ func NewServer(cfg Config) *Server {
 		cfg:       cfg,
 		pool:      pool,
 		queue:     newJobQueue(cfg.QueueCapacity, cfg.ShedFraction),
-		versions:  newVersionStore(cfg.Delta.Entries),
+		versions:  versionStore{lru.New[uint64, *versionEntry](versions)},
 		reg:       metrics.NewRegistry(),
 		hedge:     newHedgeTracker(hedgeMinSamples, hedgeFloor),
+		frontier:  frontier,
 		baseCtx:   ctx,
 		cancel:    cancel,
 		started:   time.Now(),
@@ -544,9 +549,17 @@ func (s *Server) runJob(j *job, wait time.Duration) {
 		s.failJob(j, err)
 		return
 	}
+	res := d.response(j.fp)
+	res.Wait = wait
+	s.finishJob(j, &res)
+}
+
+// response is the reply of one dispatch: its outcome with the device and
+// timing evidence.
+func (d *dispatchResult) response(fp uint64) Response {
 	out := d.out
-	res := &Response{
-		Fingerprint: j.fp,
+	return Response{
+		Fingerprint: fp,
 		Colors:      out.Colors,
 		NumColors:   out.NumColors,
 		Cycles:      out.Cycles,
@@ -557,11 +570,14 @@ func (s *Server) runJob(j *job, wait time.Duration) {
 		Hedged:      d.hedged,
 		Shards:      1,
 		Device:      d.device,
-		Wait:        wait,
 		Exec:        d.exec,
 	}
+}
+
+// finishJob finishes a job that produced res.
+func (s *Server) finishJob(j *job, res *Response) {
 	s.reg.Counter("completed_total").Inc()
-	if out.Recovery != gpucolor.RecoveryNone {
+	if res.Recovery != gpucolor.RecoveryNone {
 		s.reg.Counter("recovered_total").Inc()
 	}
 	s.front.finish(j.fl, res, nil)
@@ -590,7 +606,7 @@ func (s *Server) dispatchShard(ctx context.Context, j *job, i int, sub *graph.Gr
 // lease, hedging, and health accounting), then one aggregated response.
 func (s *Server) runSharded(ctx context.Context, j *job, wait time.Duration) {
 	s.reg.Counter("shard_jobs_total").Inc()
-	outs := make([]*dispatchResult, j.shards)
+	outs := make([]Response, j.shards)
 	sr, err := shard.ColorSharded(ctx, j.req.Graph,
 		shard.Options{K: j.shards, Seed: j.req.Seed, NoFallback: j.req.NoCPUFallback},
 		func(ctx context.Context, i, k int, sub *graph.Graph) ([]int32, int64, error) {
@@ -598,7 +614,7 @@ func (s *Server) runSharded(ctx context.Context, j *job, wait time.Duration) {
 			if err != nil {
 				return nil, 0, fmt.Errorf("serve: shard %d/%d: %w", i, k, err)
 			}
-			outs[i] = d
+			outs[i] = d.response(0)
 			return d.out.Colors, d.out.Cycles, nil
 		})
 	if err != nil {
@@ -612,44 +628,44 @@ func (s *Server) runSharded(ctx context.Context, j *job, wait time.Duration) {
 	if st.Fallback {
 		s.reg.Counter("shard_fallback_total").Inc()
 	}
+	res := ShardedResponse(j.fp, sr, outs)
+	res.Wait = wait
+	s.finishJob(j, res)
+}
 
+// ShardedResponse is the reply of a job colored as shards, in process or
+// across a fleet: sr's merged coloring and boundary-repair evidence,
+// folded with the shards' own replies. Attempts and repairs are summed,
+// recovery is the worst rung any shard needed (cpu when the boundary
+// repair fell back), the job is hedged if any shard was, and iterations
+// and exec time are the most of any shard, the shards having run in
+// parallel. Cycles is the shards' sum, the serial-equivalent work. The
+// caller adds what only it knows, such as the queue wait.
+func ShardedResponse(fp uint64, sr *shard.Result, shards []Response) *Response {
 	res := &Response{
-		Fingerprint:       j.fp,
+		Fingerprint:       fp,
 		Colors:            sr.Colors,
 		NumColors:         sr.NumColors,
-		Cycles:            sr.CyclesTotal, // serial-equivalent device work
+		Cycles:            sr.CyclesTotal,
 		Shards:            sr.K,
-		ShardConflicts:    st.Conflicts,
-		ShardRepairRounds: st.Rounds,
-		ShardRecolored:    st.Recolored,
-		Device:            -1, // the job spanned several devices
-		Wait:              wait,
+		ShardConflicts:    sr.Repair.Conflicts,
+		ShardRepairRounds: sr.Repair.Rounds,
+		ShardRecolored:    sr.Repair.Recolored,
+		Device:            -1, // the job spanned several devices or workers
 	}
-	for _, d := range outs {
-		out := d.out
-		if out.Iterations > res.Iterations {
-			res.Iterations = out.Iterations
-		}
-		res.Attempts += out.Attempts
-		res.Repaired += out.Repaired
-		if out.Recovery > res.Recovery {
-			res.Recovery = out.Recovery // worst rung any shard needed
-		}
-		if d.hedged {
-			res.Hedged = true
-		}
-		if d.exec > res.Exec {
-			res.Exec = d.exec // parallel makespan
-		}
+	for i := range shards {
+		sh := &shards[i]
+		res.Iterations = max(res.Iterations, sh.Iterations)
+		res.Attempts += sh.Attempts
+		res.Repaired += sh.Repaired
+		res.Recovery = max(res.Recovery, sh.Recovery)
+		res.Hedged = res.Hedged || sh.Hedged
+		res.Exec = max(res.Exec, sh.Exec)
 	}
-	if st.Fallback {
+	if sr.Repair.Fallback {
 		res.Recovery = gpucolor.RecoveryCPU
 	}
-	s.reg.Counter("completed_total").Inc()
-	if res.Recovery != gpucolor.RecoveryNone {
-		s.reg.Counter("recovered_total").Inc()
-	}
-	s.front.finish(j.fl, res, nil)
+	return res
 }
 
 // attempt runs one device attempt: execute the resilient ladder on the
@@ -781,10 +797,10 @@ func (s *Server) Stats() Stats {
 		Failed:          snap["failed_total"],
 		CacheHits:       snap["cache_hits"],
 		CacheMisses:     snap["cache_misses"],
-		CacheEntries:    s.front.cache.len(),
-		CacheEvictions:  s.front.cache.evictions(),
+		CacheEntries:    s.front.cache.Len(),
+		CacheEvictions:  s.front.cache.Evictions(),
 		IdemHits:        snap["idem_hits_total"],
-		IdemEntries:     s.front.idem.len(),
+		IdemEntries:     s.front.idem.Len(),
 		MemoHits:        memoHits,
 		MemoEntries:     memoEntries,
 		Coalesced:       snap["coalesced_total"],
@@ -810,7 +826,7 @@ func (s *Server) Stats() Stats {
 		DeltaHits:          snap["delta_hits"],
 		DeltaFallbacks:     snap["delta_fallbacks_total"],
 		DeltaUnknownBase:   snap["delta_unknown_base_total"],
-		VersionsResident:   s.versions.len(),
+		VersionsResident:   s.versions.Len(),
 		Hedges:             snap["hedges_total"],
 		HedgeWins:          snap["hedge_wins_total"],
 		HedgeLosses:        snap["hedge_losses_total"],
